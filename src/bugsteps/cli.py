@@ -28,7 +28,7 @@ from .evalharness import evaluate_manifest, render_metrics_table
 from .isolate import STRATEGIES, run_strategy, verify_baseline
 from .scoring import GRANULARITIES, SCORERS, report_for
 from .toy.bugs import SeededBug, generate_scenarios
-from .toy.driver import step_ids_for_pipeline
+from .toy.driver import ToyDriver
 from .toy.passes import CrashSignal, Tracer, run_pipeline
 from .util import canonical_json
 
@@ -177,20 +177,16 @@ def cmd_testbed_run(args) -> int:
     except (OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: cannot load scenario: {exc}", file=sys.stderr)
         return EXIT_DRIVER_ERROR
-    ids = step_ids_for_pipeline(bug.pipeline)
+    sequence = ToyDriver(bug).enumerate_steps()
     if args.list_steps:
-        for sid in ids:
+        for sid in sequence.ids:
             print(sid)
         return EXIT_OK
     wanted = [s for s in args.passes.split(",") if s] if args.passes else []
-    pos = {sid: i for i, sid in enumerate(ids)}
     try:
-        positions = [pos[sid] for sid in wanted]
-    except KeyError as exc:
-        print(f"error: unknown step id {exc}", file=sys.stderr)
-        return EXIT_DRIVER_ERROR
-    if positions != sorted(positions):
-        print("error: steps must be given in pipeline order", file=sys.stderr)
+        positions = sequence.positions(wanted)
+    except (KeyError, ValueError) as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_DRIVER_ERROR
     tracer = Tracer()
     names = [bug.pipeline[i] for i in positions]

@@ -1,12 +1,15 @@
 """Pipeline drivers: run a compilation with a subset of steps retained.
 
 A driver answers one question: given an ordered subset of step ids, what
-is the outcome and which compiler statements executed?  ``ProcessDriver``
-talks to a real compiler through configurable shell commands and coverage
-files; the testbed's in-process driver lives in ``bugsteps.toy.driver``.
-Results are cached (on disk for process runs) keyed by the config
-fingerprint plus the ordered retained subset, so repeated identical
-subsets never re-run.
+is the outcome and which compiler statements executed?  The ``Driver``
+base class owns everything the answers share: the ordered-subset check,
+the result cache (in memory, plus a disk tier when ``cache_dir`` is set)
+and the ``execute_calls``/``process_runs`` counters.  Cache entries are
+keyed by the driver fingerprint plus the ordered retained subset, so
+repeated identical subsets never re-run.  Backends implement only step
+enumeration and one uncached run: ``ProcessDriver`` talks to a real
+compiler through configurable shell commands and coverage files, and the
+testbed's in-process driver lives in ``bugsteps.toy.driver``.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .errors import (
     EmptySequence,
     InvalidConfig,
 )
-from .model import ExecutionResult, Outcome, StatementId, Step, StepSequence
+from .model import ExecutionResult, Outcome, Step, StepSequence
 from .util import fingerprint
 
 log = logging.getLogger(__name__)
@@ -173,12 +176,88 @@ def group_aliased_steps(sub_steps: Sequence[str],
     return StepSequence(tuple(steps))
 
 
-class ProcessDriver:
-    """Runs the pipeline through shell commands with an on-disk result cache."""
+class Driver:
+    """Ordered-subset execution with a result cache and run counters.
+
+    ``execute`` checks the subset against the enumerated steps, then
+    answers from the memory cache, then from the disk tier when
+    ``cache_dir`` is set, and only then calls ``_run``.  Subclasses
+    implement ``_enumerate()`` and ``_run(key, positions)``.
+    """
+
+    def __init__(self, fingerprint: str, cache_dir: Optional[Path] = None):
+        self.fingerprint = fingerprint
+        self.cache_dir = cache_dir
+        self._mem: Dict[Tuple[str, ...], ExecutionResult] = {}
+        self._lock = threading.Lock()
+        self._sequence: Optional[StepSequence] = None
+        self.execute_calls = 0
+        self.process_runs = 0
+
+    def _enumerate(self) -> StepSequence:
+        raise NotImplementedError
+
+    def _run(self, key: Tuple[str, ...], positions: List[int]) -> ExecutionResult:
+        raise NotImplementedError
+
+    def enumerate_steps(self) -> StepSequence:
+        if self._sequence is None:
+            self._sequence = self._enumerate()
+        return self._sequence
+
+    def execute(self, subset: Sequence[str]) -> ExecutionResult:
+        key = tuple(subset)
+        # the cached sequence, once there, so execute never re-enters enumerate_steps
+        sequence = self._sequence if self._sequence is not None else self.enumerate_steps()
+        positions = sequence.positions(key)
+        with self._lock:
+            self.execute_calls += 1
+            cached = self._mem.get(key)
+        if cached is not None:
+            return cached
+        result = self._cache_load(key) if self.cache_dir else None
+        if result is None:
+            result = self._run(key, positions)
+            with self._lock:
+                self.process_runs += 1
+            if self.cache_dir:
+                self._cache_store(key, result)
+        with self._lock:
+            self._mem[key] = result
+        return result
+
+    # -- disk tier -------------------------------------------------------
+
+    def _cache_path(self, key: Tuple[str, ...]) -> Path:
+        digest = hashlib.sha256("\x1f".join(key).encode("utf-8")).hexdigest()
+        return self.cache_dir / f"{digest}.json"
+
+    def _cache_load(self, key: Tuple[str, ...]) -> Optional[ExecutionResult]:
+        path = self._cache_path(key)
+        try:
+            doc = json.loads(path.read_text("utf-8"))
+        except (OSError, json.JSONDecodeError):
+            return None
+        try:
+            return ExecutionResult.from_json_dict(doc)
+        except (KeyError, ValueError):
+            log.warning("discarding corrupt cache entry %s", path)
+            return None
+
+    def _cache_store(self, key: Tuple[str, ...], result: ExecutionResult) -> None:
+        path = self._cache_path(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_suffix(f".tmp.{os.getpid()}")
+        tmp.write_text(json.dumps(result.to_json_dict(), sort_keys=True), "utf-8")
+        os.replace(tmp, path)
+
+
+class ProcessDriver(Driver):
+    """Runs the pipeline through shell commands; results persist on disk."""
 
     def __init__(self, config: DriverConfig, cache_dir=None):
         self.config = config
-        self.fingerprint = fingerprint(
+        digest = fingerprint(
             {
                 "enumerate_command": config.enumerate_command,
                 "run_command": config.run_command,
@@ -195,18 +274,9 @@ class ProcessDriver:
             }
         )
         root = Path(cache_dir) if cache_dir else Path(config.workdir) / ".bugsteps-cache"
-        self.cache_dir = root / self.fingerprint[:16]
-        self._mem: Dict[Tuple[str, ...], ExecutionResult] = {}
-        self._lock = threading.Lock()
-        self._sequence: Optional[StepSequence] = None
-        self.execute_calls = 0
-        self.process_runs = 0
+        super().__init__(digest, root / digest[:16])
 
-    # -- step enumeration ----------------------------------------------
-
-    def enumerate_steps(self) -> StepSequence:
-        if self._sequence is not None:
-            return self._sequence
+    def _enumerate(self) -> StepSequence:
         proc = self._run_command(self.config.enumerate_command, scratch=None)
         if proc is None:
             raise CommandFailed(self.config.enumerate_command, "timeout")
@@ -219,52 +289,16 @@ class ProcessDriver:
         if not lines:
             raise EmptySequence("step enumeration produced no steps")
         if self.config.alias_map:
-            seq = group_aliased_steps(lines, self.config.alias_map)
-        else:
-            seq = StepSequence(
-                tuple(Step(id=ln, display_name=ln, ordinal=i) for i, ln in enumerate(lines))
-            )
-        self._sequence = seq
-        return seq
+            return group_aliased_steps(lines, self.config.alias_map)
+        return StepSequence(
+            tuple(Step(id=ln, display_name=ln, ordinal=i) for i, ln in enumerate(lines))
+        )
 
-    # -- execution ------------------------------------------------------
-
-    def execute(self, subset: Sequence[str]) -> ExecutionResult:
-        key = tuple(subset)
-        with self._lock:
-            self.execute_calls += 1
-            cached = self._mem.get(key)
-        if cached is not None:
-            return cached
-        disk = self._cache_load(key)
-        if disk is not None:
-            with self._lock:
-                self._mem[key] = disk
-            return disk
-        result = self._execute_uncached(key)
-        with self._lock:
-            self.process_runs += 1
-            self._mem[key] = result
-        self._cache_store(key, result)
-        return result
-
-    def _expand_subset(self, subset: Tuple[str, ...]) -> List[str]:
-        seq = self.enumerate_steps()
-        pos = {s.id: s.ordinal for s in seq.steps}
-        last = -1
+    def _run(self, key: Tuple[str, ...], positions: List[int]) -> ExecutionResult:
         expanded: List[str] = []
-        for sid in subset:
-            if sid not in pos:
-                raise KeyError(f"unknown step id {sid!r}")
-            if pos[sid] <= last:
-                raise ValueError("subset must be an ordered subsequence of the step list")
-            last = pos[sid]
-            step = seq.steps[pos[sid]]
-            expanded.extend(step.aliases if step.aliases else (sid,))
-        return expanded
-
-    def _execute_uncached(self, key: Tuple[str, ...]) -> ExecutionResult:
-        expanded = self._expand_subset(key)
+        for pos in positions:
+            step = self._sequence.steps[pos]
+            expanded.extend(step.aliases if step.aliases else (step.id,))
         joined = self.config.step_separator.join(
             self.config.step_template.replace("{step}", s) for s in expanded
         )
@@ -349,45 +383,6 @@ class ProcessDriver:
         for fname in matched:
             out.update(parser(Path(fname).read_bytes(), self.config.source_root))
         return frozenset(out)
-
-    # -- disk cache ------------------------------------------------------
-
-    def _cache_path(self, key: Tuple[str, ...]) -> Path:
-        digest = hashlib.sha256("\x1f".join(key).encode("utf-8")).hexdigest()
-        return self.cache_dir / f"{digest}.json"
-
-    def _cache_load(self, key: Tuple[str, ...]) -> Optional[ExecutionResult]:
-        path = self._cache_path(key)
-        try:
-            doc = json.loads(path.read_text("utf-8"))
-        except (OSError, json.JSONDecodeError):
-            return None
-        try:
-            return ExecutionResult(
-                subset=tuple(doc["subset"]),
-                outcome=Outcome(doc["outcome"]),
-                coverage=frozenset(
-                    StatementId(r["file"], r["line"], r.get("function"))
-                    for r in doc["coverage"]
-                ),
-                wall_time=float(doc["wall_time"]),
-            )
-        except (KeyError, ValueError):
-            log.warning("discarding corrupt cache entry %s", path)
-            return None
-
-    def _cache_store(self, key: Tuple[str, ...], result: ExecutionResult) -> None:
-        path = self._cache_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(result.to_json_dict(), sort_keys=True), "utf-8")
-        os.replace(tmp, path)
-
-    def clear_cache(self) -> None:
-        with self._lock:
-            self._mem.clear()
-        if self.cache_dir.exists():
-            shutil.rmtree(self.cache_dir)
 
 
 def clear_cache_dir(cache_dir) -> int:

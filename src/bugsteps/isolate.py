@@ -10,6 +10,10 @@ Three strategies, all built on the same driver contract:
   sequence, never deleting anything (ablation baseline).
 * ``rand_order`` -- visits single steps in a seeded random permutation,
   deleting or pinning as it goes (ablation baseline).
+
+``tail_prune`` and ``rand_order`` are one delete-or-pin loop (``_prune``)
+over different chunk schedules: the whole sequence as one chunk that is
+split on demand, or the shuffled single steps.
 """
 
 from __future__ import annotations
@@ -20,12 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InconsistentOracle, NotReproducible
-from .model import (
-    ExecutionResult,
-    Outcome,
-    RemovalProbe,
-    StepSequence,
-)
+from .model import ExecutionResult, RemovalProbe, StepSequence
 
 STRATEGIES = ("tail", "nodel", "rand")
 
@@ -71,47 +70,43 @@ class IsolationResult:
 
 
 class _Session:
-    """Bookkeeping shared by the strategies: counters, run log, oracle memo."""
+    """Bookkeeping shared by the strategies: the failing baseline, the probe
+    count, and every distinct run in first-seen order (the oracle memo)."""
 
-    def __init__(self, driver):
+    def __init__(self, driver, sequence: StepSequence):
         self.driver = driver
         self.issued = 0
-        self.seen: Dict[Tuple[str, ...], ExecutionResult] = {}
-        self.order: List[ExecutionResult] = []
-        self.memo: Dict[Tuple[str, ...], Outcome] = {}
-
-    def baseline(self, subset) -> ExecutionResult:
-        return self._record(self.driver.execute(tuple(subset)))
+        self.runs: Dict[Tuple[str, ...], ExecutionResult] = {}
+        self.base = self.record(driver.execute(sequence.ids))
+        if not self.base.outcome.is_fail:
+            raise NotReproducible("the full step sequence passed")
 
     def probe(self, subset) -> ExecutionResult:
         self.issued += 1
-        return self._record(self.driver.execute(tuple(subset)))
+        return self.record(self.driver.execute(tuple(subset)))
 
-    def _record(self, result: ExecutionResult) -> ExecutionResult:
-        known = self.memo.get(result.subset)
-        if known is not None and known is not result.outcome:
+    def record(self, result: ExecutionResult) -> ExecutionResult:
+        known = self.runs.setdefault(result.subset, result)
+        if known.outcome is not result.outcome:
             raise InconsistentOracle(
                 f"subset {list(result.subset)!r} changed outcome from "
-                f"{known.value} to {result.outcome.value}"
+                f"{known.outcome.value} to {result.outcome.value}"
             )
-        self.memo[result.subset] = result.outcome
-        if result.subset not in self.seen:
-            self.seen[result.subset] = result
-            self.order.append(result)
         return result
 
-    def finish(self, strategy, probes, final_sequence, baseline, seed=None) -> IsolationResult:
-        probes = sorted(probes, key=lambda p: baseline.subset.index(p.removed_step))
+    def finish(self, strategy, probes, final_sequence, seed=None) -> IsolationResult:
+        order = self.base.subset.index
+        runs = list(self.runs.values())
         return IsolationResult(
             strategy=strategy,
-            probes=probes,
+            probes=sorted(probes, key=lambda p: order(p.removed_step)),
             final_sequence=final_sequence,
             probe_count=self.issued,
-            all_runs=list(self.order),
-            baseline=baseline,
+            all_runs=runs,
+            baseline=self.base,
             fallback=not probes,
-            uncached_count=len(self.order),
-            wall_time=sum(r.wall_time for r in self.order),
+            uncached_count=len(runs),
+            wall_time=sum(r.wall_time for r in runs),
             seed=seed,
         )
 
@@ -126,52 +121,51 @@ def verify_baseline(driver, sequence: StepSequence) -> ExecutionResult:
     return result
 
 
+def _prune(session: _Session, chunks: List[List[str]]) -> Tuple[List[RemovalProbe], List[str]]:
+    """The delete-or-pin loop shared by ``tail`` and ``rand``.
+
+    ``chunks`` is a stack; the last chunk is visited first.  Each chunk is
+    removed from the retained sequence and probed.  If the failure
+    persists the chunk is deleted for good.  If the run passes and the
+    chunk is one step, that step is pinned as bug-causing, its probe
+    diffed against the current retained (failing) run.  Otherwise the
+    chunk is split and both halves pushed, back half last, so the back
+    half is classified before the front half.  Returns the probes of
+    pinned steps and the retained ids.
+    """
+    retained = list(session.base.subset)
+    retained_run = session.base
+    probes: List[RemovalProbe] = []
+    while chunks:
+        chunk = chunks.pop()
+        removed = set(chunk)
+        subset = [s for s in retained if s not in removed]
+        run = session.probe(subset)
+        if run.outcome.is_fail:
+            retained, retained_run = subset, run
+        elif len(chunk) == 1:
+            probes.append(RemovalProbe.from_runs(chunk[0], retained_run, run))
+        else:
+            mid = len(chunk) // 2  # back half gets the extra element
+            chunks += [chunk[:mid], chunk[mid:]]
+    return probes, retained
+
+
 def tail_prune(driver, sequence: StepSequence) -> IsolationResult:
     """Reverse divide-and-conquer pruning with probe collection.
 
-    ``classify(chunk)`` assumes every step after the chunk is already
-    classified (pinned or deleted).  It first tests removal of the whole
-    chunk: if the failure persists the chunk is deleted outright;
-    otherwise the chunk is split and the back half is classified before
-    the front half, realizing the reverse traversal.
+    Starts from the whole sequence as one chunk: removal of a chunk is
+    tested first, and only a chunk whose removal loses the failure is
+    split, back half first, which realizes the reverse traversal.
     """
-    session = _Session(driver)
-    base = session.baseline(sequence.ids)
-    if not base.outcome.is_fail:
-        raise NotReproducible("the full step sequence passed")
-
-    retained: List[str] = list(sequence.ids)
-    retained_run = base
-    probes: List[RemovalProbe] = []
-
-    def classify(chunk: List[str]) -> None:
-        nonlocal retained, retained_run
-        chunk_set = set(chunk)
-        subset = [s for s in retained if s not in chunk_set]
-        run = session.probe(subset)
-        if run.outcome.is_fail:
-            retained = subset
-            retained_run = run
-            return
-        if len(chunk) == 1:
-            if not retained_run.outcome.is_fail:
-                raise InconsistentOracle("retained context no longer fails")
-            probes.append(RemovalProbe.from_runs(chunk[0], retained_run, run))
-            return
-        mid = len(chunk) // 2  # back half gets the extra element
-        classify(chunk[mid:])
-        classify(chunk[:mid])
-
-    classify(list(retained))
-    return session.finish("tail", probes, list(retained), base)
+    session = _Session(driver, sequence)
+    probes, retained = _prune(session, [list(sequence.ids)])
+    return session.finish("tail", probes, retained)
 
 
 def no_del(driver, sequence: StepSequence, jobs: int = 1) -> IsolationResult:
     """Independent single-step removals against the original full run."""
-    session = _Session(driver)
-    base = session.baseline(sequence.ids)
-    if not base.outcome.is_fail:
-        raise NotReproducible("the full step sequence passed")
+    session = _Session(driver, sequence)
     ids = list(sequence.ids)
     subsets = [tuple(s for s in ids if s != removed) for removed in ids]
     if jobs > 1:
@@ -179,39 +173,24 @@ def no_del(driver, sequence: StepSequence, jobs: int = 1) -> IsolationResult:
             runs = list(pool.map(driver.execute, subsets))
         for run in runs:
             session.issued += 1
-            session._record(run)
+            session.record(run)
     else:
         runs = [session.probe(sub) for sub in subsets]
     probes = [
-        RemovalProbe.from_runs(removed, base, run)
+        RemovalProbe.from_runs(removed, session.base, run)
         for removed, run in zip(ids, runs)
         if not run.outcome.is_fail
     ]
-    return session.finish("nodel", probes, None, base)
+    return session.finish("nodel", probes, None)
 
 
 def rand_order(driver, sequence: StepSequence, seed: int) -> IsolationResult:
     """Visit single steps in a seeded random permutation, deleting as it goes."""
-    session = _Session(driver)
-    base = session.baseline(sequence.ids)
-    if not base.outcome.is_fail:
-        raise NotReproducible("the full step sequence passed")
+    session = _Session(driver, sequence)
     order = list(sequence.ids)
     random.Random(seed).shuffle(order)
-    retained = list(sequence.ids)
-    retained_run = base
-    probes = []
-    for step in order:
-        subset = [s for s in retained if s != step]
-        run = session.probe(subset)
-        if run.outcome.is_fail:
-            retained = subset
-            retained_run = run
-        else:
-            if not retained_run.outcome.is_fail:
-                raise InconsistentOracle("retained context no longer fails")
-            probes.append(RemovalProbe.from_runs(step, retained_run, run))
-    return session.finish("rand", probes, None, base, seed=seed)
+    probes, _ = _prune(session, [[s] for s in reversed(order)])
+    return session.finish("rand", probes, None, seed=seed)
 
 
 def run_strategy(strategy: str, driver, sequence: StepSequence,

@@ -9,7 +9,8 @@ from __future__ import annotations
 import enum
 import posixpath
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, Optional, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 
 def normalize_path(path: str) -> str:
@@ -51,6 +52,13 @@ class StatementId:
     def sort_key(self):
         return (self.file, self.line)
 
+    def to_json_dict(self):
+        return {"file": self.file, "line": self.line, "function": self.function}
+
+    @classmethod
+    def from_json_dict(cls, doc) -> "StatementId":
+        return cls(doc["file"], doc["line"], doc.get("function"))
+
 
 @dataclass(frozen=True)
 class Step:
@@ -81,11 +89,28 @@ class StepSequence:
     def __len__(self):
         return len(self.steps)
 
+    @cached_property
+    def _ordinals(self) -> Dict[str, int]:
+        return {s.id: s.ordinal for s in self.steps}
+
     def ordinal_of(self, step_id: str) -> int:
-        for s in self.steps:
-            if s.id == step_id:
-                return s.ordinal
-        raise KeyError(step_id)
+        return self._ordinals[step_id]
+
+    def positions(self, subset: Sequence[str]) -> List[int]:
+        """Ordinals of ``subset``, which must be an ordered subsequence of the steps.
+
+        Raises KeyError for an unknown id and ValueError when the ids are
+        not strictly increasing in step order (so a repeated id is rejected).
+        """
+        out: List[int] = []
+        for sid in subset:
+            pos = self._ordinals.get(sid)
+            if pos is None:
+                raise KeyError(f"unknown step id {sid!r}")
+            if out and pos <= out[-1]:
+                raise ValueError("subset must be an ordered subsequence of the step list")
+            out.append(pos)
+        return out
 
 
 class Outcome(enum.Enum):
@@ -118,11 +143,19 @@ class ExecutionResult:
             "subset": list(self.subset),
             "outcome": self.outcome.value,
             "coverage": [
-                {"file": s.file, "line": s.line, "function": s.function}
-                for s in sorted(self.coverage, key=StatementId.sort_key)
+                s.to_json_dict() for s in sorted(self.coverage, key=StatementId.sort_key)
             ],
             "wall_time": self.wall_time,
         }
+
+    @classmethod
+    def from_json_dict(cls, doc) -> "ExecutionResult":
+        return cls(
+            subset=tuple(doc["subset"]),
+            outcome=Outcome(doc["outcome"]),
+            coverage=frozenset(map(StatementId.from_json_dict, doc["coverage"])),
+            wall_time=float(doc["wall_time"]),
+        )
 
 
 def symmetric_diff(a: Iterable[StatementId], b: Iterable[StatementId]) -> FrozenSet[StatementId]:
@@ -175,8 +208,5 @@ class RemovalProbe:
             "baseline_subset": list(self.baseline.subset),
             "probe_subset": list(self.probe.subset),
             "flipped": self.flipped,
-            "diff": [
-                {"file": s.file, "line": s.line, "function": s.function}
-                for s in sorted(self.diff, key=StatementId.sort_key)
-            ],
+            "diff": [s.to_json_dict() for s in sorted(self.diff, key=StatementId.sort_key)],
         }

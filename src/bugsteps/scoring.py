@@ -182,15 +182,12 @@ def _ranked_rows(unit_scores: Dict[str, float]) -> List[ReportRow]:
 
 
 def aggregate_ranksum(scores: Dict[StatementId, float], granularity: str,
-                      unit_index: Dict[StatementId, str],
-                      unit_sizes: Optional[Dict[str, int]] = None) -> RankedReport:
+                      unit_index: Dict[StatementId, str]) -> RankedReport:
     """Aggregate statement scores to units with linearly decaying weights.
 
     Within a unit, its n positively-scored statements are ranked by score
     (ties by file then line) and the i-th gets weight (n+1-i)/sum(1..n);
-    the unit score is the weighted sum.  ``unit_sizes`` switches n to a
-    fixed per-unit statement count (the alternative reading where zero
-    statements dilute the weights).
+    the unit score is the weighted sum.
     """
     orphans = [str(s) for s in scores if s not in unit_index]
     if orphans:
@@ -203,9 +200,7 @@ def aggregate_ranksum(scores: Dict[StatementId, float], granularity: str,
     unit_scores: Dict[str, float] = {}
     for unit, pairs in per_unit.items():
         pairs.sort(key=lambda p: (-p[1], p[0].file, p[0].line))
-        n = unit_sizes[unit] if unit_sizes else len(pairs)
-        if n < len(pairs):
-            raise ValueError(f"unit size for {unit!r} smaller than its scored statements")
+        n = len(pairs)
         weighted = sum((n - i) * score for i, (_, score) in enumerate(pairs))
         # single division, then rounding well below any stated tolerance,
         # so units with identical score profiles tie exactly

@@ -77,8 +77,7 @@ class SeededBug:
             "archetype": self.archetype,
             "trigger_passes": list(self.trigger_passes),
             "ground_truth": [
-                {"file": s.file, "line": s.line, "function": s.function}
-                for s in sorted(self.ground_truth, key=StatementId.sort_key)
+                s.to_json_dict() for s in sorted(self.ground_truth, key=StatementId.sort_key)
             ],
             "program": self.program.to_json_dict(),
             "expected_output": list(self.expected_output),
@@ -92,10 +91,7 @@ class SeededBug:
             kind=doc["kind"],
             archetype=doc["archetype"],
             trigger_passes=tuple(doc["trigger_passes"]),
-            ground_truth=frozenset(
-                StatementId(r["file"], r["line"], r.get("function"))
-                for r in doc["ground_truth"]
-            ),
+            ground_truth=frozenset(map(StatementId.from_json_dict, doc["ground_truth"])),
             program=MiniProgram.from_json_dict(doc["program"]),
             expected_output=tuple(int(v) for v in doc["expected_output"]),
             pipeline=tuple(doc["pipeline"]),

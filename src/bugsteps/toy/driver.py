@@ -1,18 +1,19 @@
 """In-process pipeline driver for testbed scenarios.
 
-Exposes the same contract as the subprocess driver (ordered-subset
-execution returning outcome + coverage, result caching, run counters), so
-the isolation engine cannot tell the testbed apart from a real compiler.
-Wall times are simulated deterministically so batch outputs are
-byte-stable across runs.
+``ToyDriver`` is a ``bugsteps.driver.Driver`` backend: the shared core
+checks subsets, caches results and counts runs, and the backend only
+enumerates the scenario's pipeline and interprets one subset in process.
+The isolation engine therefore cannot tell the testbed apart from a real
+compiler.  Wall times are simulated deterministically so batch outputs
+are byte-stable across runs.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import Counter
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
+from ..driver import Driver
 from ..model import ExecutionResult, Step, StepSequence
 from ..util import fingerprint
 from .bugs import SeededBug, subset_outcome
@@ -33,53 +34,26 @@ def step_ids_for_pipeline(pipeline: Sequence[str]) -> Tuple[str, ...]:
     return tuple(ids)
 
 
-class ToyDriver:
+class ToyDriver(Driver):
     def __init__(self, bug: SeededBug):
+        super().__init__(fingerprint(bug.to_json_dict()))
         self.bug = bug
-        self.fingerprint = fingerprint(bug.to_json_dict())
-        self._ids = step_ids_for_pipeline(bug.pipeline)
-        self._pos = {sid: i for i, sid in enumerate(self._ids)}
-        self._cache: Dict[Tuple[str, ...], ExecutionResult] = {}
-        self._lock = threading.Lock()
-        self.execute_calls = 0
-        self.process_runs = 0
 
-    def enumerate_steps(self) -> StepSequence:
-        steps = tuple(
-            Step(id=sid, display_name=self.bug.pipeline[i], ordinal=i)
-            for i, sid in enumerate(self._ids)
+    def _enumerate(self) -> StepSequence:
+        ids = step_ids_for_pipeline(self.bug.pipeline)
+        return StepSequence(
+            tuple(Step(id=sid, display_name=name, ordinal=i)
+                  for i, (sid, name) in enumerate(zip(ids, self.bug.pipeline)))
         )
-        return StepSequence(steps)
 
-    def execute(self, subset: Sequence[str]) -> ExecutionResult:
-        key = tuple(subset)
-        positions = []
-        for sid in key:
-            if sid not in self._pos:
-                raise KeyError(f"unknown step id {sid!r}")
-            positions.append(self._pos[sid])
-        if positions != sorted(positions):
-            raise ValueError("subset must preserve pipeline order")
-        with self._lock:
-            self.execute_calls += 1
-            cached = self._cache.get(key)
-        if cached is not None:
-            return cached
+    def _run(self, key: Tuple[str, ...], positions: List[int]) -> ExecutionResult:
         tracer = Tracer()
         outcome, _ = subset_outcome(self.bug, positions, tracer=tracer)
         # deterministic simulated cost: fixed per-pass plus per-instruction
         wall = 0.001 * len(positions) + 0.0001 * len(self.bug.program.instructions)
-        result = ExecutionResult(
+        return ExecutionResult(
             subset=key,
             outcome=outcome,
             coverage=frozenset(tracer.covered),
             wall_time=wall,
         )
-        with self._lock:
-            self.process_runs += 1
-            self._cache[key] = result
-        return result
-
-    def clear_cache(self) -> None:
-        with self._lock:
-            self._cache.clear()

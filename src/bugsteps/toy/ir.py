@@ -41,9 +41,6 @@ class MiniProgram:
     def n_params(self) -> int:
         return len(self.params)
 
-    def value_index(self, instr_index: int) -> int:
-        return self.n_params + instr_index
-
     def to_json_dict(self):
         return {
             "params": list(self.params),

@@ -212,6 +212,16 @@ class TestTestbedRun:
         assert main(["testbed-run", "--scenario", str(scn),
                      "--passes", "nonsense"]) == 3
 
+    def test_out_of_order_or_repeated_pass_rejected(self, testbed_dir, capsys):
+        config, _ = config_for(testbed_dir, "cf_neg_fold")
+        scn = (config.parent / json.loads(config.read_text())["scenario"]).resolve()
+        assert main(["testbed-run", "--scenario", str(scn), "--list-steps"]) == 0
+        first, second = capsys.readouterr().out.splitlines()[:2]
+        for passes in (f"{second},{first}", f"{first},{first}"):
+            assert main(["testbed-run", "--scenario", str(scn),
+                         "--passes", passes]) == 3, passes
+            assert capsys.readouterr().out == "", passes
+
 
 class TestCacheClear:
     def test_clear_verb(self, tmp_path, capsys):

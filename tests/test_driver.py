@@ -1,5 +1,6 @@
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,7 @@ from bugsteps.errors import (
 from bugsteps.model import Outcome, StatementId
 
 PY = sys.executable
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def native_cov(statements):
@@ -187,8 +189,9 @@ class TestExecute:
 
     def test_subset_order_enforced(self, tmp_path):
         driver = ProcessDriver(load_config(write_config(tmp_path)))
-        with pytest.raises(ValueError):
-            driver.execute(("licm", "instcombine"))
+        for subset in [("licm", "instcombine"), ("licm", "licm")]:
+            with pytest.raises(ValueError):
+                driver.execute(subset)
 
     def test_alias_probe_removes_all_sub_steps(self, tmp_path):
         marker = tmp_path / "ran.txt"
@@ -270,6 +273,8 @@ class TestToyThroughSubprocess:
             "coverage_paths": ["{scratch}/cov.json"],
             "timeout": 60,
             "workdir": str(tmp_path),
+            # absolute, so the children import this checkout's package from tmp_path
+            "env": {"PYTHONPATH": str(SRC)},
         }
         cfg = tmp_path / "bug.json"
         cfg.write_text(json.dumps(doc))

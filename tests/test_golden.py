@@ -1,0 +1,51 @@
+"""Byte-level regression checks against outputs recorded before refactors.
+
+``golden/eval-seed42-count30.json`` is the output of::
+
+    bugsteps testbed-gen --out testbed --seed 42 --count 30
+    bugsteps eval testbed/manifest.json --strategy tail,nodel,rand \
+        --scorer compscan,mbfl,sbfl --repeat 3
+
+run from an empty directory with relative paths.  The digests pin every
+probe, run and diff that ``tail`` and ``rand`` (seed 7) produce on the
+same 30 scenarios, in order.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from bugsteps.cli import main
+from bugsteps.isolate import run_strategy
+from bugsteps.toy import ToyDriver
+from bugsteps.util import canonical_json
+
+GOLDEN_EVAL = Path(__file__).parent / "golden" / "eval-seed42-count30.json"
+
+ISOLATION_DIGESTS = {
+    ("tail", 0): "b1cb5db6ec3e652d8e98a5c8d51eeaa197d26586a5f92113aa33b38a4310f20e",
+    ("rand", 7): "546a021ea80299e1cba15abcf87e794a2e164ba0a35947f71d94319d48382792",
+}
+
+
+def test_eval_json_byte_identical(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["testbed-gen", "--out", "testbed", "--seed", "42",
+                 "--count", "30"]) == 0
+    capsys.readouterr()
+    assert main(["eval", "testbed/manifest.json",
+                 "--strategy", "tail,nodel,rand",
+                 "--scorer", "compscan,mbfl,sbfl",
+                 "--repeat", "3", "--output", "eval.json"]) == 0
+    assert (tmp_path / "eval.json").read_bytes() == GOLDEN_EVAL.read_bytes()
+
+
+@pytest.mark.parametrize("strategy,seed", sorted(ISOLATION_DIGESTS))
+def test_isolation_digest(testbed30, strategy, seed):
+    digest = hashlib.sha256()
+    for bug in testbed30:
+        driver = ToyDriver(bug)
+        result = run_strategy(strategy, driver, driver.enumerate_steps(), seed=seed)
+        digest.update(canonical_json(result.to_json_dict()).encode("utf-8"))
+    assert digest.hexdigest() == ISOLATION_DIGESTS[(strategy, seed)]

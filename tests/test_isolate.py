@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -122,6 +124,20 @@ class TestTailPrune:
         d = FakeDriver(["1", "2", "3", "4"], flaky, cache=False)
         with pytest.raises(InconsistentOracle):
             tail_prune(d, d.enumerate_steps())
+
+    def test_runs_freed_without_cycle_collector(self):
+        # the result must not be kept alive by a reference cycle, or every
+        # run's coverage lingers until the cyclic collector happens to run
+        d = driver_for(6, {2, 5}, cache=False)
+        sequence = d.enumerate_steps()
+        gc.disable()
+        try:
+            iso = tail_prune(d, sequence)
+            refs = [weakref.ref(r) for r in iso.all_runs]
+            del iso
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
 
     def test_deletion_soundness_and_flip_certification(self):
         d = driver_for(9, {4, 7})

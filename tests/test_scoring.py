@@ -183,14 +183,6 @@ class TestRankSum:
         report = aggregate_ranksum(scores, "file", build_unit_index(scores, "file"))
         assert abs(report.rows[0].score - 0.5) < TOL
 
-    def test_alternative_unit_size_switch(self):
-        scores = {stmt("f.c", 1): 0.5}
-        report = aggregate_ranksum(
-            scores, "file", build_unit_index(scores, "file"), unit_sizes={"f.c": 2}
-        )
-        # n = 2: weights [2/3, 1/3]; only the first statement contributes
-        assert abs(report.rows[0].score - 2 / 3 * 0.5) < TOL
-
     def test_function_granularity(self):
         scores = {
             stmt("f.c", 1, "alpha"): 1.0,

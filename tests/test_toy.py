@@ -254,8 +254,9 @@ class TestToyDriver:
         s = generate_scenarios(42, 1)[0]
         d = ToyDriver(s)
         ids = d.enumerate_steps().ids
-        with pytest.raises(ValueError):
-            d.execute((ids[1], ids[0]))
+        for subset in [(ids[1], ids[0]), (ids[0], ids[0])]:
+            with pytest.raises(ValueError):
+                d.execute(subset)
 
     def test_unknown_step_rejected(self):
         s = generate_scenarios(42, 1)[0]
