@@ -13,7 +13,7 @@ import posixpath
 from typing import FrozenSet, Iterable, Optional
 
 from .errors import MalformedCoverage
-from .model import StatementId
+from .model import StatementId, StatementPool
 
 NATIVE_VERSION = 1
 
@@ -65,12 +65,22 @@ def _normalize_file(path: str, source_root: Optional[str]) -> Optional[str]:
     return norm
 
 
-def parse_gcov_json(data: bytes, source_root: Optional[str] = None) -> FrozenSet[StatementId]:
+def _function(rec: dict, key: str) -> Optional[str]:
+    func = rec.get(key) or None
+    if func is not None and not isinstance(func, str):
+        raise MalformedCoverage(f"function name must be a string, got {func!r}")
+    return func
+
+
+def parse_gcov_json(data: bytes, source_root: Optional[str] = None,
+                    pool: Optional[StatementPool] = None) -> FrozenSet[StatementId]:
     """Parse a gcov JSON-intermediate document into a set of executed statements.
 
     Only lines with a positive execution count are kept; duplicate records
-    for the same line are unioned.
+    for the same line are unioned, keeping the first record's function.
+    Statements come from ``pool`` (a fresh one when omitted).
     """
+    pool = StatementPool() if pool is None else pool
     doc = _loads(_decode(data))
     if not isinstance(doc, dict) or not isinstance(doc.get("files"), list):
         raise MalformedCoverage("gcov document missing 'files' array")
@@ -91,13 +101,17 @@ def parse_gcov_json(data: bytes, source_root: Optional[str] = None) -> FrozenSet
                 raise MalformedCoverage(f"non-numeric line record in {frec['file']!r}") from exc
             if count <= 0 or line < 1:
                 continue
-            func = lrec.get("function_name")
-            out.add(StatementId(fname, line, func if func else None))
+            out.add(pool[fname, line, _function(lrec, "function_name")])
     return frozenset(out)
 
 
-def parse_native_json(data: bytes, source_root: Optional[str] = None) -> FrozenSet[StatementId]:
-    """Parse this package's native coverage exchange format."""
+def parse_native_json(data: bytes, source_root: Optional[str] = None,
+                      pool: Optional[StatementPool] = None) -> FrozenSet[StatementId]:
+    """Parse this package's native coverage exchange format.
+
+    Statements come from ``pool`` (a fresh one when omitted).
+    """
+    pool = StatementPool() if pool is None else pool
     doc = _loads(_decode(data))
     if not isinstance(doc, dict):
         raise MalformedCoverage("native coverage document must be an object")
@@ -119,8 +133,7 @@ def parse_native_json(data: bytes, source_root: Optional[str] = None) -> FrozenS
             raise MalformedCoverage("non-numeric line in native statement record") from exc
         if line < 1:
             raise MalformedCoverage(f"statement line must be >= 1, got {line}")
-        func = rec.get("function")
-        out.add(StatementId(fname, line, func if func else None))
+        out.add(pool[fname, line, _function(rec, "function")])
     return frozenset(out)
 
 

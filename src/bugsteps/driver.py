@@ -3,10 +3,15 @@
 A driver answers one question: given an ordered subset of step ids, what
 is the outcome and which compiler statements executed?  The ``Driver``
 base class owns everything the answers share: the ordered-subset check,
-the result cache (in memory, plus a disk tier when ``cache_dir`` is set)
-and the ``execute_calls``/``process_runs`` counters.  Cache entries are
-keyed by the driver fingerprint plus the ordered retained subset, so
-repeated identical subsets never re-run.  Backends implement only step
+the result cache (in memory, plus a disk tier when ``cache_dir`` is set),
+the ``execute_calls``/``process_runs`` counters and a ``StatementPool``,
+so every run a driver parses or loads shares one ``StatementId`` per
+statement.  Cache entries are keyed by the driver fingerprint plus the
+ordered retained subset, so repeated identical subsets never re-run.  A
+disk entry is a compact version-2 document: a ``files`` and a
+``functions`` table and, per file, a flat ``[line, function_index, ...]``
+list.  An entry of another version, or one that does not decode, is a
+miss that re-runs and overwrites it.  Backends implement only step
 enumeration and one uncached run: ``ProcessDriver`` talks to a real
 compiler through configurable shell commands and coverage files, and the
 testbed's in-process driver lives in ``bugsteps.toy.driver``.
@@ -34,10 +39,19 @@ from .errors import (
     EmptySequence,
     InvalidConfig,
 )
-from .model import ExecutionResult, Outcome, Step, StepSequence
+from .model import (
+    ExecutionResult,
+    Outcome,
+    StatementId,
+    StatementPool,
+    Step,
+    StepSequence,
+)
 from .util import fingerprint
 
 log = logging.getLogger(__name__)
+
+CACHE_VERSION = 2
 
 COVERAGE_PARSERS = {
     "native_json": covmod.parse_native_json,
@@ -191,6 +205,7 @@ class Driver:
         self._mem: Dict[Tuple[str, ...], ExecutionResult] = {}
         self._lock = threading.Lock()
         self._sequence: Optional[StepSequence] = None
+        self.statements = StatementPool()
         self.execute_calls = 0
         self.process_runs = 0
 
@@ -235,20 +250,47 @@ class Driver:
     def _cache_load(self, key: Tuple[str, ...]) -> Optional[ExecutionResult]:
         path = self._cache_path(key)
         try:
-            doc = json.loads(path.read_text("utf-8"))
-        except (OSError, json.JSONDecodeError):
+            doc = json.loads(path.read_bytes())
+        except (OSError, ValueError):
             return None
+        if isinstance(doc, dict) and doc.get("version") != CACHE_VERSION:
+            return None  # an older format: a miss, re-run and overwritten
         try:
-            return ExecutionResult.from_json_dict(doc)
-        except (KeyError, ValueError):
+            pool, functions = self.statements, doc["functions"]
+            coverage = frozenset(
+                pool[file, lines[i], functions[lines[i + 1]]]
+                for file, lines in zip(doc["files"], doc["lines"], strict=True)
+                for i in range(0, len(lines), 2)
+            )
+            return ExecutionResult(
+                subset=tuple(doc["subset"]),
+                outcome=Outcome(doc["outcome"]),
+                coverage=coverage,
+                wall_time=float(doc["wall_time"]),
+            )
+        except (KeyError, ValueError, TypeError, IndexError):
             log.warning("discarding corrupt cache entry %s", path)
             return None
 
     def _cache_store(self, key: Tuple[str, ...], result: ExecutionResult) -> None:
+        files: Dict[str, List] = {}
+        functions: Dict[Optional[str], int] = {}
+        for stmt in sorted(result.coverage, key=StatementId.sort_key):
+            index = functions.setdefault(stmt.function, len(functions))
+            files.setdefault(stmt.file, []).extend((stmt.line, index))
+        doc = {
+            "version": CACHE_VERSION,
+            "subset": list(result.subset),
+            "outcome": result.outcome.value,
+            "wall_time": result.wall_time,
+            "files": list(files),
+            "functions": list(functions),
+            "lines": list(files.values()),
+        }
         path = self._cache_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(result.to_json_dict(), sort_keys=True), "utf-8")
+        tmp.write_text(json.dumps(doc, separators=(",", ":")), "utf-8")
         os.replace(tmp, path)
 
 
@@ -381,15 +423,22 @@ class ProcessDriver(Driver):
             )
         out = set()
         for fname in matched:
-            out.update(parser(Path(fname).read_bytes(), self.config.source_root))
+            out.update(parser(Path(fname).read_bytes(), self.config.source_root,
+                              pool=self.statements))
         return frozenset(out)
 
 
 def clear_cache_dir(cache_dir) -> int:
-    """Remove every cached record under ``cache_dir``; returns entries removed."""
+    """Remove every cached record under ``cache_dir``; returns entries removed.
+
+    Only cache entries count, not the coverage files left in a run's
+    ``runs/<digest>/`` scratch directory.
+    """
     root = Path(cache_dir)
     if not root.exists():
         return 0
-    removed = len(list(root.rglob("*.json")))
+    removed = sum(
+        "runs" not in path.relative_to(root).parts[:-1] for path in root.rglob("*.json")
+    )
     shutil.rmtree(root)
     return removed

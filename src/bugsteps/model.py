@@ -9,10 +9,12 @@ from __future__ import annotations
 import enum
 import posixpath
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 
+# every statement of a file repeats its path: normalize each distinct path once
+@lru_cache(maxsize=1 << 14)
 def normalize_path(path: str) -> str:
     """Normalize a source path: forward slashes, redundant segments collapsed.
 
@@ -45,6 +47,15 @@ class StatementId:
         object.__setattr__(self, "file", normalize_path(self.file))
         if self.line < 1:
             raise ValueError(f"statement line must be >= 1, got {self.line}")
+        # the value the dataclass would compute on every call, computed once
+        object.__setattr__(self, "_hash", hash((self.file, self.line)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt from the fields, so another process computes its own hash
+        return (StatementId, (self.file, self.line, self.function))
 
     def __str__(self):
         return f"{self.file}:{self.line}"
@@ -58,6 +69,20 @@ class StatementId:
     @classmethod
     def from_json_dict(cls, doc) -> "StatementId":
         return cls(doc["file"], doc["line"], doc.get("function"))
+
+
+class StatementPool(dict):
+    """One shared ``StatementId`` per ``(file, line, function)`` key.
+
+    ``pool[file, line, function]`` builds the statement on first use, so
+    equal statements of different runs are the same object: set and dict
+    lookups between runs then take the identity fast path.  Filling a pool from several threads
+    needs no lock: at worst a race builds two equal objects.
+    """
+
+    def __missing__(self, key):
+        stmt = self[key] = StatementId(*key)
+        return stmt
 
 
 @dataclass(frozen=True)
@@ -147,15 +172,6 @@ class ExecutionResult:
             ],
             "wall_time": self.wall_time,
         }
-
-    @classmethod
-    def from_json_dict(cls, doc) -> "ExecutionResult":
-        return cls(
-            subset=tuple(doc["subset"]),
-            outcome=Outcome(doc["outcome"]),
-            coverage=frozenset(map(StatementId.from_json_dict, doc["coverage"])),
-            wall_time=float(doc["wall_time"]),
-        )
 
 
 def symmetric_diff(a: Iterable[StatementId], b: Iterable[StatementId]) -> FrozenSet[StatementId]:

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from .errors import DegenerateSpectrum, UnmappedStatement
@@ -126,18 +128,12 @@ def score_ochiai(runs: Sequence[ExecutionResult]) -> Dict[StatementId, float]:
             f"need failing and passing runs, got {len(failing)} failing / "
             f"{len(passing)} passing"
         )
-    ef: Dict[StatementId, int] = {}
-    ep: Dict[StatementId, int] = {}
-    for run in failing:
-        for stmt in run.coverage:
-            ef[stmt] = ef.get(stmt, 0) + 1
-    for run in passing:
-        for stmt in run.coverage:
-            ep[stmt] = ep.get(stmt, 0) + 1
+    ef = Counter(chain.from_iterable(r.coverage for r in failing))
+    ep = Counter(chain.from_iterable(r.coverage for r in passing))
     total_f = len(failing)
     scores: Dict[StatementId, float] = {}
     for stmt, f_count in ef.items():
-        scores[stmt] = f_count / math.sqrt(total_f * (f_count + ep.get(stmt, 0)))
+        scores[stmt] = f_count / math.sqrt(total_f * (f_count + ep[stmt]))
     return scores
 
 

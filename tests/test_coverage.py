@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bugsteps.coverage import emit_native_json, parse_gcov_json, parse_native_json
 from bugsteps.errors import MalformedCoverage
-from bugsteps.model import StatementId
+from bugsteps.model import StatementId, StatementPool
 
 
 def gcov_doc(files):
@@ -57,6 +57,34 @@ class TestGcovJson:
         ])
         (stmt,) = parse_gcov_json(doc)
         assert stmt.function == "run"
+
+    def test_repeated_line_keeps_first_function(self):
+        doc = gcov_doc([
+            {"file": "f.c", "lines": [
+                {"line_number": 3, "count": 1, "function_name": "first"},
+                {"line_number": 3, "count": 1, "function_name": "second"},
+            ]}
+        ])
+        (stmt,) = parse_gcov_json(doc)
+        assert stmt.function == "first"
+
+    @pytest.mark.parametrize("function", [["f"], {"f": 1}, 7])
+    def test_non_string_function_rejected(self, function):
+        lines = [{"line_number": 3, "count": 1, "function_name": function}]
+        with pytest.raises(MalformedCoverage):
+            parse_gcov_json(gcov_doc([{"file": "f.c", "lines": lines}]))
+        native = {"version": 1, "statements": [{"file": "f.c", "line": 3, "function": function}]}
+        with pytest.raises(MalformedCoverage):
+            parse_native_json(json.dumps(native).encode())
+
+    def test_pool_shared_between_parses(self):
+        pool = StatementPool()
+        doc = gcov_doc([{"file": "./f.c", "lines": [{"line_number": 3, "count": 1}]}])
+        (a,) = parse_gcov_json(doc, pool=pool)
+        (b,) = parse_gcov_json(doc, pool=pool)
+        (c,) = parse_native_json(emit_native_json({a}), pool=pool)
+        assert a is b is c
+        assert a.file == "f.c"
 
     def test_source_root_normalization(self):
         doc = gcov_doc([

@@ -242,6 +242,98 @@ class TestCacheClear:
         assert not cache.exists()
         assert clear_cache_dir(cache) == 0
 
+    def test_scratch_coverage_not_counted(self, tmp_path):
+        (tmp_path / "cov.json").write_text(native_cov({StatementId("m.c", 1)}))
+        cfg = write_config(
+            tmp_path,
+            run_command="cp cov.json {scratch}/cov.json; echo ran {passes}",
+            coverage_paths=["{scratch}/cov.json"],
+        )
+        cache = tmp_path / "cache"
+        driver = ProcessDriver(load_config(cfg), cache_dir=cache)
+        for subset in [("licm",), ("instcombine",), ("instcombine", "licm")]:
+            driver.execute(subset)
+        assert len(list(cache.rglob("runs/*/cov.json"))) == 3
+        assert clear_cache_dir(cache) == 3
+
+
+class TestDiskCacheEntry:
+    COVERAGE = {StatementId("m.c", 1, "main"), StatementId("m.c", 7),
+                StatementId("lib/u.c", 2, "helper")}
+
+    def make_driver(self, tmp_path):
+        cov = tmp_path / "cov.json"
+        if not cov.exists():
+            cov.write_text(native_cov(self.COVERAGE))
+        return ProcessDriver(load_config(write_config(tmp_path)), cache_dir=tmp_path / "cache")
+
+    def entry(self, driver, subset):
+        return driver._cache_path(tuple(subset))
+
+    def test_fresh_driver_loads_equal_result(self, tmp_path):
+        first = self.make_driver(tmp_path).execute(("licm",))
+        fresh = self.make_driver(tmp_path)
+        loaded = fresh.execute(("licm",))
+        assert fresh.process_runs == 0
+        assert loaded == first
+        functions = {(s.file, s.line, s.function) for s in loaded.coverage}
+        assert functions == {(s.file, s.line, s.function) for s in self.COVERAGE}
+
+    def test_entry_is_version_2(self, tmp_path):
+        driver = self.make_driver(tmp_path)
+        driver.execute(("licm",))
+        text = self.entry(driver, ("licm",)).read_text()
+        doc = json.loads(text)
+        assert doc["version"] == 2
+        assert doc["files"] == ["lib/u.c", "m.c"]
+        assert doc["functions"] == ["helper", "main", None]
+        assert doc["lines"] == [[2, 0], [1, 1, 7, 2]]
+        assert " " not in text and "\n" not in text
+
+    def test_version_1_entry_is_rerun_and_rewritten(self, tmp_path):
+        driver = self.make_driver(tmp_path)
+        result = driver.execute(("licm",))
+        path = self.entry(driver, ("licm",))
+        path.write_text(json.dumps(result.to_json_dict(), sort_keys=True))
+        fresh = self.make_driver(tmp_path)
+        rerun = fresh.execute(("licm",))
+        assert fresh.process_runs == 1
+        assert (rerun.outcome, rerun.coverage) == (result.outcome, result.coverage)
+        assert json.loads(path.read_text())["version"] == 2
+
+    @pytest.mark.parametrize("text", [
+        "[]",
+        "null",
+        '{"subset": [], "outcome": "pass", "coverage": 5, "wall_time": 0}',
+        '{"version": 2, "subset": ["licm"], "outcome": "pass", "wall_time": 0,'
+        ' "files": ["m.c"], "functions": [null], "lines": 5}',
+        '{"version": 2, "subset": ["licm"], "outcome": "pass", "wall_time": 0,'
+        ' "files": ["m.c"], "functions": [null], "lines": [[1]]}',
+        '{"version": 2, "subset": ["licm"], "outcome": "pass", "wall_time": 0,'
+        ' "files": ["m.c"], "functions": [null], "lines": [[1, 0], [2, 0]]}',
+        '{"version": 2, "subset": ["licm"], "outcome": "no-such", "wall_time": 0,'
+        ' "files": [], "functions": [], "lines": []}',
+        '{"version": 2',
+    ])
+    def test_malformed_entry_is_rerun_and_overwritten(self, tmp_path, text):
+        driver = self.make_driver(tmp_path)
+        path = self.entry(driver, ("licm",))
+        path.parent.mkdir(parents=True)
+        path.write_text(text)
+        result = driver.execute(("licm",))
+        assert driver.process_runs == 1
+        assert result.outcome is Outcome.FAIL_WRONG_OUTPUT
+        assert json.loads(path.read_text())["version"] == 2
+
+    def test_runs_share_statement_objects(self, tmp_path):
+        driver = self.make_driver(tmp_path)
+        a = driver.execute(("licm",))
+        b = driver.execute(("instcombine",))
+        assert driver.process_runs == 2
+        by_key = {s: s for s in b.coverage}
+        assert a.coverage == b.coverage
+        assert all(by_key[s] is s for s in a.coverage)
+
 
 @pytest.fixture(scope="module")
 def scenario_file(tmp_path_factory):

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,12 +11,15 @@ from hypothesis import strategies as st
 from bugsteps.model import (
     Outcome,
     StatementId,
+    StatementPool,
     Step,
     StepSequence,
     is_flip,
     normalize_path,
     symmetric_diff,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 s1 = StatementId("a.c", 1)
 s2 = StatementId("a.c", 2)
@@ -91,6 +100,69 @@ class TestStatementId:
     def test_empty_path_rejected(self):
         with pytest.raises(ValueError):
             StatementId("", 1)
+
+    def test_hash_follows_identity(self):
+        a = StatementId("a/./x.c", 3, "f")
+        assert hash(a) == hash(StatementId("a/x.c", 3)) == hash(("a/x.c", 3))
+
+    def test_pickle_rehashes_in_another_process(self, tmp_path):
+        blob = tmp_path / "stmt.pickle"
+        dump = ("import pickle, sys; from bugsteps.model import StatementId; "
+                "sys.stdout.buffer.write(pickle.dumps(StatementId('a/x.c', 3, 'f')))")
+        load = ("import pickle, sys; from bugsteps.model import StatementId; "
+                "s = pickle.loads(open(sys.argv[1], 'rb').read()); "
+                "assert s.function == 'f'; "
+                "assert s in {StatementId('a/x.c', 3)} and hash(s) == hash(('a/x.c', 3))")
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        blob.write_bytes(subprocess.run([sys.executable, "-c", dump], check=True,
+                                        capture_output=True,
+                                        env={**env, "PYTHONHASHSEED": "1"}).stdout)
+        subprocess.run([sys.executable, "-c", load, str(blob)], check=True,
+                       env={**env, "PYTHONHASHSEED": "2"})
+
+
+class TestStatementPool:
+    def test_one_object_per_key(self):
+        pool = StatementPool()
+        a = pool["a/./x.c", 3, "f"]
+        assert a is pool["a/./x.c", 3, "f"]
+        assert a == StatementId("a/x.c", 3) and a.function == "f"
+        assert len(pool) == 1
+
+    def test_function_is_part_of_the_key(self):
+        pool = StatementPool()
+        a, b = pool["x.c", 3, "f"], pool["x.c", 3, None]
+        assert a == b and a is not b
+        assert (a.function, b.function) == ("f", None)
+
+    def test_filled_from_threads(self):
+        pool = StatementPool()
+        keys = [(f"f{i % 7}.c", i + 1, f"fn{i % 3}") for i in range(500)]
+        seen = [[] for _ in range(8)]
+
+        def fill(out):
+            out.extend(pool[key] for key in keys)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=fill, args=(out,)) for out in seen]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(pool) == len(keys)
+        for out in seen:
+            assert [(s.file, s.line, s.function) for s in out] == keys
+
+    def test_invalid_statement_not_pooled(self):
+        pool = StatementPool()
+        with pytest.raises(ValueError):
+            pool["x.c", 0, None]
+        assert not pool
 
 
 class TestRemovalProbe:
