@@ -15,7 +15,6 @@ usage errors exit 2 as usual for Python CLIs.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -26,10 +25,11 @@ from .driver import clear_cache_dir, load_driver
 from .errors import BugStepsError, NotReproducible
 from .evalharness import evaluate_manifest, render_metrics_table
 from .isolate import STRATEGIES, run_strategy, verify_baseline
+from .model import Outcome
 from .scoring import GRANULARITIES, SCORERS, report_for
-from .toy.bugs import SeededBug, generate_scenarios
-from .toy.driver import ToyDriver
-from .toy.passes import CrashSignal, Tracer, run_pipeline
+from .toy.bugs import generate_scenarios, load_scenario, subset_outcome
+from .toy.driver import pipeline_steps
+from .toy.passes import Tracer
 from .util import canonical_json
 
 EXIT_OK = 0
@@ -172,12 +172,11 @@ def cmd_testbed_gen(args) -> int:
 
 def cmd_testbed_run(args) -> int:
     try:
-        doc = json.loads(Path(args.scenario).read_text("utf-8"))
-        bug = SeededBug.from_json_dict(doc)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
-        print(f"error: cannot load scenario: {exc}", file=sys.stderr)
+        bug = load_scenario(args.scenario)
+    except BugStepsError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_DRIVER_ERROR
-    sequence = ToyDriver(bug).enumerate_steps()
+    sequence = pipeline_steps(bug.pipeline)
     if args.list_steps:
         for sid in sequence.ids:
             print(sid)
@@ -189,16 +188,10 @@ def cmd_testbed_run(args) -> int:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_DRIVER_ERROR
     tracer = Tracer()
-    names = [bug.pipeline[i] for i in positions]
-    crashed = False
-    outputs = []
-    try:
-        outputs = run_pipeline(bug.program, names, bug=bug.archetype, tracer=tracer)
-    except CrashSignal:
-        crashed = True
+    outcome, outputs = subset_outcome(bug, positions, tracer=tracer)
     if args.coverage_out:
         Path(args.coverage_out).write_bytes(emit_native_json(tracer.covered))
-    if crashed:
+    if outcome is Outcome.FAIL_CRASH:
         sys.stderr.write("compiler crashed\n")
         sys.stderr.flush()
         os.abort()

@@ -13,7 +13,7 @@ import posixpath
 from typing import FrozenSet, Iterable, Optional
 
 from .errors import MalformedCoverage
-from .model import StatementId, StatementPool
+from .model import StatementId, StatementPool, normalize_path
 
 NATIVE_VERSION = 1
 
@@ -38,31 +38,28 @@ def _loads(data: bytes):
         raise MalformedCoverage(f"invalid JSON: {exc.msg}", offset=exc.pos) from exc
 
 
-def _normalize_file(path: str, source_root: Optional[str]) -> Optional[str]:
-    """Normalize a coverage path against the source root.
+def _root_prefix(source_root: Optional[str]) -> Optional[str]:
+    if not source_root:
+        return None
+    return posixpath.normpath(source_root.replace("\\", "/")).rstrip("/") + "/"
 
-    Absolute paths outside the root are dropped (returns None), matching the
-    contract that parsing never yields a path escaping the source root.
+
+def _statement_file(path: str, root_prefix: Optional[str]) -> Optional[str]:
+    """A coverage path as a statement path, or None when the parser drops it.
+
+    A path under the source root is made relative to it; the result must
+    then pass ``model.normalize_path`` and be relative, so a path outside
+    the root, an empty one or one that escapes it is dropped.
     """
-    path = path.replace("\\", "/")
-    if source_root:
-        root = posixpath.normpath(source_root.replace("\\", "/")).rstrip("/")
-        norm = posixpath.normpath(path)
-        if norm == root:
-            return None
-        if norm.startswith(root + "/"):
-            return norm[len(root) + 1 :]
-        if posixpath.isabs(norm):
-            return None
-        if norm.startswith("../") or norm == "..":
-            return None
-        return norm
-    if posixpath.isabs(path):
+    if root_prefix:
+        norm = posixpath.normpath(path.replace("\\", "/"))
+        if norm.startswith(root_prefix):
+            path = norm[len(root_prefix):]
+    try:
+        path = normalize_path(path)
+    except ValueError:
         return None
-    norm = posixpath.normpath(path)
-    if norm.startswith("../") or norm in (".", ".."):
-        return None
-    return norm
+    return None if path.startswith("/") else path
 
 
 def _function(rec: dict, key: str) -> Optional[str]:
@@ -81,6 +78,7 @@ def parse_gcov_json(data: bytes, source_root: Optional[str] = None,
     Statements come from ``pool`` (a fresh one when omitted).
     """
     pool = StatementPool() if pool is None else pool
+    root_prefix = _root_prefix(source_root)
     doc = _loads(_decode(data))
     if not isinstance(doc, dict) or not isinstance(doc.get("files"), list):
         raise MalformedCoverage("gcov document missing 'files' array")
@@ -88,7 +86,7 @@ def parse_gcov_json(data: bytes, source_root: Optional[str] = None,
     for frec in doc["files"]:
         if not isinstance(frec, dict) or "file" not in frec:
             raise MalformedCoverage("gcov file record missing 'file'")
-        fname = _normalize_file(str(frec["file"]), source_root)
+        fname = _statement_file(str(frec["file"]), root_prefix)
         if fname is None:
             continue
         for lrec in frec.get("lines", []):
@@ -112,6 +110,7 @@ def parse_native_json(data: bytes, source_root: Optional[str] = None,
     Statements come from ``pool`` (a fresh one when omitted).
     """
     pool = StatementPool() if pool is None else pool
+    root_prefix = _root_prefix(source_root)
     doc = _loads(_decode(data))
     if not isinstance(doc, dict):
         raise MalformedCoverage("native coverage document must be an object")
@@ -124,7 +123,7 @@ def parse_native_json(data: bytes, source_root: Optional[str] = None,
     for rec in stmts:
         if not isinstance(rec, dict) or "file" not in rec or "line" not in rec:
             raise MalformedCoverage("native statement record missing file/line")
-        fname = _normalize_file(str(rec["file"]), source_root)
+        fname = _statement_file(str(rec["file"]), root_prefix)
         if fname is None:
             continue
         try:

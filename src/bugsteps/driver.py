@@ -27,10 +27,11 @@ import shutil
 import subprocess
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from glob import glob
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (Dict, List, Optional, Sequence, Tuple, Union, get_args, get_origin,
+                    get_type_hints)
 
 from . import coverage as covmod
 from .errors import (
@@ -61,14 +62,21 @@ COVERAGE_PARSERS = {
 
 @dataclass
 class DriverConfig:
+    """A process driver's inputs: one field per config key, with its default.
+
+    ``load_config`` fills the fields from a JSON document and
+    ``ProcessDriver`` fingerprints all of them but ``timeout``, so a new
+    input needs only a new field here.
+    """
+
     enumerate_command: str
     run_command: str
-    test_command: Optional[str]
-    expected_output: bytes
-    coverage_source: str
-    coverage_paths: List[str]
-    timeout: float
-    workdir: str
+    test_command: Optional[str] = None
+    expected_output: bytes = b""
+    coverage_source: str = "native_json"
+    coverage_paths: List[str] = field(default_factory=list)
+    timeout: float = 60.0
+    workdir: str = "."
     env: Dict[str, str] = field(default_factory=dict)
     alias_map: Optional[Dict[str, List[str]]] = None
     step_separator: str = ","
@@ -76,16 +84,39 @@ class DriverConfig:
     source_root: Optional[str] = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _conforms(value, _FIELD_TYPES[f.name]):
+                raise InvalidConfig(f"{f.name} must be {f.type}, got {value!r}")
         if self.run_command.count("{passes}") != 1:
             raise InvalidConfig("run_command must contain exactly one {passes} placeholder")
-        if self.timeout <= 0:
+        self.timeout = float(self.timeout)
+        if not self.timeout > 0:
             raise InvalidConfig("timeout must be positive")
         if self.coverage_source not in COVERAGE_PARSERS:
             raise InvalidConfig(f"unknown coverage_source {self.coverage_source!r}")
 
 
-def _read_config_doc(path) -> dict:
-    path = Path(path)
+def _conforms(value, annotation) -> bool:
+    """Whether ``value`` is of the ``DriverConfig`` field type ``annotation``."""
+    origin, args = get_origin(annotation), get_args(annotation)
+    if origin is Union:
+        return any(_conforms(value, arg) for arg in args)
+    if origin is list:
+        return isinstance(value, list) and all(_conforms(v, args[0]) for v in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            _conforms(k, args[0]) and _conforms(v, args[1]) for k, v in value.items()
+        )
+    if annotation is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, annotation)
+
+
+_FIELD_TYPES = get_type_hints(DriverConfig)
+
+
+def _read_config_doc(path: Path) -> dict:
     try:
         doc = json.loads(path.read_text("utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
@@ -95,39 +126,38 @@ def _read_config_doc(path) -> dict:
     return doc
 
 
+def _reject_unknown_keys(path: Path, doc: dict, known) -> None:
+    unknown = sorted(doc.keys() - known)
+    if unknown:
+        raise InvalidConfig(f"driver config {path} has unknown key(s): {', '.join(unknown)}")
+
+
 def load_config(path) -> DriverConfig:
+    """Build a ``DriverConfig`` from a JSON file; absent keys keep the field defaults.
+
+    Besides the fields, the document may hold ``kind`` (``"process"``) and
+    ``expected_output_file``, read relative to the config file in place of
+    ``expected_output``.  A relative ``workdir`` is resolved against the
+    config file's directory, and an empty ``alias_map`` means none.
+    """
     path = Path(path)
     doc = _read_config_doc(path)
-    if doc.get("kind", "process") != "process":
+    if doc.pop("kind", "process") != "process":
         raise InvalidConfig(f"{path} is not a process driver config")
-    if "expected_output_file" in doc:
-        ref = (path.parent / doc["expected_output_file"]).resolve()
-        expected = ref.read_bytes()
-    else:
-        expected = str(doc.get("expected_output", "")).encode("utf-8")
-    workdir = doc.get("workdir", ".")
-    if not os.path.isabs(workdir):
-        workdir = str((path.parent / workdir).resolve())
+    _reject_unknown_keys(path, doc, {*_FIELD_TYPES, "expected_output_file"})
     try:
-        return DriverConfig(
-            enumerate_command=doc["enumerate_command"],
-            run_command=doc["run_command"],
-            test_command=doc.get("test_command"),
-            expected_output=expected,
-            coverage_source=doc.get("coverage_source", "native_json"),
-            coverage_paths=list(doc.get("coverage_paths", [])),
-            timeout=float(doc.get("timeout", 60.0)),
-            workdir=workdir,
-            env=dict(doc.get("env", {})),
-            alias_map={k: list(v) for k, v in doc["alias_map"].items()}
-            if doc.get("alias_map")
-            else None,
-            step_separator=doc.get("step_separator", ","),
-            step_template=doc.get("step_template", "{step}"),
-            source_root=doc.get("source_root"),
-        )
-    except KeyError as exc:
-        raise InvalidConfig(f"driver config {path} missing field {exc}") from exc
+        if "expected_output_file" in doc:
+            doc["expected_output"] = (path.parent / doc.pop("expected_output_file")).read_bytes()
+        elif isinstance(doc.get("expected_output"), str):
+            doc["expected_output"] = doc["expected_output"].encode("utf-8")
+        if doc.get("alias_map") == {}:
+            doc["alias_map"] = None
+        config = DriverConfig(**doc)
+    except (InvalidConfig, OSError, TypeError, ValueError) as exc:
+        raise InvalidConfig(f"driver config {path}: {exc}") from exc
+    if not os.path.isabs(config.workdir):
+        config.workdir = str((path.parent / config.workdir).resolve())
+    return config
 
 
 def load_driver(path, cache_dir=None):
@@ -135,21 +165,17 @@ def load_driver(path, cache_dir=None):
     path = Path(path)
     doc = _read_config_doc(path)
     kind = doc.get("kind", "process")
-    if kind == "toy":
-        from .toy.bugs import SeededBug
-        from .toy.driver import ToyDriver
-
-        scn_path = Path(doc["scenario"])
-        if not scn_path.is_absolute():
-            scn_path = path.parent / scn_path
-        try:
-            scn_doc = json.loads(scn_path.read_text("utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InvalidConfig(f"cannot read scenario {scn_path}: {exc}") from exc
-        return ToyDriver(SeededBug.from_json_dict(scn_doc))
     if kind == "process":
         return ProcessDriver(load_config(path), cache_dir=cache_dir)
-    raise InvalidConfig(f"unknown driver kind {kind!r}")
+    if kind != "toy":
+        raise InvalidConfig(f"unknown driver kind {kind!r}")
+    from .toy.bugs import load_scenario
+    from .toy.driver import ToyDriver
+
+    _reject_unknown_keys(path, doc, {"kind", "scenario"})
+    if not isinstance(doc.get("scenario"), str):
+        raise InvalidConfig(f"toy driver config {path} needs a 'scenario' path")
+    return ToyDriver(load_scenario(path.parent / doc["scenario"]))
 
 
 def group_aliased_steps(sub_steps: Sequence[str],
@@ -161,10 +187,7 @@ def group_aliased_steps(sub_steps: Sequence[str],
     later-or-overlapping option has already been handled, which is what
     reverse traversal needs.
     """
-    owner = {}
-    for logical, subs in alias_map.items():
-        for s in subs:
-            owner[s] = logical
+    owner = {sub: logical for logical, subs in alias_map.items() for sub in subs}
     last_pos: Dict[str, int] = {}
     members: Dict[str, List[str]] = {}
     order: List[str] = []
@@ -175,19 +198,10 @@ def group_aliased_steps(sub_steps: Sequence[str],
         last_pos[logical] = pos
         members.setdefault(logical, []).append(sub)
     order.sort(key=lambda logical: last_pos[logical])
-    steps = []
-    for i, logical in enumerate(order):
-        subs = members[logical]
-        aliased = logical in alias_map
-        steps.append(
-            Step(
-                id=logical,
-                display_name=logical,
-                ordinal=i,
-                aliases=tuple(subs) if aliased else None,
-            )
-        )
-    return StepSequence(tuple(steps))
+    return StepSequence(tuple(
+        Step(logical, tuple(members[logical]) if logical in alias_map else None)
+        for logical in order
+    ))
 
 
 class Driver:
@@ -299,22 +313,11 @@ class ProcessDriver(Driver):
 
     def __init__(self, config: DriverConfig, cache_dir=None):
         self.config = config
-        digest = fingerprint(
-            {
-                "enumerate_command": config.enumerate_command,
-                "run_command": config.run_command,
-                "test_command": config.test_command,
-                "expected_sha": hashlib.sha256(config.expected_output).hexdigest(),
-                "coverage_source": config.coverage_source,
-                "coverage_paths": config.coverage_paths,
-                "workdir": config.workdir,
-                "env": config.env,
-                "alias_map": config.alias_map,
-                "step_separator": config.step_separator,
-                "step_template": config.step_template,
-                "source_root": config.source_root,
-            }
-        )
+        # every field but the timeout, which changes no result
+        inputs = asdict(config)
+        del inputs["timeout"]
+        inputs["expected_sha"] = hashlib.sha256(inputs.pop("expected_output")).hexdigest()
+        digest = fingerprint(inputs)
         root = Path(cache_dir) if cache_dir else Path(config.workdir) / ".bugsteps-cache"
         super().__init__(digest, root / digest[:16])
 
@@ -332,9 +335,7 @@ class ProcessDriver(Driver):
             raise EmptySequence("step enumeration produced no steps")
         if self.config.alias_map:
             return group_aliased_steps(lines, self.config.alias_map)
-        return StepSequence(
-            tuple(Step(id=ln, display_name=ln, ordinal=i) for i, ln in enumerate(lines))
-        )
+        return StepSequence(tuple(map(Step, lines)))
 
     def _run(self, key: Tuple[str, ...], positions: List[int]) -> ExecutionResult:
         expanded: List[str] = []

@@ -90,8 +90,6 @@ class Step:
     """One individually skippable compilation step."""
 
     id: str
-    display_name: str
-    ordinal: int
     aliases: Optional[Tuple[str, ...]] = None
 
 
@@ -100,12 +98,8 @@ class StepSequence:
     steps: Tuple[Step, ...]
 
     def __post_init__(self):
-        ids = [s.id for s in self.steps]
-        if len(set(ids)) != len(ids):
+        if len(self._ordinals) != len(self.steps):
             raise ValueError("step ids must be pairwise distinct")
-        for i, s in enumerate(self.steps):
-            if s.ordinal != i:
-                raise ValueError(f"step {s.id!r} has ordinal {s.ordinal}, expected {i}")
 
     @property
     def ids(self) -> Tuple[str, ...]:
@@ -116,13 +110,10 @@ class StepSequence:
 
     @cached_property
     def _ordinals(self) -> Dict[str, int]:
-        return {s.id: s.ordinal for s in self.steps}
-
-    def ordinal_of(self, step_id: str) -> int:
-        return self._ordinals[step_id]
+        return {s.id: i for i, s in enumerate(self.steps)}
 
     def positions(self, subset: Sequence[str]) -> List[int]:
-        """Ordinals of ``subset``, which must be an ordered subsequence of the steps.
+        """Positions of ``subset``, which must be an ordered subsequence of the steps.
 
         Raises KeyError for an unknown id and ValueError when the ids are
         not strictly increasing in step order (so a repeated id is rejected).

@@ -10,17 +10,17 @@ scenario is emitted.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
+from pathlib import Path
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
-from ..errors import GenerationFailed
+from ..errors import GenerationFailed, InvalidConfig
 from ..model import Outcome, StatementId
 from ..util import derive_seed
 from .ir import Instr, MiniProgram, interpret, validate_program
 from .passes import CANONICAL_ORDER, CATALOGS, CrashSignal, run_pipeline
-
-KINDS = ("WrongCode", "Crash", "StaleState")
 
 # archetype -> (kind, trigger passes, (gt pass, gt events))
 _ARCHETYPE_INFO = {
@@ -96,6 +96,18 @@ class SeededBug:
             expected_output=tuple(int(v) for v in doc["expected_output"]),
             pipeline=tuple(doc["pipeline"]),
         )
+
+
+def load_scenario(path) -> SeededBug:
+    """Read a scenario file; an unreadable or malformed one is ``InvalidConfig``."""
+    try:
+        bug = SeededBug.from_json_dict(json.loads(Path(path).read_text("utf-8")))
+        validate_program(bug.program)
+        if not CATALOGS.keys() >= set(bug.pipeline):
+            raise ValueError(f"unknown pass in pipeline {list(bug.pipeline)}")
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise InvalidConfig(f"cannot read scenario {path}: {type(exc).__name__}: {exc}") from exc
+    return bug
 
 
 class _ProgBuilder:

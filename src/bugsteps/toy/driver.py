@@ -34,17 +34,18 @@ def step_ids_for_pipeline(pipeline: Sequence[str]) -> Tuple[str, ...]:
     return tuple(ids)
 
 
+def pipeline_steps(pipeline: Sequence[str]) -> StepSequence:
+    """The step sequence of a scenario's pipeline, one step per pass occurrence."""
+    return StepSequence(tuple(map(Step, step_ids_for_pipeline(pipeline))))
+
+
 class ToyDriver(Driver):
     def __init__(self, bug: SeededBug):
         super().__init__(fingerprint(bug.to_json_dict()))
         self.bug = bug
 
     def _enumerate(self) -> StepSequence:
-        ids = step_ids_for_pipeline(self.bug.pipeline)
-        return StepSequence(
-            tuple(Step(id=sid, display_name=name, ordinal=i)
-                  for i, (sid, name) in enumerate(zip(ids, self.bug.pipeline)))
-        )
+        return pipeline_steps(self.bug.pipeline)
 
     def _run(self, key: Tuple[str, ...], positions: List[int]) -> ExecutionResult:
         tracer = Tracer()

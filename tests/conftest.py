@@ -28,9 +28,7 @@ class FakeDriver:
         self.trace = []  # every issued subset, in order
 
     def enumerate_steps(self):
-        return StepSequence(
-            tuple(Step(id=s, display_name=s, ordinal=i) for i, s in enumerate(self.ids))
-        )
+        return StepSequence(tuple(map(Step, self.ids)))
 
     def coverage_for(self, subset):
         cov = set()

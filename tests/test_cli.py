@@ -70,6 +70,20 @@ class TestIsolate:
         cfg.write_text("{not json")
         assert main(["isolate", str(cfg)]) == 3
 
+    @pytest.mark.parametrize("doc, named", [
+        ({"enumerate_command": "e", "run_command": "r {passes}", "timeout": "abc"},
+         "timeout"),
+        ({"enumerate_command": "e", "run_command": "r {passes}", "coverage_path": ["c"]},
+         "coverage_path"),
+        ({"kind": "toy"}, "scenario"),
+    ], ids=["malformed-timeout", "unknown-key", "toy-without-scenario"])
+    def test_invalid_config_exits_3(self, tmp_path, capsys, doc, named):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["isolate", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
     def test_fallback_report_exits_0_with_diagnostic(self, tmp_path, testbed_dir,
                                                      capsys):
         # failure independent of every skippable step (frontend-bug analog):
@@ -161,6 +175,25 @@ class TestEval:
         assert main(["eval", str(manifest)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert any(e["bug_id"] == "broken-bug" for e in doc["errors"])
+        assert len(doc["rows"]) == 8
+
+    def test_toy_config_without_scenario_marks_bug_errored(self, testbed_dir, tmp_path,
+                                                           capsys):
+        manifest_doc = json.loads((testbed_dir / "manifest.json").read_text())
+        for bug in manifest_doc["bugs"]:
+            bug["config"] = str((testbed_dir / bug["config"]).resolve())
+        cfg = tmp_path / "no-scenario.json"
+        cfg.write_text(json.dumps({"kind": "toy"}))
+        manifest_doc["bugs"].append({
+            "bug_id": "no-scenario",
+            "config": str(cfg),
+            "ground_truth": {"files": ["passes/cse.mini"]},
+        })
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(manifest_doc))
+        assert main(["eval", str(manifest)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [e["bug_id"] for e in doc["errors"]] == ["no-scenario"]
         assert len(doc["rows"]) == 8
 
     def test_rand_repeat_noted_in_table(self, testbed_dir, capsys):

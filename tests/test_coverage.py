@@ -108,6 +108,28 @@ class TestGcovJson:
             parse_gcov_json(b"{}")
 
 
+@pytest.mark.parametrize("source_root", [None, "/src/llvm"])
+@pytest.mark.parametrize("path", ["", ".", "a/..", "/src/llvm", "/usr/x.c", "../x.c"])
+def test_degenerate_paths_dropped_by_both_parsers(path, source_root):
+    gcov = gcov_doc([
+        {"file": path, "lines": [{"line_number": 3, "count": 1}]},
+        {"file": "k.c", "lines": [{"line_number": 4, "count": 1}]},
+    ])
+    assert parse_gcov_json(gcov, source_root=source_root) == {StatementId("k.c", 4)}
+    native = {"version": 1, "statements": [{"file": path, "line": 3},
+                                           {"file": "k.c", "line": 4}]}
+    parsed = parse_native_json(json.dumps(native).encode(), source_root=source_root)
+    assert parsed == {StatementId("k.c", 4)}
+
+
+def test_path_under_root_made_relative_by_both_parsers():
+    path = "/src/llvm//lib/x/../Foo.cpp"
+    gcov = gcov_doc([{"file": path, "lines": [{"line_number": 3, "count": 1}]}])
+    native = json.dumps({"version": 1, "statements": [{"file": path, "line": 3}]}).encode()
+    for parse, doc in [(parse_gcov_json, gcov), (parse_native_json, native)]:
+        assert parse(doc, source_root="/src/llvm/") == {StatementId("lib/Foo.cpp", 3)}
+
+
 class TestNativeJson:
     def test_emit_parse_roundtrip(self):
         stmts = {

@@ -6,6 +6,7 @@ import pytest
 
 from bugsteps.coverage import emit_native_json
 from bugsteps.driver import (
+    DriverConfig,
     ProcessDriver,
     clear_cache_dir,
     group_aliased_steps,
@@ -75,13 +76,130 @@ class TestConfig:
         with pytest.raises(InvalidConfig):
             load_driver(path)
 
+    @pytest.mark.parametrize("overrides", [
+        {"timeout": "abc"},
+        {"timeout": None},
+        {"alias_map": [["dce", "ud_dce"]]},
+        {"alias_map": {"dce": "ud_dce"}},
+        {"run_command": None},
+        {"env": [1, 2]},
+        {"env": {"X": 1}},
+        {"coverage_paths": "cov.json"},
+        {"expected_output": 42},
+        {"workdir": 5},
+        {"expected_output_file": "no-such-file.txt"},
+        {"enumerate_command": None},
+    ], ids=lambda overrides: json.dumps(overrides))
+    def test_malformed_value_rejected(self, tmp_path, overrides):
+        path = write_config(tmp_path, **overrides)
+        for load in (load_config, load_driver):
+            with pytest.raises(InvalidConfig):
+                load(path)
+
+    def test_missing_command_rejected(self, tmp_path):
+        doc = json.loads(write_config(tmp_path).read_text())
+        del doc["run_command"]
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        with pytest.raises(InvalidConfig, match="run_command"):
+            load_config(tmp_path / "config.json")
+
+    def test_unknown_key_rejected_by_name(self, tmp_path):
+        path = write_config(tmp_path, coverage_path=["cov.json"])
+        with pytest.raises(InvalidConfig, match="coverage_path"):
+            load_driver(path)
+
+    def test_absent_keys_take_field_defaults(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"enumerate_command": "e", "run_command": "r {passes}"}))
+        expected = DriverConfig("e", "r {passes}", workdir=str(tmp_path.resolve()))
+        assert load_config(path) == expected
+
+    def test_empty_alias_map_means_none(self, tmp_path):
+        assert load_config(write_config(tmp_path, alias_map={})).alias_map is None
+
+    # the digest earlier versions gave the config below: it names the
+    # disk-cache directory and the report's config_fingerprint, so a schema
+    # edit must not move it
+    README_FINGERPRINT = "a03f6c852521cf40fec8710c82f2dd1803091701cb877a42bbabcbd96a902811"
+
+    def test_fingerprint_pinned(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "kind": "process",
+            "enumerate_command": "opt --print-pipeline-passes ... ",
+            "run_command": "opt --passes={passes} in.ll -o out.o && cc out.o -o prog",
+            "test_command": "./prog",
+            "expected_output": "42",
+            "coverage_source": "gcov_json",
+            "coverage_paths": ["cov/*.gcov.json.gz"],
+            "source_root": "/src/llvm",
+            "timeout": 300,
+            "workdir": "/work/bug-1234",
+            "env": {"GCOV_PREFIX": "/work/bug-1234/cov"},
+            "step_separator": ",",
+            "step_template": "{step}",
+        }))
+        driver = ProcessDriver(load_config(path), cache_dir=tmp_path / "cache")
+        assert driver.fingerprint == self.README_FINGERPRINT
+        assert driver.cache_dir == tmp_path / "cache" / self.README_FINGERPRINT[:16]
+
+    def test_fingerprint_ignores_timeout_only(self, tmp_path):
+        base = ProcessDriver(load_config(write_config(tmp_path))).fingerprint
+        assert ProcessDriver(load_config(write_config(tmp_path, timeout=99))).fingerprint == base
+        for overrides in [{"step_template": "-{step}"}, {"expected_output": "other"},
+                          {"env": {"A": "1"}}, {"source_root": "/src"}]:
+            changed = ProcessDriver(load_config(write_config(tmp_path, **overrides)))
+            assert changed.fingerprint != base, overrides
+
+
+class TestToyConfig:
+    def write(self, tmp_path, config, scenario=None):
+        if scenario is not None:
+            (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+        path = tmp_path / "toy.json"
+        path.write_text(json.dumps(config))
+        return path
+
+    def scenario_doc(self):
+        from bugsteps.toy import generate_scenarios
+
+        return generate_scenarios(42, 1)[0].to_json_dict()
+
+    @pytest.mark.parametrize("config", [
+        {"kind": "toy"},
+        {"kind": "toy", "scenario": 5},
+        {"kind": "toy", "scenario": "scenario.json", "timeout": 5},
+    ])
+    def test_bad_toy_config_rejected(self, tmp_path, config):
+        path = self.write(tmp_path, config, self.scenario_doc())
+        with pytest.raises(InvalidConfig):
+            load_driver(path)
+
+    @pytest.mark.parametrize("broken", ["no pipeline", "not an object", "bad statement",
+                                        "unknown pass", "unknown op"])
+    def test_malformed_scenario_rejected(self, tmp_path, broken):
+        doc = self.scenario_doc()
+        if broken == "no pipeline":
+            del doc["pipeline"]
+        elif broken == "not an object":
+            doc = [doc]
+        elif broken == "bad statement":
+            doc["ground_truth"] = [{"file": "", "line": 1}]
+        elif broken == "unknown pass":
+            doc["pipeline"].append("no_such_pass")
+        else:
+            doc["program"]["instructions"][0]["op"] = "frob"
+        path = self.write(tmp_path, {"kind": "toy", "scenario": "scenario.json"}, doc)
+        with pytest.raises(InvalidConfig):
+            load_driver(path)
+
 
 class TestEnumerate:
     def test_parse_in_execution_order(self, tmp_path):
         driver = ProcessDriver(load_config(write_config(tmp_path)))
         seq = driver.enumerate_steps()
         assert seq.ids == ("instcombine", "licm", "simplifycfg")
-        assert [s.ordinal for s in seq.steps] == [0, 1, 2]
+        assert seq.positions(seq.ids) == [0, 1, 2]
 
     def test_empty_enumeration(self, tmp_path):
         cfg = write_config(tmp_path, enumerate_command="printf ''")

@@ -201,16 +201,11 @@ class TestRemovalProbe:
 
 class TestStepSequence:
     def test_duplicate_ids_rejected(self):
-        steps = (Step("a", "a", 0), Step("a", "a", 1))
-        with pytest.raises(ValueError):
-            StepSequence(steps)
-
-    def test_ordinals_must_match_position(self):
-        steps = (Step("a", "a", 0), Step("b", "b", 2))
+        steps = (Step("a"), Step("a"))
         with pytest.raises(ValueError):
             StepSequence(steps)
 
     def test_ids_in_order(self):
-        seq = StepSequence((Step("a", "a", 0), Step("b", "b", 1)))
+        seq = StepSequence((Step("a"), Step("b")))
         assert seq.ids == ("a", "b")
-        assert seq.ordinal_of("b") == 1
+        assert seq.positions(["b"]) == [1]
