@@ -8,10 +8,14 @@ the ``execute_calls``/``process_runs`` counters and a ``StatementPool``,
 so every run a driver parses or loads shares one ``StatementId`` per
 statement.  Cache entries are keyed by the driver fingerprint plus the
 ordered retained subset, so repeated identical subsets never re-run.  A
-disk entry is a compact version-2 document: a ``files`` and a
-``functions`` table and, per file, a flat ``[line, function_index, ...]``
-list.  An entry of another version, or one that does not decode, is a
-miss that re-runs and overwrites it.  Backends implement only step
+disk entry is a compact version-3 document with one
+``[file, [function names], "line,index,line,index,..."]`` record per
+file, the indices local to that file's names.  The runs of one isolation
+differ in a few steps, so most files' records repeat from entry to entry:
+each driver memoizes a record's decoded statements by the record itself,
+and a repeated record costs one dict lookup.  An entry of another version
+is a miss; one that does not decode is logged and a miss; either way the
+subset re-runs and the entry is overwritten.  Backends implement only step
 enumeration and one uncached run: ``ProcessDriver`` talks to a real
 compiler through configurable shell commands and coverage files, and the
 testbed's in-process driver lives in ``bugsteps.toy.driver``.
@@ -27,11 +31,14 @@ import shutil
 import subprocess
 import threading
 import time
+from collections import defaultdict
 from dataclasses import asdict, dataclass, field, fields
 from glob import glob
+from itertools import repeat
+from operator import attrgetter
 from pathlib import Path
-from typing import (Dict, List, Optional, Sequence, Tuple, Union, get_args, get_origin,
-                    get_type_hints)
+from typing import (Dict, FrozenSet, List, Optional, Sequence, Tuple, Union, get_args,
+                    get_origin, get_type_hints)
 
 from . import coverage as covmod
 from .errors import (
@@ -52,7 +59,7 @@ from .util import fingerprint
 
 log = logging.getLogger(__name__)
 
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 COVERAGE_PARSERS = {
     "native_json": covmod.parse_native_json,
@@ -220,6 +227,8 @@ class Driver:
         self._lock = threading.Lock()
         self._sequence: Optional[StepSequence] = None
         self.statements = StatementPool()
+        # a disk entry's file record -> its decoded statements
+        self._blocks: Dict[Tuple[str, Tuple, str], FrozenSet[StatementId]] = {}
         self.execute_calls = 0
         self.process_runs = 0
 
@@ -270,14 +279,14 @@ class Driver:
         if isinstance(doc, dict) and doc.get("version") != CACHE_VERSION:
             return None  # an older format: a miss, re-run and overwritten
         try:
-            pool, functions = self.statements, doc["functions"]
-            coverage = frozenset(
-                pool[file, lines[i], functions[lines[i + 1]]]
-                for file, lines in zip(doc["files"], doc["lines"], strict=True)
-                for i in range(0, len(lines), 2)
-            )
+            blocks = [self._block(record) for record in doc["files"]]
+            coverage = frozenset().union(*blocks)
+            if len(coverage) != sum(map(len, blocks)):
+                raise ValueError("a statement is stored twice")
+            if doc["subset"] != list(key):
+                raise ValueError("entry stored for another subset")
             return ExecutionResult(
-                subset=tuple(doc["subset"]),
+                subset=key,
                 outcome=Outcome(doc["outcome"]),
                 coverage=coverage,
                 wall_time=float(doc["wall_time"]),
@@ -286,26 +295,67 @@ class Driver:
             log.warning("discarding corrupt cache entry %s", path)
             return None
 
+    def _block(self, record) -> FrozenSet[StatementId]:
+        """One file's ``[file, functions, text]`` record, decoded once per driver.
+
+        The memo key is the whole record, so a hit stands for a record that
+        passed every check of its first decode.
+        """
+        file, functions, text = record  # not a 3-list: fails here or on the types
+        if not (isinstance(file, str) and isinstance(functions, list) and isinstance(text, str)):
+            raise TypeError("a file record must be [str, list, str]")
+        memo_key = (file, tuple(functions), text)
+        block = self._blocks.get(memo_key)
+        if block is None:
+            block = self._blocks[memo_key] = self._decode_block(*memo_key)
+        return block
+
+    def _decode_block(self, file: str, functions: Tuple, text: str) -> FrozenSet[StatementId]:
+        if not all(fn is None or isinstance(fn, str) for fn in functions):
+            raise TypeError("function names must be strings or null")
+        # digits and commas only, so the JSON array holds only non-negative
+        # integers; an empty token, a leading zero or a non-ASCII digit fails to parse
+        if not text.replace(",", "").isdigit():
+            raise ValueError(f"malformed block text in {file!r}")
+        numbers = json.loads(f"[{text}]")
+        # zip takes a line, then a function index, from the one iterator
+        pairs = iter(numbers)
+        block = frozenset(map(self.statements.__getitem__, zip(
+            repeat(file), pairs, map(functions.__getitem__, pairs))))
+        if 2 * len(block) != len(numbers):
+            raise ValueError(f"odd token count or a line stored twice in {file!r}")
+        return block
+
     def _cache_store(self, key: Tuple[str, ...], result: ExecutionResult) -> None:
-        files: Dict[str, List] = {}
-        functions: Dict[Optional[str], int] = {}
-        for stmt in sorted(result.coverage, key=StatementId.sort_key):
-            index = functions.setdefault(stmt.function, len(functions))
-            files.setdefault(stmt.file, []).extend((stmt.line, index))
+        by_file: Dict[str, List[StatementId]] = defaultdict(list)
+        for stmt in result.coverage:
+            by_file[stmt.file].append(stmt)
         doc = {
             "version": CACHE_VERSION,
             "subset": list(result.subset),
             "outcome": result.outcome.value,
             "wall_time": result.wall_time,
-            "files": list(files),
-            "functions": list(functions),
-            "lines": list(files.values()),
+            "files": [_encode_block(file, sorted(by_file[file], key=_LINE))
+                      for file in sorted(by_file)],
         }
         path = self._cache_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
         tmp.write_text(json.dumps(doc, separators=(",", ":")), "utf-8")
         os.replace(tmp, path)
+
+
+_LINE = attrgetter("line")
+_FUNCTION = attrgetter("function")
+
+
+def _encode_block(file: str, stmts: List[StatementId]) -> list:
+    """``[file, functions, "line,index,..."]`` for one file's statements in line order."""
+    index = {fn: i for i, fn in enumerate(dict.fromkeys(map(_FUNCTION, stmts)))}
+    numbers = [0] * (2 * len(stmts))
+    numbers[::2] = map(_LINE, stmts)
+    numbers[1::2] = map(index.__getitem__, map(_FUNCTION, stmts))
+    return [file, list(index), ",".join(map(str, numbers))]
 
 
 class ProcessDriver(Driver):

@@ -79,36 +79,53 @@ class EvalRow:
         }
 
 
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def load_manifest(path) -> List[DatasetBug]:
+    """Read a manifest's bug records; any malformed record is ``InvalidConfig``."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text("utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise InvalidConfig(f"cannot read manifest {path}: {exc}") from exc
-    bugs_doc = doc.get("bugs")
+    bugs_doc = doc.get("bugs") if isinstance(doc, dict) else None
     if not isinstance(bugs_doc, list) or not bugs_doc:
         raise InvalidConfig(f"manifest {path} has no bugs")
     bugs = []
     seen = set()
-    for rec in bugs_doc:
-        bug_id = rec["bug_id"]
+    for index, rec in enumerate(bugs_doc):
+        where = f"manifest {path}, bug record {index}"
+        if not isinstance(rec, dict):
+            raise InvalidConfig(f"{where} must be an object")
+        bug_id, config = rec.get("bug_id"), rec.get("config")
+        if not (isinstance(bug_id, str) and isinstance(config, str)):
+            raise InvalidConfig(f"{where} needs a string 'bug_id' and 'config'")
+        truth = rec.get("ground_truth", {})
+        if not isinstance(truth, dict):
+            raise InvalidConfig(f"{where}: 'ground_truth' must be an object")
+        files, functions = truth.get("files", []), truth.get("functions")
+        tags = rec.get("tags", [])
+        if not (_strings(files) and (functions is None or _strings(functions))
+                and _strings(tags)):
+            raise InvalidConfig(f"{where}: ground-truth files/functions and tags must be "
+                                "lists of strings")
         if bug_id in seen:
             raise InvalidConfig(f"duplicate bug id {bug_id!r} in manifest")
         seen.add(bug_id)
-        config = Path(rec["config"])
+        config = Path(config)
         if not config.is_absolute():
             config = path.parent / config
         if not config.exists():
             raise InvalidConfig(f"bug {bug_id}: config {config} does not exist")
-        truth = rec.get("ground_truth", {})
-        functions = truth.get("functions")
         bugs.append(
             DatasetBug(
                 bug_id=bug_id,
                 config=config,
-                ground_truth_files=tuple(truth.get("files", [])),
+                ground_truth_files=tuple(files),
                 ground_truth_functions=tuple(functions) if functions else None,
-                tags=tuple(rec.get("tags", [])),
+                tags=tuple(tags),
             )
         )
     return bugs

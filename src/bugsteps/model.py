@@ -31,7 +31,7 @@ def normalize_path(path: str) -> str:
     return norm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StatementId:
     """One compiler source element at line granularity.
 
@@ -43,12 +43,18 @@ class StatementId:
     line: int
     function: Optional[str] = field(default=None, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "file", normalize_path(self.file))
-        if self.line < 1:
-            raise ValueError(f"statement line must be >= 1, got {self.line}")
-        # the value the dataclass would compute on every call, computed once
-        object.__setattr__(self, "_hash", hash((self.file, self.line)))
+    def __init__(self, file: str, line: int, function: Optional[str] = None):
+        file = normalize_path(file)
+        if line < 1:
+            raise ValueError(f"statement line must be >= 1, got {line}")
+        # every parsed or loaded statement is built here, so each field is
+        # written once, past the frozen __setattr__; the hash is the value
+        # the dataclass would compute on every call, computed once
+        set_field = object.__setattr__
+        set_field(self, "file", file)
+        set_field(self, "line", line)
+        set_field(self, "function", function)
+        set_field(self, "_hash", hash((file, line)))
 
     def __hash__(self):
         return self._hash

@@ -214,6 +214,19 @@ class TestEval:
         }]}))
         assert main(["eval", str(manifest)]) == 4
 
+    @pytest.mark.parametrize("doc", [
+        [1],
+        {"bugs": [{"config": "x.json"}]},
+        {"bugs": [5]},
+        {"bugs": [{"bug_id": "b", "config": "x.json", "ground_truth": "x.c"}]},
+    ])
+    def test_malformed_manifest_exits_3(self, tmp_path, capsys, doc):
+        (tmp_path / "x.json").write_text(json.dumps({"kind": "toy", "scenario": "s.json"}))
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(doc))
+        assert main(["eval", str(manifest)]) == 3
+        assert "manifest.json" in capsys.readouterr().err
+
     def test_unknown_strategy_rejected(self, testbed_dir):
         manifest = testbed_dir / "manifest.json"
         assert main(["eval", str(manifest), "--strategy", "bogus"]) == 3

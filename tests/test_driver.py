@@ -1,11 +1,15 @@
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bugsteps.coverage import emit_native_json
 from bugsteps.driver import (
+    Driver,
     DriverConfig,
     ProcessDriver,
     clear_cache_dir,
@@ -19,7 +23,7 @@ from bugsteps.errors import (
     EmptySequence,
     InvalidConfig,
 )
-from bugsteps.model import Outcome, StatementId
+from bugsteps.model import ExecutionResult, Outcome, StatementId
 
 PY = sys.executable
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -397,15 +401,14 @@ class TestDiskCacheEntry:
         functions = {(s.file, s.line, s.function) for s in loaded.coverage}
         assert functions == {(s.file, s.line, s.function) for s in self.COVERAGE}
 
-    def test_entry_is_version_2(self, tmp_path):
+    def test_entry_is_version_3(self, tmp_path):
         driver = self.make_driver(tmp_path)
         driver.execute(("licm",))
         text = self.entry(driver, ("licm",)).read_text()
         doc = json.loads(text)
-        assert doc["version"] == 2
-        assert doc["files"] == ["lib/u.c", "m.c"]
-        assert doc["functions"] == ["helper", "main", None]
-        assert doc["lines"] == [[2, 0], [1, 1, 7, 2]]
+        assert doc["version"] == 3
+        assert doc["files"] == [["lib/u.c", ["helper"], "2,0"], ["m.c", ["main", None], "1,0,7,1"]]
+        assert set(doc) == {"version", "subset", "outcome", "wall_time", "files"}
         assert " " not in text and "\n" not in text
 
     def test_version_1_entry_is_rerun_and_rewritten(self, tmp_path):
@@ -417,7 +420,22 @@ class TestDiskCacheEntry:
         rerun = fresh.execute(("licm",))
         assert fresh.process_runs == 1
         assert (rerun.outcome, rerun.coverage) == (result.outcome, result.coverage)
-        assert json.loads(path.read_text())["version"] == 2
+        assert json.loads(path.read_text())["version"] == 3
+
+    def test_version_2_entry_is_rerun_and_rewritten(self, tmp_path, caplog):
+        driver = self.make_driver(tmp_path)
+        result = driver.execute(("licm",))
+        path = self.entry(driver, ("licm",))
+        path.write_text(json.dumps({
+            "version": 2, "subset": ["licm"], "outcome": result.outcome.value,
+            "wall_time": 0.1, "files": ["lib/u.c", "m.c"], "functions": ["helper", "main", None],
+            "lines": [[2, 0], [1, 1, 7, 2]]}))
+        fresh = self.make_driver(tmp_path)
+        rerun = fresh.execute(("licm",))
+        assert fresh.process_runs == 1
+        assert (rerun.outcome, rerun.coverage) == (result.outcome, result.coverage)
+        assert json.loads(path.read_text())["version"] == 3
+        assert "corrupt" not in caplog.text  # another version is a miss, not a fault
 
     @pytest.mark.parametrize("text", [
         "[]",
@@ -441,7 +459,88 @@ class TestDiskCacheEntry:
         result = driver.execute(("licm",))
         assert driver.process_runs == 1
         assert result.outcome is Outcome.FAIL_WRONG_OUTPUT
-        assert json.loads(path.read_text())["version"] == 2
+        assert json.loads(path.read_text())["version"] == 3
+
+    # every block that is valid on its own is also in VALID, so a driver
+    # that loaded VALID first meets it again as a memo hit
+    VALID = [["lib/u.c", ["helper"], "2,0"], ["m.c", ["main", None], "1,0,7,1"]]
+
+    @pytest.mark.parametrize("files", [
+        [["m.c", ["main", None], "1,0,7,-1"]],  # negative function index
+        [["m.c", ["main", None], "1,0,7,2"]],  # function index out of range
+        [["m.c", [None], "1,x"]],  # non-integer token
+        [["m.c", [None], "1,+0"]],
+        [["m.c", [None], "1, 0"]],
+        [["m.c", [None], "1,0_0"]],
+        [["m.c", [None], "1,\u0660"]],  # a non-ASCII digit
+        [["m.c", [None], "1.0,0"]],
+        [["m.c", [None], "1,00"]],  # a leading zero
+        [["m.c", [None], "1,0e0"]],
+        [["m.c", [None], ""]],  # empty text
+        [["m.c", [None], "1,0,"]],
+        [["m.c", [None], "1,,0"]],
+        [["m.c", [None], "1,0,7"]],  # odd token count
+        [["m.c", [None], "0,0"]],  # line 0
+        [["m.c", [None], "1,0,1,0"]],  # a line twice
+        [["m.c", [True], "1,0"]],  # a function that is not a string
+        [["m.c", [["main"]], "1,0"]],
+        [["m.c", ["main", None]]],  # a record that is not a 3-list
+        [["m.c", ["main", None], "1,0,7,1", "x"]],
+        [{"file": "m.c", "functions": ["main", None], "text": "1,0,7,1"}],
+        "m.c",
+        [[5, [None], "1,0"]],
+        [["m.c", "main", "1,0"]],
+        [["m.c", ["main", None], [1, 0, 7, 1]]],
+        [VALID[0], VALID[0]],  # a file twice: both blocks are memo hits
+        [VALID[1], ["./m.c", [None], "1,0"]],  # the same statement under two spellings
+        5,
+    ])
+    @pytest.mark.parametrize("primed", [False, True])
+    def test_malformed_v3_entry_is_logged_rerun_and_overwritten(self, tmp_path, caplog,
+                                                                files, primed):
+        driver = self.make_driver(tmp_path)
+        if primed:
+            driver.execute(("licm",))
+            driver = self.make_driver(tmp_path)
+            assert driver._cache_load(("licm",)) is not None and driver._blocks
+        path = self.entry(driver, ("licm",))
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps({"version": 3, "subset": ["licm"], "outcome": "pass",
+                                    "wall_time": 0, "files": files}))
+        result = driver.execute(("licm",))
+        assert driver.process_runs == 1
+        assert result.outcome is Outcome.FAIL_WRONG_OUTPUT
+        assert "discarding corrupt cache entry" in caplog.text
+        assert json.loads(path.read_text())["files"] == self.VALID
+
+    @pytest.mark.parametrize("field, value", [
+        ("subset", ["instcombine"]), ("subset", "licm"), ("outcome", "no-such"),
+        ("wall_time", "soon"),
+    ])
+    def test_malformed_v3_fields_are_logged_and_rerun(self, tmp_path, caplog, field, value):
+        driver = self.make_driver(tmp_path)
+        path = self.entry(driver, ("licm",))
+        path.parent.mkdir(parents=True)
+        doc = {"version": 3, "subset": ["licm"], "outcome": "pass", "wall_time": 0,
+               "files": self.VALID}
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        driver.execute(("licm",))
+        assert driver.process_runs == 1
+        assert "discarding corrupt cache entry" in caplog.text
+
+    def test_repeated_block_decoded_once(self, tmp_path):
+        driver = self.make_driver(tmp_path)
+        driver.execute(("licm",))
+        driver.execute(("instcombine",))
+        fresh = self.make_driver(tmp_path)
+        a = fresh.execute(("licm",))
+        b = fresh.execute(("instcombine",))
+        assert fresh.process_runs == 0
+        assert len(fresh._blocks) == 2
+        assert a.coverage == b.coverage == self.COVERAGE
+        assert all(x is y for x, y in zip(sorted(a.coverage, key=StatementId.sort_key),
+                                          sorted(b.coverage, key=StatementId.sort_key)))
 
     def test_runs_share_statement_objects(self, tmp_path):
         driver = self.make_driver(tmp_path)
@@ -451,6 +550,34 @@ class TestDiskCacheEntry:
         by_key = {s: s for s in b.coverage}
         assert a.coverage == b.coverage
         assert all(by_key[s] is s for s in a.coverage)
+
+
+_NAMES = [None, "main", "helper", "f"]
+_RENAMED = dict(zip(_NAMES, _NAMES[1:] + _NAMES[:1]))
+
+
+@given(st.dictionaries(st.tuples(st.sampled_from(["m.c", "lib/u.c", "a/b/c.cpp"]),
+                                 st.integers(1, 40)),
+                       st.sampled_from(_NAMES), max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_disk_entry_round_trip(functions):
+    """A fresh driver loads the stored triples exactly, also when a second
+    entry has the same lines per file under other function names."""
+    runs = {
+        ("licm",): functions,
+        ("instcombine",): {key: _RENAMED[fn] for key, fn in functions.items()},
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        writer = Driver("fp", Path(tmp))
+        for subset, run in runs.items():
+            coverage = frozenset(StatementId(f, line, fn) for (f, line), fn in run.items())
+            writer._cache_store(subset, ExecutionResult(subset, Outcome.PASS, coverage, 0.5))
+        fresh = Driver("fp", Path(tmp))
+        for subset, run in runs.items():
+            loaded = fresh._cache_load(subset)
+            assert loaded.subset == subset and loaded.outcome is Outcome.PASS
+            assert {(s.file, s.line, s.function) for s in loaded.coverage} == {
+                (f, line, fn) for (f, line), fn in run.items()}
 
 
 @pytest.fixture(scope="module")

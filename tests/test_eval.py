@@ -165,6 +165,23 @@ class TestManifest:
         with pytest.raises(InvalidConfig):
             load_manifest(manifest)
 
+    @pytest.mark.parametrize("doc", [
+        [1],
+        {"bugs": [{"config": "x.json"}]},
+        {"bugs": [5]},
+        {"bugs": [{"bug_id": 7, "config": "x.json"}]},
+        {"bugs": [{"bug_id": "b", "config": ["x.json"]}]},
+        {"bugs": [{"bug_id": "b", "config": "x.json", "ground_truth": ["x.c"]}]},
+        {"bugs": [{"bug_id": "b", "config": "x.json", "ground_truth": {"files": "x.c"}}]},
+        {"bugs": [{"bug_id": "b", "config": "x.json", "tags": [1]}]},
+    ])
+    def test_malformed_record_rejected(self, tmp_path, doc):
+        (tmp_path / "x.json").write_text("{}")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(InvalidConfig, match="manifest.json"):
+            load_manifest(manifest)
+
     def test_granularity_mismatch(self):
         bug = DatasetBug("b", None, ("f.c",), None)
         with pytest.raises(GranularityMismatch):
