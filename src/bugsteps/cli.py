@@ -38,6 +38,13 @@ EXIT_DRIVER_ERROR = 3
 EXIT_NO_ROWS = 4
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _write_output(text: str, output):
     if output:
         Path(output).write_text(text, "utf-8")
@@ -66,8 +73,7 @@ def cmd_isolate(args) -> int:
                 "granularity": args.granularity,
                 "seed": args.seed,
                 "probe_count": isolation.probe_count,
-                "uncached_count": isolation.uncached_count,
-                "wall_time": round(isolation.wall_time, 9),
+                "distinct_runs": len(isolation.all_runs),
                 "bug_causing_steps": isolation.bug_causing_steps,
             },
         )
@@ -133,16 +139,16 @@ def cmd_eval(args) -> int:
 
 
 def cmd_testbed_gen(args) -> int:
-    out = Path(args.out)
-    scen_dir = out / "scenarios"
-    conf_dir = out / "configs"
-    scen_dir.mkdir(parents=True, exist_ok=True)
-    conf_dir.mkdir(parents=True, exist_ok=True)
     try:
         scenarios = generate_scenarios(args.seed, args.count)
     except BugStepsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DRIVER_ERROR
+    out = Path(args.out)
+    scen_dir = out / "scenarios"
+    conf_dir = out / "configs"
+    scen_dir.mkdir(parents=True, exist_ok=True)
+    conf_dir.mkdir(parents=True, exist_ok=True)
     manifest = {"bugs": []}
     for scn in scenarios:
         scn_path = scen_dir / f"{scn.id}.json"
@@ -247,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("testbed-gen", help="generate testbed scenarios")
     p_gen.add_argument("--out", required=True)
     p_gen.add_argument("--seed", type=int, default=42)
-    p_gen.add_argument("--count", type=int, default=30)
+    p_gen.add_argument("--count", type=positive_int, default=30)
     p_gen.set_defaults(func=cmd_testbed_gen)
 
     p_run = sub.add_parser("testbed-run", help="run one testbed scenario subset")

@@ -29,8 +29,8 @@ import logging
 import os
 import shutil
 import subprocess
+import tempfile
 import threading
-import time
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field, fields
 from glob import glob
@@ -285,12 +285,7 @@ class Driver:
                 raise ValueError("a statement is stored twice")
             if doc["subset"] != list(key):
                 raise ValueError("entry stored for another subset")
-            return ExecutionResult(
-                subset=key,
-                outcome=Outcome(doc["outcome"]),
-                coverage=coverage,
-                wall_time=float(doc["wall_time"]),
-            )
+            return ExecutionResult(subset=key, outcome=Outcome(doc["outcome"]), coverage=coverage)
         except (KeyError, ValueError, TypeError, IndexError):
             log.warning("discarding corrupt cache entry %s", path)
             return None
@@ -334,7 +329,6 @@ class Driver:
             "version": CACHE_VERSION,
             "subset": list(result.subset),
             "outcome": result.outcome.value,
-            "wall_time": result.wall_time,
             "files": [_encode_block(file, sorted(by_file[file], key=_LINE))
                       for file in sorted(by_file)],
         }
@@ -395,41 +389,39 @@ class ProcessDriver(Driver):
         joined = self.config.step_separator.join(
             self.config.step_template.replace("{step}", s) for s in expanded
         )
-        scratch = self._make_scratch(key)
-        started = time.monotonic()
         run_cmd = self.config.run_command.replace("{passes}", joined)
-        run_proc = self._run_command(run_cmd, scratch, log_stem="run")
-        outcome = None
-        observed = b""
-        if run_proc is None:
-            outcome = Outcome.FAIL_TIMEOUT
-        elif run_proc.returncode < 0 or run_proc.returncode >= 128:
-            # direct signal, or the shell reporting a signal as 128+N
-            outcome = Outcome.FAIL_CRASH
-        elif run_proc.returncode != 0:
-            outcome = Outcome.FAIL_BUILD
-        else:
-            observed = run_proc.stdout
-        if outcome is None and self.config.test_command:
-            test_proc = self._run_command(self.config.test_command, scratch, log_stem="test")
-            if test_proc is None:
-                outcome = Outcome.FAIL_TIMEOUT
-            elif test_proc.returncode != 0:
-                outcome = Outcome.FAIL_CRASH
-            else:
-                observed = test_proc.stdout
-        if outcome is None:
-            expected = self.config.expected_output.rstrip(b"\n")
-            outcome = (
-                Outcome.PASS
-                if observed.rstrip(b"\n") == expected
-                else Outcome.FAIL_WRONG_OUTPUT
-            )
-        cov = self._collect_coverage(scratch)
-        wall = time.monotonic() - started
-        return ExecutionResult(subset=key, outcome=outcome, coverage=cov, wall_time=wall)
+        # a fresh {scratch} per run, removed once its coverage is read (or
+        # fails to be); a timed-out child may still be writing into it, so a
+        # failed removal must not abort the isolation
+        with tempfile.TemporaryDirectory(prefix="bugsteps-run-",
+                                         ignore_cleanup_errors=True) as tmp:
+            scratch = Path(tmp)
+            outcome = self._outcome(run_cmd, scratch)
+            coverage = self._collect_coverage(scratch)
+        return ExecutionResult(subset=key, outcome=outcome, coverage=coverage)
 
-    def _run_command(self, command: str, scratch: Optional[Path], log_stem: str = "cmd"):
+    def _outcome(self, run_cmd: str, scratch: Path) -> Outcome:
+        """Run the pipeline, then the test command if any, and judge the output."""
+        proc = self._run_command(run_cmd, scratch)
+        if proc is None:
+            return Outcome.FAIL_TIMEOUT
+        if proc.returncode < 0 or proc.returncode >= 128:
+            # direct signal, or the shell reporting a signal as 128+N
+            return Outcome.FAIL_CRASH
+        if proc.returncode != 0:
+            return Outcome.FAIL_BUILD
+        if self.config.test_command:
+            proc = self._run_command(self.config.test_command, scratch)
+            if proc is None:
+                return Outcome.FAIL_TIMEOUT
+            if proc.returncode != 0:
+                return Outcome.FAIL_CRASH
+        expected = self.config.expected_output.rstrip(b"\n")
+        if proc.stdout.rstrip(b"\n") == expected:
+            return Outcome.PASS
+        return Outcome.FAIL_WRONG_OUTPUT
+
+    def _run_command(self, command: str, scratch: Optional[Path]):
         if scratch is not None:
             command = command.replace("{scratch}", str(scratch))
         env = dict(os.environ)
@@ -447,18 +439,7 @@ class ProcessDriver(Driver):
             )
         except subprocess.TimeoutExpired:
             return None
-        if scratch is not None:
-            (scratch / f"{log_stem}.stdout").write_bytes(proc.stdout)
-            (scratch / f"{log_stem}.stderr").write_bytes(proc.stderr)
         return proc
-
-    def _make_scratch(self, key: Tuple[str, ...]) -> Path:
-        digest = hashlib.sha256("\x1f".join(key).encode("utf-8")).hexdigest()[:16]
-        scratch = self.cache_dir / "runs" / digest
-        if scratch.exists():
-            shutil.rmtree(scratch)
-        scratch.mkdir(parents=True)
-        return scratch
 
     def _collect_coverage(self, scratch: Path):
         parser = COVERAGE_PARSERS[self.config.coverage_source]
@@ -482,8 +463,8 @@ class ProcessDriver(Driver):
 def clear_cache_dir(cache_dir) -> int:
     """Remove every cached record under ``cache_dir``; returns entries removed.
 
-    Only cache entries count, not the coverage files left in a run's
-    ``runs/<digest>/`` scratch directory.
+    Only cache entries count, not the coverage files that earlier versions
+    left in ``runs/<digest>/`` scratch directories.
     """
     root = Path(cache_dir)
     if not root.exists():

@@ -2,8 +2,10 @@
 
 Loads a manifest of bug configs with ground truth, runs each requested
 (strategy, scorer) pair per bug, matches ranked reports against the
-ground truth, and reduces to Top-n / MFR / MAR / runtime metrics plus an
+ground truth, and reduces to Top-n / MFR / MAR metrics plus an
 intersection partition of which strategy combinations isolate which bugs.
+Each row's ``probe_count`` is its deterministic cost; the measured time
+per bug is the benchmark's ``isolate_p50_s`` (``perfbench/``).
 """
 
 from __future__ import annotations
@@ -54,12 +56,10 @@ class EvalRow:
     first_rank: Optional[float]
     all_ranks: List[float]
     probe_count: int
-    wall_time: float
     fallback: bool
     unranked: bool
     report_length: int
     repeats: int = 1
-    error: Optional[str] = None
 
     def to_json_dict(self):
         return {
@@ -70,12 +70,10 @@ class EvalRow:
             "first_rank": self.first_rank,
             "all_ranks": self.all_ranks,
             "probe_count": self.probe_count,
-            "wall_time": round(self.wall_time, 9),
             "fallback": self.fallback,
             "unranked": self.unranked,
             "report_length": self.report_length,
             "repeats": self.repeats,
-            "error": self.error,
         }
 
 
@@ -165,7 +163,6 @@ def evaluate_bug(bug: DatasetBug, strategy: str, scorer: str, granularity: str,
     firsts: List[int] = []
     per_unit: Dict[str, List[int]] = {u: [] for u in truth}
     probe_total = 0
-    wall_total = 0.0
     fallback_votes = 0
     unranked_votes = 0
     report_len = 0
@@ -180,7 +177,6 @@ def evaluate_bug(bug: DatasetBug, strategy: str, scorer: str, granularity: str,
             rank = report.rank_of(unit)
             per_unit[unit].append(rank if rank is not None else sentinel)
         probe_total += isolation.probe_count
-        wall_total += isolation.wall_time
         fallback_votes += 1 if isolation.fallback else 0
         unranked_votes += 0 if any_ranked else 1
         report_len = max(report_len, len(report.rows))
@@ -194,7 +190,6 @@ def evaluate_bug(bug: DatasetBug, strategy: str, scorer: str, granularity: str,
         first_rank=first_rank,
         all_ranks=all_ranks,
         probe_count=probe_total,
-        wall_time=wall_total,
         fallback=fallback_votes * 2 > runs,
         unranked=unranked_votes * 2 > runs,
         report_length=report_len,
@@ -206,7 +201,6 @@ def compute_metrics(rows: Sequence[EvalRow]) -> Dict[str, object]:
     if not rows:
         raise ValueError("cannot compute metrics over zero rows")
     firsts = [r.first_rank for r in rows]
-    walls = [r.wall_time for r in rows]
     out: Dict[str, object] = {"bugs": len(rows)}
     for n in TOP_NS:
         out[f"top{n}"] = sum(1 for f in firsts if f <= n)
@@ -214,11 +208,6 @@ def compute_metrics(rows: Sequence[EvalRow]) -> Dict[str, object]:
     out["mar"] = sum(
         sum(r.all_ranks) / len(r.all_ranks) for r in rows
     ) / len(rows)
-    out["runtime"] = {
-        "avg": sum(walls) / len(walls),
-        "min": min(walls),
-        "max": max(walls),
-    }
     return out
 
 
@@ -337,15 +326,13 @@ def evaluate_manifest(manifest_path, strategies: Sequence[str],
 def render_metrics_table(metrics: Dict[str, Dict[str, object]]) -> str:
     header = (
         f"{'approach':<18} {'Top1':>5} {'Top3':>5} {'Top5':>5} {'Top10':>6} "
-        f"{'MFR':>9} {'MAR':>9} {'Avg(s)':>9} {'Min(s)':>9} {'Max(s)':>9}"
+        f"{'MFR':>9} {'MAR':>9}"
     )
     lines = [header, "-" * len(header)]
     for label in sorted(metrics):
         m = metrics[label]
-        rt = m["runtime"]
         lines.append(
             f"{label:<18} {m['top1']:>5} {m['top3']:>5} {m['top5']:>5} "
-            f"{m['top10']:>6} {m['mfr']:>9.2f} {m['mar']:>9.2f} "
-            f"{rt['avg']:>9.2f} {rt['min']:>9.2f} {rt['max']:>9.2f}"
+            f"{m['top10']:>6} {m['mfr']:>9.2f} {m['mar']:>9.2f}"
         )
     return "\n".join(lines) + "\n"

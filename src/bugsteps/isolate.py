@@ -32,15 +32,17 @@ STRATEGIES = ("tail", "nodel", "rand")
 @dataclass
 class IsolationResult:
     strategy: str
-    probes: List[RemovalProbe]          # flipped probes, original ordinal order
+    probes: List[RemovalProbe]          # one per bug-causing step, original ordinal order
     final_sequence: Optional[List[str]]  # retained ids after pruning (tail only)
     probe_count: int                     # executions issued beyond the baseline
     all_runs: List[ExecutionResult]      # every distinct run observed, incl. baseline
     baseline: ExecutionResult
-    fallback: bool                       # no bug-causing step was found
-    uncached_count: int                  # runs that actually executed (cache misses)
-    wall_time: float                     # summed driver time of distinct runs
     seed: Optional[int] = None
+
+    @property
+    def fallback(self) -> bool:
+        """No bug-causing step was found."""
+        return not self.probes
 
     @property
     def bug_causing_steps(self) -> List[str]:
@@ -61,9 +63,7 @@ class IsolationResult:
             "bug_causing_steps": self.bug_causing_steps,
             "final_sequence": self.final_sequence,
             "probe_count": self.probe_count,
-            "uncached_count": self.uncached_count,
             "fallback": self.fallback,
-            "wall_time": self.wall_time,
             "probes": probes,
             "runs": runs,
         }
@@ -96,17 +96,13 @@ class _Session:
 
     def finish(self, strategy, probes, final_sequence, seed=None) -> IsolationResult:
         order = self.base.subset.index
-        runs = list(self.runs.values())
         return IsolationResult(
             strategy=strategy,
             probes=sorted(probes, key=lambda p: order(p.removed_step)),
             final_sequence=final_sequence,
             probe_count=self.issued,
-            all_runs=runs,
+            all_runs=list(self.runs.values()),
             baseline=self.base,
-            fallback=not probes,
-            uncached_count=len(runs),
-            wall_time=sum(r.wall_time for r in runs),
             seed=seed,
         )
 

@@ -31,17 +31,19 @@ def normalize_path(path: str) -> str:
     return norm
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class StatementId:
     """One compiler source element at line granularity.
 
     Identity is structural on (file, line); the enclosing function name is
-    metadata used only by function-level aggregation.
+    metadata used only by function-level aggregation.  Slotted: every
+    parsed or loaded statement is one instance, so none carries a ``__dict__``.
     """
 
     file: str
     line: int
     function: Optional[str] = field(default=None, compare=False)
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __init__(self, file: str, line: int, function: Optional[str] = None):
         file = normalize_path(file)
@@ -154,11 +156,6 @@ class ExecutionResult:
     subset: Tuple[str, ...]
     outcome: Outcome
     coverage: FrozenSet[StatementId]
-    wall_time: float
-
-    def __post_init__(self):
-        if self.wall_time < 0:
-            raise ValueError("wall_time must be non-negative")
 
     def to_json_dict(self):
         return {
@@ -167,7 +164,6 @@ class ExecutionResult:
             "coverage": [
                 s.to_json_dict() for s in sorted(self.coverage, key=StatementId.sort_key)
             ],
-            "wall_time": self.wall_time,
         }
 
 
@@ -176,26 +172,17 @@ def symmetric_diff(a: Iterable[StatementId], b: Iterable[StatementId]) -> Frozen
     return frozenset(a) ^ frozenset(b)
 
 
-def is_flip(baseline: Outcome, probe: Outcome) -> bool:
-    """True iff a failing baseline turned into a pass.
-
-    A probe that fails differently (e.g. wrong output became a crash) is
-    not a flip: the failure did not disappear.
-    """
-    if baseline is Outcome.PASS:
-        raise ValueError("flip is undefined for a passing baseline")
-    return probe is Outcome.PASS
-
-
 @dataclass(frozen=True)
 class RemovalProbe:
-    """One step-removal experiment compared against its retained baseline."""
+    """One flip: removing a step from a failing baseline made the run pass.
+
+    A probe that fails differently (e.g. wrong output became a crash) is
+    not a flip, since the failure did not disappear, so it is never built.
+    """
 
     removed_step: str
-    context_subset: Tuple[str, ...]
     baseline: ExecutionResult
     probe: ExecutionResult
-    flipped: bool
     diff: FrozenSet[StatementId]
 
     @classmethod
@@ -205,21 +192,19 @@ class RemovalProbe:
             raise ValueError(f"{removed_step!r} not in baseline subset")
         if removed_step in probe.subset:
             raise ValueError(f"{removed_step!r} still present in probe subset")
+        if not baseline.outcome.is_fail or probe.outcome.is_fail:
+            raise ValueError("a removal probe needs a failing baseline and a passing probe")
         return cls(
             removed_step=removed_step,
-            context_subset=baseline.subset,
             baseline=baseline,
             probe=probe,
-            flipped=is_flip(baseline.outcome, probe.outcome),
             diff=symmetric_diff(baseline.coverage, probe.coverage),
         )
 
     def to_json_dict(self):
         return {
             "removed_step": self.removed_step,
-            "context_subset": list(self.context_subset),
             "baseline_subset": list(self.baseline.subset),
             "probe_subset": list(self.probe.subset),
-            "flipped": self.flipped,
             "diff": [s.to_json_dict() for s in sorted(self.diff, key=StatementId.sort_key)],
         }

@@ -80,22 +80,18 @@ class RankedReport:
 def score_flip_inverse(probes: Sequence[RemovalProbe]) -> Dict[StatementId, float]:
     """Primary scorer: max over flipped probes of the inverse diff size."""
     scores: Dict[StatementId, float] = {}
-    flipped = 0
     for probe in probes:
-        if not probe.flipped:
-            continue
         if not probe.diff:
             log.warning(
                 "dropping flipped probe for %s: empty coverage difference",
                 probe.removed_step,
             )
             continue
-        flipped += 1
         weight = 1.0 / len(probe.diff)
         for stmt in probe.diff:
             if weight > scores.get(stmt, 0.0):
                 scores[stmt] = weight
-    if flipped == 0:
+    if not scores:
         log.warning("no flipped probes: returning an empty suspiciousness map")
     return scores
 
@@ -108,12 +104,7 @@ def score_metallaxis(probes: Sequence[RemovalProbe]) -> Dict[StatementId, float]
     involving mutants flattens all involved statements to the same score
     regardless of the diff size.
     """
-    scores: Dict[StatementId, float] = {}
-    for probe in probes:
-        if not probe.flipped or not probe.diff:
-            continue
-        for stmt in probe.diff:
-            scores[stmt] = 1.0
+    scores = dict.fromkeys(chain.from_iterable(p.diff for p in probes), 1.0)
     if not scores:
         log.warning("no flipped probes: returning an empty suspiciousness map")
     return scores

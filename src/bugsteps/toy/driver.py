@@ -4,8 +4,7 @@
 checks subsets, caches results and counts runs, and the backend only
 enumerates the scenario's pipeline and interprets one subset in process.
 The isolation engine therefore cannot tell the testbed apart from a real
-compiler.  Wall times are simulated deterministically so batch outputs
-are byte-stable across runs.
+compiler.
 """
 
 from __future__ import annotations
@@ -50,11 +49,4 @@ class ToyDriver(Driver):
     def _run(self, key: Tuple[str, ...], positions: List[int]) -> ExecutionResult:
         tracer = Tracer()
         outcome, _ = subset_outcome(self.bug, positions, tracer=tracer)
-        # deterministic simulated cost: fixed per-pass plus per-instruction
-        wall = 0.001 * len(positions) + 0.0001 * len(self.bug.program.instructions)
-        return ExecutionResult(
-            subset=key,
-            outcome=outcome,
-            coverage=frozenset(tracer.covered),
-            wall_time=wall,
-        )
+        return ExecutionResult(subset=key, outcome=outcome, coverage=frozenset(tracer.covered))

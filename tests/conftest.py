@@ -56,7 +56,6 @@ class FakeDriver:
             subset=key,
             outcome=outcome,
             coverage=self.coverage_for(key),
-            wall_time=0.001,
         )
         if self._cache is not None:
             self._cache[key] = result

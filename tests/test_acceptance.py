@@ -145,13 +145,10 @@ class TestCriterion3:
         a, b, c, d, e = (StatementId(f"{ch}.c", 1) for ch in "abcde")
 
         def mk_probe(removed, diff, context):
-            baseline = ExecutionResult(context, Outcome.FAIL_WRONG_OUTPUT,
-                                       frozenset(diff), 0.0)
+            baseline = ExecutionResult(context, Outcome.FAIL_WRONG_OUTPUT, frozenset(diff))
             probe = ExecutionResult(
-                tuple(s for s in context if s != removed),
-                Outcome.PASS, frozenset(), 0.0)
-            return RemovalProbe(removed, context, baseline, probe, True,
-                                frozenset(diff))
+                tuple(s for s in context if s != removed), Outcome.PASS, frozenset())
+            return RemovalProbe.from_runs(removed, baseline, probe)
 
         m1 = mk_probe("x", {a, b, c, d}, ("x", "y"))
         m2 = mk_probe("y", {a, e}, ("x", "y"))
@@ -164,8 +161,8 @@ class TestCriterion3:
         assert all(abs(v - 1.0) < TOL for v in mbfl.values())
 
         runs = [
-            ExecutionResult(("s",), Outcome.FAIL_WRONG_OUTPUT, frozenset({a, b}), 0.0),
-            ExecutionResult((), Outcome.PASS, frozenset({b}), 0.0),
+            ExecutionResult(("s",), Outcome.FAIL_WRONG_OUTPUT, frozenset({a, b})),
+            ExecutionResult((), Outcome.PASS, frozenset({b})),
         ]
         ochiai = score_ochiai(runs)
         assert abs(ochiai[a] - 1.0) < TOL
@@ -306,7 +303,7 @@ class TestCriterion8:
             bound = 4 * (k + 1) * (math.ceil(math.log2(n)) + 1)
             assert iso.probe_count <= bound, (scn.id, iso.probe_count, bound)
             if n >= 8 and k <= 2:
-                distinct = iso.uncached_count - 1  # minus the baseline run
+                distinct = len(iso.all_runs) - 1  # minus the baseline run
                 exhaustive = n + k + 1
                 assert distinct < exhaustive, (scn.id, distinct, exhaustive)
                 checked += 1

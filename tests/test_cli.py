@@ -40,6 +40,15 @@ class TestTestbedGen:
         ]:
             assert (again / rel).read_bytes() == (testbed_dir / rel).read_bytes(), rel
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_count_below_one_is_usage_error(self, tmp_path, capsys, count):
+        out = tmp_path / "testbed"
+        with pytest.raises(SystemExit) as exc:
+            main(["testbed-gen", "--out", str(out), "--count", count])
+        assert exc.value.code == 2
+        assert "--count" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestIsolate:
     def test_cf_neg_fold_defaults_rank_const_fold_first(self, testbed_dir, capsys):
@@ -139,6 +148,16 @@ class TestIsolate:
         assert doc["bug_causing_steps"] == ["const_fold"]
         assert doc["final_sequence"] == ["const_fold"]
         assert doc["runs"]
+
+    def test_provenance_counts_distinct_runs(self, testbed_dir, tmp_path, capsys):
+        config, _ = config_for(testbed_dir, "cf_neg_fold")
+        dump = tmp_path / "isolation.json"
+        assert main(["isolate", str(config), "--isolation-out", str(dump)]) == 0
+        provenance = json.loads(capsys.readouterr().out)["provenance"]
+        doc = json.loads(dump.read_text())
+        assert provenance["distinct_runs"] == len(doc["runs"])
+        assert provenance["probe_count"] == doc["probe_count"]
+        assert not {"uncached_count", "wall_time"} & provenance.keys()
 
     def test_output_file(self, testbed_dir, tmp_path, capsys):
         config, _ = config_for(testbed_dir, "cf_neg_fold")

@@ -328,11 +328,32 @@ class TestExecute:
         driver.execute(("dse",))
         assert marker.read_text().strip() == "dse1,dse2"
 
-    def test_scratch_logs_written(self, tmp_path):
-        driver = ProcessDriver(load_config(write_config(tmp_path)))
-        driver.execute(("licm",))
-        logs = list(driver.cache_dir.glob("runs/*/run.stdout"))
-        assert logs
+    def scratch_config(self, tmp_path, coverage="cov.json"):
+        """Each run appends its ``{scratch}`` to seen.txt and copies cov.json there."""
+        (tmp_path / "cov.json").write_text(native_cov({StatementId("m.c", 1)}))
+        return write_config(
+            tmp_path,
+            run_command="echo {scratch} >> seen.txt; cp cov.json {scratch}/cov.json;"
+                        " echo ran {passes}",
+            coverage_paths=["{scratch}/" + coverage],
+        )
+
+    def test_scratch_removed_after_run(self, tmp_path):
+        cache = tmp_path / "cache"
+        driver = ProcessDriver(load_config(self.scratch_config(tmp_path)), cache_dir=cache)
+        for subset in [("licm",), ("instcombine",)]:
+            assert driver.execute(subset).coverage == {StatementId("m.c", 1)}
+        seen = (tmp_path / "seen.txt").read_text().split()
+        assert len(seen) == len(set(seen)) == 2
+        assert not any(Path(s).exists() for s in seen)
+        assert not list(cache.rglob("runs"))
+
+    def test_scratch_removed_when_collection_raises(self, tmp_path):
+        driver = ProcessDriver(load_config(self.scratch_config(tmp_path, "missing.json")))
+        with pytest.raises(CoverageMissing):
+            driver.execute(("licm",))
+        (seen,) = (tmp_path / "seen.txt").read_text().split()
+        assert not Path(seen).exists()
 
     def test_gcov_coverage_source(self, tmp_path):
         gcov = {
@@ -365,17 +386,14 @@ class TestCacheClear:
         assert clear_cache_dir(cache) == 0
 
     def test_scratch_coverage_not_counted(self, tmp_path):
-        (tmp_path / "cov.json").write_text(native_cov({StatementId("m.c", 1)}))
-        cfg = write_config(
-            tmp_path,
-            run_command="cp cov.json {scratch}/cov.json; echo ran {passes}",
-            coverage_paths=["{scratch}/cov.json"],
-        )
+        # earlier versions left each run's coverage in runs/<digest>/
         cache = tmp_path / "cache"
-        driver = ProcessDriver(load_config(cfg), cache_dir=cache)
+        driver = ProcessDriver(load_config(write_config(tmp_path)), cache_dir=cache)
         for subset in [("licm",), ("instcombine",), ("instcombine", "licm")]:
             driver.execute(subset)
-        assert len(list(cache.rglob("runs/*/cov.json"))) == 3
+            leftover = driver.cache_dir / "runs" / "_".join(subset) / "cov.json"
+            leftover.parent.mkdir(parents=True)
+            leftover.write_text(native_cov({StatementId("m.c", 1)}))
         assert clear_cache_dir(cache) == 3
 
 
@@ -408,8 +426,18 @@ class TestDiskCacheEntry:
         doc = json.loads(text)
         assert doc["version"] == 3
         assert doc["files"] == [["lib/u.c", ["helper"], "2,0"], ["m.c", ["main", None], "1,0,7,1"]]
-        assert set(doc) == {"version", "subset", "outcome", "wall_time", "files"}
+        assert set(doc) == {"version", "subset", "outcome", "files"}
         assert " " not in text and "\n" not in text
+
+    def test_entry_with_wall_time_loads(self, tmp_path):
+        # earlier versions also stored the run's duration, which is not read
+        first = self.make_driver(tmp_path).execute(("licm",))
+        path = self.entry(self.make_driver(tmp_path), ("licm",))
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "wall_time": 0.25}, separators=(",", ":")))
+        fresh = self.make_driver(tmp_path)
+        assert fresh.execute(("licm",)) == first
+        assert fresh.process_runs == 0
 
     def test_version_1_entry_is_rerun_and_rewritten(self, tmp_path):
         driver = self.make_driver(tmp_path)
@@ -506,7 +534,7 @@ class TestDiskCacheEntry:
         path = self.entry(driver, ("licm",))
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps({"version": 3, "subset": ["licm"], "outcome": "pass",
-                                    "wall_time": 0, "files": files}))
+                                    "files": files}))
         result = driver.execute(("licm",))
         assert driver.process_runs == 1
         assert result.outcome is Outcome.FAIL_WRONG_OUTPUT
@@ -515,14 +543,12 @@ class TestDiskCacheEntry:
 
     @pytest.mark.parametrize("field, value", [
         ("subset", ["instcombine"]), ("subset", "licm"), ("outcome", "no-such"),
-        ("wall_time", "soon"),
     ])
     def test_malformed_v3_fields_are_logged_and_rerun(self, tmp_path, caplog, field, value):
         driver = self.make_driver(tmp_path)
         path = self.entry(driver, ("licm",))
         path.parent.mkdir(parents=True)
-        doc = {"version": 3, "subset": ["licm"], "outcome": "pass", "wall_time": 0,
-               "files": self.VALID}
+        doc = {"version": 3, "subset": ["licm"], "outcome": "pass", "files": self.VALID}
         doc[field] = value
         path.write_text(json.dumps(doc))
         driver.execute(("licm",))
@@ -571,7 +597,7 @@ def test_disk_entry_round_trip(functions):
         writer = Driver("fp", Path(tmp))
         for subset, run in runs.items():
             coverage = frozenset(StatementId(f, line, fn) for (f, line), fn in run.items())
-            writer._cache_store(subset, ExecutionResult(subset, Outcome.PASS, coverage, 0.5))
+            writer._cache_store(subset, ExecutionResult(subset, Outcome.PASS, coverage))
         fresh = Driver("fp", Path(tmp))
         for subset, run in runs.items():
             loaded = fresh._cache_load(subset)

@@ -24,12 +24,12 @@ def report(rows):
     )
 
 
-def row(bug_id, first, all_ranks=None, strategy="tail", scorer="compscan", wall=1.0):
+def row(bug_id, first, all_ranks=None, strategy="tail", scorer="compscan"):
     ranks = all_ranks if all_ranks is not None else [first]
     return EvalRow(
         bug_id=bug_id, strategy=strategy, scorer=scorer, granularity="file",
         first_rank=float(first), all_ranks=[float(r) for r in ranks],
-        probe_count=5, wall_time=wall, fallback=False, unranked=False,
+        probe_count=5, fallback=False, unranked=False,
         report_length=10,
     )
 
@@ -70,11 +70,6 @@ class TestComputeMetrics:
     def test_mar_with_multiple_truths(self):
         rows = [row("b1", 2, all_ranks=[2, 6])]
         assert abs(compute_metrics(rows)["mar"] - 4.0) < 1e-9
-
-    def test_runtime_stats(self):
-        rows = [row("b1", 1, wall=2.0), row("b2", 1, wall=4.0)]
-        rt = compute_metrics(rows)["runtime"]
-        assert rt == {"avg": 3.0, "min": 2.0, "max": 4.0}
 
     def test_topn_monotone(self):
         rows = [row(f"b{i}", r) for i, r in enumerate([1, 2, 3, 5, 9, 11, 30])]
@@ -221,7 +216,6 @@ class TestManifest:
             "tail+compscan": {
                 "bugs": 3, "top1": 1, "top3": 1, "top5": 2, "top10": 2,
                 "mfr": 5.6667, "mar": 5.6667,
-                "runtime": {"avg": 1.0, "min": 0.5, "max": 2.0},
             }
         }
         text = render_metrics_table(metrics)

@@ -24,8 +24,8 @@ from bugsteps.util import canonical_json
 GOLDEN_EVAL = Path(__file__).parent / "golden" / "eval-seed42-count30.json"
 
 ISOLATION_DIGESTS = {
-    ("tail", 0): "b1cb5db6ec3e652d8e98a5c8d51eeaa197d26586a5f92113aa33b38a4310f20e",
-    ("rand", 7): "546a021ea80299e1cba15abcf87e794a2e164ba0a35947f71d94319d48382792",
+    ("tail", 0): "f3daba540f165776394fbd2fbedc012fd1c10ecc712b9f4b75bcf0590d7b0b86",
+    ("rand", 7): "689a55913d83d689ac92959051b99b81705eed308797fabdd251c448e2dc3c96",
 }
 
 

@@ -14,7 +14,6 @@ from bugsteps.model import (
     StatementPool,
     Step,
     StepSequence,
-    is_flip,
     normalize_path,
     symmetric_diff,
 )
@@ -56,26 +55,6 @@ class TestSymmetricDiff:
         assert not (d & (a & b))
 
 
-class TestIsFlip:
-    def test_fail_to_pass_is_flip(self):
-        assert is_flip(Outcome.FAIL_WRONG_OUTPUT, Outcome.PASS) is True
-
-    def test_changed_fail_kind_is_not_flip(self):
-        assert is_flip(Outcome.FAIL_WRONG_OUTPUT, Outcome.FAIL_CRASH) is False
-
-    def test_same_fail_kind_is_not_flip(self):
-        assert is_flip(Outcome.FAIL_CRASH, Outcome.FAIL_CRASH) is False
-
-    def test_passing_baseline_rejected(self):
-        with pytest.raises(ValueError):
-            is_flip(Outcome.PASS, Outcome.PASS)
-
-    @given(st.sampled_from([o for o in Outcome if o.is_fail]),
-           st.sampled_from(list(Outcome)))
-    def test_flip_iff_probe_passes(self, baseline, probe):
-        assert is_flip(baseline, probe) == (probe is Outcome.PASS)
-
-
 class TestStatementId:
     def test_function_excluded_from_identity(self):
         a = StatementId("x.c", 3, "foo")
@@ -100,6 +79,10 @@ class TestStatementId:
     def test_empty_path_rejected(self):
         with pytest.raises(ValueError):
             StatementId("", 1)
+
+    def test_no_instance_dict(self):
+        a = StatementId("x.c", 3, "foo")
+        assert not hasattr(a, "__dict__")
 
     def test_hash_follows_identity(self):
         a = StatementId("a/./x.c", 3, "f")
@@ -169,24 +152,50 @@ class TestRemovalProbe:
     def _run(self, subset, outcome, coverage):
         from bugsteps.model import ExecutionResult
 
-        return ExecutionResult(tuple(subset), outcome, frozenset(coverage), 0.0)
+        return ExecutionResult(tuple(subset), outcome, frozenset(coverage))
 
-    def test_from_runs_computes_diff_and_flip(self):
+    def test_from_runs_computes_diff(self):
         from bugsteps.model import RemovalProbe
 
         baseline = self._run(("a", "b"), Outcome.FAIL_CRASH, {s1, s2})
         probe = self._run(("a",), Outcome.PASS, {s2, s3})
         rp = RemovalProbe.from_runs("b", baseline, probe)
-        assert rp.flipped is True
         assert rp.diff == {s1, s3}
-        assert rp.context_subset == ("a", "b")
+        assert rp.baseline is baseline and rp.probe is probe
 
     def test_empty_diff_iff_same_coverage(self):
         from bugsteps.model import RemovalProbe
 
         baseline = self._run(("a", "b"), Outcome.FAIL_CRASH, {s1})
-        probe = self._run(("a",), Outcome.FAIL_CRASH, {s1})
+        probe = self._run(("a",), Outcome.PASS, {s1})
         assert RemovalProbe.from_runs("b", baseline, probe).diff == frozenset()
+
+    def test_changed_failure_kind_rejected(self):
+        """A wrong-output baseline whose probe crashes did not flip."""
+        from bugsteps.model import RemovalProbe
+
+        baseline = self._run(("a", "b"), Outcome.FAIL_WRONG_OUTPUT, {s1})
+        with pytest.raises(ValueError):
+            RemovalProbe.from_runs("b", baseline, self._run(("a",), Outcome.FAIL_CRASH, {s1}))
+
+    def test_passing_baseline_rejected(self):
+        from bugsteps.model import RemovalProbe
+
+        baseline = self._run(("a", "b"), Outcome.PASS, {s1})
+        with pytest.raises(ValueError):
+            RemovalProbe.from_runs("b", baseline, self._run(("a",), Outcome.PASS, {s1}))
+
+    @given(st.sampled_from(list(Outcome)), st.sampled_from(list(Outcome)))
+    def test_built_iff_failing_baseline_and_passing_probe(self, base_outcome, probe_outcome):
+        from bugsteps.model import RemovalProbe
+
+        baseline = self._run(("a", "b"), base_outcome, {s1})
+        probe = self._run(("a",), probe_outcome, {s2})
+        if base_outcome.is_fail and not probe_outcome.is_fail:
+            assert RemovalProbe.from_runs("b", baseline, probe).diff == {s1, s2}
+        else:
+            with pytest.raises(ValueError):
+                RemovalProbe.from_runs("b", baseline, probe)
 
     def test_removed_step_membership_enforced(self):
         from bugsteps.model import RemovalProbe

@@ -29,35 +29,23 @@ def stmt(name, line=1, function=None):
 
 
 def run(subset, outcome, coverage):
-    return ExecutionResult(tuple(subset), outcome, frozenset(coverage), 0.0)
+    return ExecutionResult(tuple(subset), outcome, frozenset(coverage))
 
 
-def probe(removed, flipped, diff, context=("x", "y")):
-    baseline_cov = frozenset(diff)
-    probe_cov = frozenset()
-    baseline = run(context, Outcome.FAIL_WRONG_OUTPUT, baseline_cov)
-    probe_run = run(
-        tuple(s for s in context if s != removed),
-        Outcome.PASS if flipped else Outcome.FAIL_WRONG_OUTPUT,
-        probe_cov,
-    )
-    return RemovalProbe(
-        removed_step=removed,
-        context_subset=tuple(context),
-        baseline=baseline,
-        probe=probe_run,
-        flipped=flipped,
-        diff=frozenset(diff),
-    )
+def probe(removed, diff):
+    """A flip whose diff is ``diff``: the baseline covers it, the passing probe nothing."""
+    baseline = run(("x", "y"), Outcome.FAIL_WRONG_OUTPUT, diff)
+    probe_run = run(tuple(s for s in ("x", "y") if s != removed), Outcome.PASS, ())
+    return RemovalProbe.from_runs(removed, baseline, probe_run)
 
 
-a, b, c, d, e, z = (stmt(f"{ch}.c") for ch in "abcdez")
+a, b, c, d, e = (stmt(f"{ch}.c") for ch in "abcde")
 
 
 class TestFlipInverseScorer:
     def test_two_probe_worked_example(self):
-        m1 = probe("x", True, {a, b, c, d})
-        m2 = probe("y", True, {a, e}, context=("x", "y"))
+        m1 = probe("x", {a, b, c, d})
+        m2 = probe("y", {a, e})
         scores = score_flip_inverse([m1, m2])
         assert abs(scores[a] - 0.5) < TOL
         for s in (b, c, d):
@@ -65,54 +53,47 @@ class TestFlipInverseScorer:
         assert abs(scores[e] - 0.5) < TOL
 
     def test_singleton_diff_scores_one(self):
-        scores = score_flip_inverse([probe("x", True, {a})])
+        scores = score_flip_inverse([probe("x", {a})])
         assert abs(scores[a] - 1.0) < TOL
 
-    def test_unflipped_probe_ignored(self):
-        scores = score_flip_inverse([probe("x", False, {z})])
-        assert z not in scores
-        assert scores == {}
+    def test_no_probes_empty(self):
+        assert score_flip_inverse([]) == {}
 
     def test_empty_diff_flipped_probe_dropped(self):
-        m = probe("x", True, {a})
-        object.__setattr__(m, "diff", frozenset())
-        assert score_flip_inverse([m]) == {}
+        assert score_flip_inverse([probe("x", set())]) == {}
 
     @given(st.integers(min_value=1, max_value=30))
     def test_score_bounds(self, size):
         diff = {stmt("f.c", i + 1) for i in range(size)}
-        scores = score_flip_inverse([probe("x", True, diff)])
+        scores = score_flip_inverse([probe("x", diff)])
         for v in scores.values():
             assert 0 < v <= 1.0
             assert abs(v - 1.0 / size) < TOL
 
     def test_diff_size_monotonicity(self):
-        small = probe("x", True, {a, b})
-        large = probe("y", True, {c, d, e}, context=("x", "y"))
+        small = probe("x", {a, b})
+        large = probe("y", {c, d, e})
         scores = score_flip_inverse([small, large])
         assert scores[a] > scores[c]
 
 
 class TestMetallaxisScorer:
     def test_all_statements_equal_score(self):
-        scores = score_metallaxis([probe("x", True, {a, b, c, d})])
+        scores = score_metallaxis([probe("x", {a, b, c, d})])
         assert all(abs(v - 1.0) < TOL for v in scores.values())
         assert set(scores) == {a, b, c, d}
 
     def test_no_flipped_probes_empty(self):
-        assert score_metallaxis([probe("x", False, {a})]) == {}
+        assert score_metallaxis([]) == {}
 
-    def test_max_semantics_with_mixed_probes(self):
-        flipped = probe("x", True, {a})
-        unflipped = probe("y", False, {a, b}, context=("x", "y"))
-        scores = score_metallaxis([flipped, unflipped])
-        assert abs(scores[a] - 1.0) < TOL
-        assert b not in scores
+    def test_max_semantics_with_overlapping_probes(self):
+        scores = score_metallaxis([probe("x", {a}), probe("y", {a, b})])
+        assert scores == {a: 1.0, b: 1.0}
 
     def test_orthogonal_support_with_primary(self):
         probes = [
-            probe("x", True, {a, b, c}),
-            probe("y", False, {d}, context=("x", "y")),
+            probe("x", {a, b, c}),
+            probe("y", {d}),
         ]
         primary = score_flip_inverse(probes)
         mbfl = score_metallaxis(probes)
