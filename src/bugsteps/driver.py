@@ -6,19 +6,24 @@ base class owns everything the answers share: the ordered-subset check,
 the result cache (in memory, plus a disk tier when ``cache_dir`` is set),
 the ``execute_calls``/``process_runs`` counters and a ``StatementPool``,
 so every run a driver parses or loads shares one ``StatementId`` per
-statement.  Cache entries are keyed by the driver fingerprint plus the
-ordered retained subset, so repeated identical subsets never re-run.  A
-disk entry is a compact version-3 document with one
-``[file, [function names], "line,index,line,index,..."]`` record per
-file, the indices local to that file's names.  The runs of one isolation
-differ in a few steps, so most files' records repeat from entry to entry:
-each driver memoizes a record's decoded statements by the record itself,
-and a repeated record costs one dict lookup.  An entry of another version
-is a miss; one that does not decode is logged and a miss; either way the
-subset re-runs and the entry is overwritten.  Backends implement only step
-enumeration and one uncached run: ``ProcessDriver`` talks to a real
-compiler through configurable shell commands and coverage files, and the
-testbed's in-process driver lives in ``bugsteps.toy.driver``.
+statement.  A backend's run yields an outcome and a flat set of
+statements; ``execute`` groups them into the result's per-file blocks
+(``model.file_blocks``).  Cache entries are keyed by the driver
+fingerprint plus the ordered retained subset, so repeated identical
+subsets never re-run.  A disk entry is a compact version-3 document with
+one ``[file, [function names], "line,index,line,index,..."]`` record per
+file, in file order, the indices local to that file's names.  The runs of
+one isolation differ in a few steps, so most files' records repeat from
+entry to entry: each driver memoizes a record's decoded block by the
+record itself, a repeated record costs one dict lookup, and the loaded
+result holds the memo's block objects as they are.  An entry of another
+version is a miss; one that does not decode, or whose records are not in
+strictly increasing file order once normalized, is logged and a miss;
+either way the subset re-runs and the entry is overwritten.  Backends
+implement only step enumeration and one uncached run: ``ProcessDriver``
+talks to a real compiler through configurable shell commands and
+coverage files, and the testbed's in-process driver lives in
+``bugsteps.toy.driver``.
 """
 
 from __future__ import annotations
@@ -28,17 +33,18 @@ import json
 import logging
 import os
 import shutil
+import signal
 import subprocess
 import tempfile
 import threading
-from collections import defaultdict
+from contextlib import suppress
 from dataclasses import asdict, dataclass, field, fields
 from glob import glob
 from itertools import repeat
-from operator import attrgetter
+from operator import attrgetter, lt
 from pathlib import Path
-from typing import (Dict, FrozenSet, List, Optional, Sequence, Tuple, Union, get_args,
-                    get_origin, get_type_hints)
+from typing import (Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
+                    get_args, get_origin, get_type_hints)
 
 from . import coverage as covmod
 from .errors import (
@@ -48,12 +54,14 @@ from .errors import (
     InvalidConfig,
 )
 from .model import (
+    Block,
     ExecutionResult,
     Outcome,
     StatementId,
     StatementPool,
     Step,
     StepSequence,
+    file_blocks,
 )
 from .util import fingerprint
 
@@ -217,7 +225,8 @@ class Driver:
     ``execute`` checks the subset against the enumerated steps, then
     answers from the memory cache, then from the disk tier when
     ``cache_dir`` is set, and only then calls ``_run``.  Subclasses
-    implement ``_enumerate()`` and ``_run(key, positions)``.
+    implement ``_enumerate()`` and ``_run(key, positions)``, which returns
+    the run's outcome and the statements it covered.
     """
 
     def __init__(self, fingerprint: str, cache_dir: Optional[Path] = None):
@@ -227,15 +236,16 @@ class Driver:
         self._lock = threading.Lock()
         self._sequence: Optional[StepSequence] = None
         self.statements = StatementPool()
-        # a disk entry's file record -> its decoded statements
-        self._blocks: Dict[Tuple[str, Tuple, str], FrozenSet[StatementId]] = {}
+        # a disk entry's file record -> its decoded block
+        self._blocks: Dict[Tuple[str, Tuple, str], Block] = {}
         self.execute_calls = 0
         self.process_runs = 0
 
     def _enumerate(self) -> StepSequence:
         raise NotImplementedError
 
-    def _run(self, key: Tuple[str, ...], positions: List[int]) -> ExecutionResult:
+    def _run(self, key: Tuple[str, ...],
+             positions: List[int]) -> Tuple[Outcome, Iterable[StatementId]]:
         raise NotImplementedError
 
     def enumerate_steps(self) -> StepSequence:
@@ -255,7 +265,8 @@ class Driver:
             return cached
         result = self._cache_load(key) if self.cache_dir else None
         if result is None:
-            result = self._run(key, positions)
+            outcome, statements = self._run(key, positions)
+            result = ExecutionResult(key, outcome, file_blocks(statements))
             with self._lock:
                 self.process_runs += 1
             if self.cache_dir:
@@ -279,18 +290,20 @@ class Driver:
         if isinstance(doc, dict) and doc.get("version") != CACHE_VERSION:
             return None  # an older format: a miss, re-run and overwritten
         try:
-            blocks = [self._block(record) for record in doc["files"]]
-            coverage = frozenset().union(*blocks)
-            if len(coverage) != sum(map(len, blocks)):
-                raise ValueError("a statement is stored twice")
+            blocks = tuple(map(self._block, doc["files"]))
+            # each block is non-empty and of one file; strictly increasing
+            # files also reject a record repeated under another spelling
+            files = [next(iter(block)).file for block in blocks]
+            if not all(map(lt, files, files[1:])):
+                raise ValueError("file records out of order or a file stored twice")
             if doc["subset"] != list(key):
                 raise ValueError("entry stored for another subset")
-            return ExecutionResult(subset=key, outcome=Outcome(doc["outcome"]), coverage=coverage)
+            return ExecutionResult(key, Outcome(doc["outcome"]), blocks)
         except (KeyError, ValueError, TypeError, IndexError):
             log.warning("discarding corrupt cache entry %s", path)
             return None
 
-    def _block(self, record) -> FrozenSet[StatementId]:
+    def _block(self, record) -> Block:
         """One file's ``[file, functions, text]`` record, decoded once per driver.
 
         The memo key is the whole record, so a hit stands for a record that
@@ -305,7 +318,7 @@ class Driver:
             block = self._blocks[memo_key] = self._decode_block(*memo_key)
         return block
 
-    def _decode_block(self, file: str, functions: Tuple, text: str) -> FrozenSet[StatementId]:
+    def _decode_block(self, file: str, functions: Tuple, text: str) -> Block:
         if not all(fn is None or isinstance(fn, str) for fn in functions):
             raise TypeError("function names must be strings or null")
         # digits and commas only, so the JSON array holds only non-negative
@@ -322,15 +335,11 @@ class Driver:
         return block
 
     def _cache_store(self, key: Tuple[str, ...], result: ExecutionResult) -> None:
-        by_file: Dict[str, List[StatementId]] = defaultdict(list)
-        for stmt in result.coverage:
-            by_file[stmt.file].append(stmt)
         doc = {
             "version": CACHE_VERSION,
             "subset": list(result.subset),
             "outcome": result.outcome.value,
-            "files": [_encode_block(file, sorted(by_file[file], key=_LINE))
-                      for file in sorted(by_file)],
+            "files": [_encode_block(sorted(block, key=_LINE)) for block in result.blocks],
         }
         path = self._cache_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -343,13 +352,13 @@ _LINE = attrgetter("line")
 _FUNCTION = attrgetter("function")
 
 
-def _encode_block(file: str, stmts: List[StatementId]) -> list:
-    """``[file, functions, "line,index,..."]`` for one file's statements in line order."""
+def _encode_block(stmts: List[StatementId]) -> list:
+    """``[file, functions, "line,index,..."]`` for one block's statements in line order."""
     index = {fn: i for i, fn in enumerate(dict.fromkeys(map(_FUNCTION, stmts)))}
     numbers = [0] * (2 * len(stmts))
     numbers[::2] = map(_LINE, stmts)
     numbers[1::2] = map(index.__getitem__, map(_FUNCTION, stmts))
-    return [file, list(index), ",".join(map(str, numbers))]
+    return [stmts[0].file, list(index), ",".join(map(str, numbers))]
 
 
 class ProcessDriver(Driver):
@@ -381,7 +390,7 @@ class ProcessDriver(Driver):
             return group_aliased_steps(lines, self.config.alias_map)
         return StepSequence(tuple(map(Step, lines)))
 
-    def _run(self, key: Tuple[str, ...], positions: List[int]) -> ExecutionResult:
+    def _run(self, key: Tuple[str, ...], positions: List[int]) -> Tuple[Outcome, Set[StatementId]]:
         expanded: List[str] = []
         for pos in positions:
             step = self._sequence.steps[pos]
@@ -391,14 +400,13 @@ class ProcessDriver(Driver):
         )
         run_cmd = self.config.run_command.replace("{passes}", joined)
         # a fresh {scratch} per run, removed once its coverage is read (or
-        # fails to be); a timed-out child may still be writing into it, so a
-        # failed removal must not abort the isolation
+        # fails to be); a process that left the timed-out group may still be
+        # writing into it, so a failed removal must not abort the isolation
         with tempfile.TemporaryDirectory(prefix="bugsteps-run-",
                                          ignore_cleanup_errors=True) as tmp:
             scratch = Path(tmp)
             outcome = self._outcome(run_cmd, scratch)
-            coverage = self._collect_coverage(scratch)
-        return ExecutionResult(subset=key, outcome=outcome, coverage=coverage)
+            return outcome, self._collect_coverage(scratch, outcome)
 
     def _outcome(self, run_cmd: str, scratch: Path) -> Outcome:
         """Run the pipeline, then the test command if any, and judge the output."""
@@ -422,26 +430,39 @@ class ProcessDriver(Driver):
         return Outcome.FAIL_WRONG_OUTPUT
 
     def _run_command(self, command: str, scratch: Optional[Path]):
+        """Run ``command`` in a shell; None when it timed out.
+
+        The shell leads a new session, so a timeout kills every process it
+        started, not just the shell, and the shell is reaped before return.
+        """
         if scratch is not None:
             command = command.replace("{scratch}", str(scratch))
         env = dict(os.environ)
         env.update(self.config.env)
         if scratch is not None:
             env["RUN_SCRATCH"] = str(scratch)
-        try:
-            proc = subprocess.run(
-                command,
-                shell=True,
-                cwd=self.config.workdir,
-                env=env,
-                capture_output=True,
-                timeout=self.config.timeout,
-            )
-        except subprocess.TimeoutExpired:
-            return None
-        return proc
+        with subprocess.Popen(command, shell=True, cwd=self.config.workdir, env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              start_new_session=True) as proc:
+            try:
+                stdout, stderr = proc.communicate(timeout=self.config.timeout)
+            except BaseException as exc:
+                # no terminal interrupt reaches a new session: kill the
+                # group on an interrupt as on a timeout
+                with suppress(ProcessLookupError):
+                    os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+                if isinstance(exc, subprocess.TimeoutExpired):
+                    return None
+                raise
+        return subprocess.CompletedProcess(command, proc.returncode, stdout, stderr)
 
-    def _collect_coverage(self, scratch: Path):
+    def _collect_coverage(self, scratch: Path, outcome: Outcome) -> Set[StatementId]:
+        """Every statement the matched coverage files hold.
+
+        A crash or timeout may end the run before it writes any coverage:
+        then no file matching is recorded as no statement covered.
+        """
         parser = COVERAGE_PARSERS[self.config.coverage_source]
         matched: List[str] = []
         for pattern in self.config.coverage_paths:
@@ -450,6 +471,8 @@ class ProcessDriver(Driver):
                 pattern = os.path.join(self.config.workdir, pattern)
             matched.extend(sorted(glob(pattern)))
         if not matched:
+            if outcome in (Outcome.FAIL_CRASH, Outcome.FAIL_TIMEOUT):
+                return set()
             raise CoverageMissing(
                 f"no coverage file matched {self.config.coverage_paths!r}"
             )
@@ -457,7 +480,7 @@ class ProcessDriver(Driver):
         for fname in matched:
             out.update(parser(Path(fname).read_bytes(), self.config.source_root,
                               pool=self.statements))
-        return frozenset(out)
+        return out
 
 
 def clear_cache_dir(cache_dir) -> int:

@@ -1,12 +1,16 @@
-"""Core vocabulary: steps, sequences, outcomes, coverage sets and removal probes.
+"""Core vocabulary: steps, sequences, outcomes, coverage blocks and removal probes.
 
 Everything here is an immutable value; instances can be shared freely
-between threads.
+between threads.  A run's coverage is kept as per-file blocks, one
+frozenset of statements per covered file: the runs of one isolation
+differ in a few steps, so most of their blocks are equal, and a consumer
+that counts blocks handles each distinct one once.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 import posixpath
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -126,14 +130,12 @@ class StepSequence:
         Raises KeyError for an unknown id and ValueError when the ids are
         not strictly increasing in step order (so a repeated id is rejected).
         """
-        out: List[int] = []
-        for sid in subset:
-            pos = self._ordinals.get(sid)
-            if pos is None:
-                raise KeyError(f"unknown step id {sid!r}")
-            if out and pos <= out[-1]:
-                raise ValueError("subset must be an ordered subsequence of the step list")
-            out.append(pos)
+        try:
+            out = list(map(self._ordinals.__getitem__, subset))
+        except KeyError as exc:
+            raise KeyError(f"unknown step id {exc.args[0]!r}") from None
+        if not all(map(operator.lt, out, out[1:])):
+            raise ValueError("subset must be an ordered subsequence of the step list")
         return out
 
 
@@ -149,13 +151,38 @@ class Outcome(enum.Enum):
         return self is not Outcome.PASS
 
 
+Block = FrozenSet[StatementId]
+
+
+def file_blocks(statements: Iterable[StatementId]) -> Tuple[Block, ...]:
+    """``statements`` as one non-empty block per file, in file order."""
+    by_file: Dict[str, List[StatementId]] = {}
+    for stmt in statements:
+        group = by_file.get(stmt.file)
+        if group is None:
+            by_file[stmt.file] = [stmt]
+        else:
+            group.append(stmt)
+    return tuple(frozenset(by_file[file]) for file in sorted(by_file))
+
+
 @dataclass(frozen=True)
 class ExecutionResult:
-    """Outcome plus executed-statement coverage for one pipeline run."""
+    """Outcome plus executed-statement coverage for one pipeline run.
+
+    ``blocks`` holds the coverage as ``file_blocks`` gives it.  Equal
+    blocks of different runs may be one object, as a disk cache load
+    returns them.
+    """
 
     subset: Tuple[str, ...]
     outcome: Outcome
-    coverage: FrozenSet[StatementId]
+    blocks: Tuple[Block, ...]
+
+    @cached_property
+    def coverage(self) -> Block:
+        """Every covered statement, for the readers that need one flat set."""
+        return frozenset().union(*self.blocks)
 
     def to_json_dict(self):
         return {

@@ -110,6 +110,22 @@ def score_metallaxis(probes: Sequence[RemovalProbe]) -> Dict[StatementId, float]
     return scores
 
 
+def _statement_counts(runs: Sequence[ExecutionResult]) -> Dict[StatementId, int]:
+    """How many of ``runs`` cover each statement.
+
+    Counts each distinct block once and adds its count to its statements,
+    so a block shared by many runs costs one pass.  A statement's key is
+    its object in the earliest run that covers it: that run holds the
+    first occurrence of the block it sits in.
+    """
+    counts: Dict[StatementId, int] = {}
+    get = counts.get
+    for block, n in Counter(chain.from_iterable(r.blocks for r in runs)).items():
+        for stmt in block:
+            counts[stmt] = get(stmt, 0) + n
+    return counts
+
+
 def score_ochiai(runs: Sequence[ExecutionResult]) -> Dict[StatementId, float]:
     """Spectrum-based ablation over every observed run, labeled by outcome."""
     failing = [r for r in runs if r.outcome.is_fail]
@@ -119,12 +135,12 @@ def score_ochiai(runs: Sequence[ExecutionResult]) -> Dict[StatementId, float]:
             f"need failing and passing runs, got {len(failing)} failing / "
             f"{len(passing)} passing"
         )
-    ef = Counter(chain.from_iterable(r.coverage for r in failing))
-    ep = Counter(chain.from_iterable(r.coverage for r in passing))
+    ef = _statement_counts(failing)
+    ep = _statement_counts(passing)
     total_f = len(failing)
     scores: Dict[StatementId, float] = {}
     for stmt, f_count in ef.items():
-        scores[stmt] = f_count / math.sqrt(total_f * (f_count + ep[stmt]))
+        scores[stmt] = f_count / math.sqrt(total_f * (f_count + ep.get(stmt, 0)))
     return scores
 
 

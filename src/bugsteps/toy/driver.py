@@ -10,10 +10,10 @@ compiler.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from ..driver import Driver
-from ..model import ExecutionResult, Step, StepSequence
+from ..model import Outcome, StatementId, Step, StepSequence
 from ..util import fingerprint
 from .bugs import SeededBug, subset_outcome
 from .passes import Tracer
@@ -46,7 +46,7 @@ class ToyDriver(Driver):
     def _enumerate(self) -> StepSequence:
         return pipeline_steps(self.bug.pipeline)
 
-    def _run(self, key: Tuple[str, ...], positions: List[int]) -> ExecutionResult:
+    def _run(self, key: Tuple[str, ...], positions: List[int]) -> Tuple[Outcome, Set[StatementId]]:
         tracer = Tracer()
         outcome, _ = subset_outcome(self.bug, positions, tracer=tracer)
-        return ExecutionResult(subset=key, outcome=outcome, coverage=frozenset(tracer.covered))
+        return outcome, tracer.covered

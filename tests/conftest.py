@@ -6,6 +6,7 @@ from bugsteps.model import (
     StatementId,
     Step,
     StepSequence,
+    file_blocks,
 )
 
 
@@ -55,7 +56,7 @@ class FakeDriver:
         result = ExecutionResult(
             subset=key,
             outcome=outcome,
-            coverage=self.coverage_for(key),
+            blocks=file_blocks(self.coverage_for(key)),
         )
         if self._cache is not None:
             self._cache[key] = result

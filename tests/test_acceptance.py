@@ -21,6 +21,7 @@ from bugsteps.model import (
     Outcome,
     RemovalProbe,
     StatementId,
+    file_blocks,
 )
 from bugsteps.scoring import (
     aggregate_ranksum,
@@ -145,9 +146,8 @@ class TestCriterion3:
         a, b, c, d, e = (StatementId(f"{ch}.c", 1) for ch in "abcde")
 
         def mk_probe(removed, diff, context):
-            baseline = ExecutionResult(context, Outcome.FAIL_WRONG_OUTPUT, frozenset(diff))
-            probe = ExecutionResult(
-                tuple(s for s in context if s != removed), Outcome.PASS, frozenset())
+            baseline = ExecutionResult(context, Outcome.FAIL_WRONG_OUTPUT, file_blocks(diff))
+            probe = ExecutionResult(tuple(s for s in context if s != removed), Outcome.PASS, ())
             return RemovalProbe.from_runs(removed, baseline, probe)
 
         m1 = mk_probe("x", {a, b, c, d}, ("x", "y"))
@@ -161,8 +161,8 @@ class TestCriterion3:
         assert all(abs(v - 1.0) < TOL for v in mbfl.values())
 
         runs = [
-            ExecutionResult(("s",), Outcome.FAIL_WRONG_OUTPUT, frozenset({a, b})),
-            ExecutionResult((), Outcome.PASS, frozenset({b})),
+            ExecutionResult(("s",), Outcome.FAIL_WRONG_OUTPUT, file_blocks({a, b})),
+            ExecutionResult((), Outcome.PASS, file_blocks({b})),
         ]
         ochiai = score_ochiai(runs)
         assert abs(ochiai[a] - 1.0) < TOL

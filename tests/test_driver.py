@@ -1,6 +1,9 @@
 import json
+import os
+import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -23,7 +26,8 @@ from bugsteps.errors import (
     EmptySequence,
     InvalidConfig,
 )
-from bugsteps.model import ExecutionResult, Outcome, StatementId
+from bugsteps.isolate import tail_prune
+from bugsteps.model import ExecutionResult, Outcome, StatementId, file_blocks
 
 PY = sys.executable
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -31,6 +35,24 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def native_cov(statements):
     return emit_native_json(statements).decode()
+
+
+def exits(pid, within=5.0):
+    """Whether process ``pid`` ends within ``within`` seconds; a zombie
+    that no parent has reaped yet has ended."""
+    deadline = time.monotonic() + within
+    while time.monotonic() < deadline:
+        try:
+            os.kill(pid, 0)
+            state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+        except ProcessLookupError:
+            return True
+        except OSError:
+            state = "?"  # no /proc: only the kill probe tells
+        if state == "Z":
+            return True
+        time.sleep(0.02)
+    return False
 
 
 def write_config(tmp_path, **overrides):
@@ -263,6 +285,57 @@ class TestExecute:
         driver = ProcessDriver(load_config(cfg))
         assert driver.execute(("licm",)).outcome is Outcome.FAIL_TIMEOUT
 
+    def test_timeout_kills_the_whole_command(self, tmp_path):
+        cfg = write_config(tmp_path, run_command="sleep 30 & echo $! > child.pid; wait;"
+                                                 " echo {passes}", timeout=0.3)
+        driver = ProcessDriver(load_config(cfg))
+        assert driver.execute(("licm",)).outcome is Outcome.FAIL_TIMEOUT
+        assert exits(int((tmp_path / "child.pid").read_text()))
+
+    def test_interrupt_kills_the_whole_command(self, tmp_path, monkeypatch):
+        def interrupted(proc, timeout=None):
+            deadline = time.monotonic() + 5
+            while not (tmp_path / "child.pid").stat().st_size and time.monotonic() < deadline:
+                time.sleep(0.02)
+            raise KeyboardInterrupt
+
+        (tmp_path / "child.pid").touch()
+        cfg = write_config(tmp_path, run_command="sleep 30 & echo $! > child.pid; wait;"
+                                                 " echo {passes}")
+        driver = ProcessDriver(load_config(cfg))
+        driver.enumerate_steps()
+        monkeypatch.setattr(subprocess.Popen, "communicate", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            driver.execute(("licm",))
+        assert exits(int((tmp_path / "child.pid").read_text()))
+
+    def test_timeout_without_coverage_is_recorded(self, tmp_path):
+        cfg = write_config(tmp_path, run_command="sleep 5; echo {passes}", timeout=0.3,
+                           coverage_paths=["{scratch}/cov.json"])
+        result = ProcessDriver(load_config(cfg)).execute(("licm",))
+        assert (result.outcome, result.blocks) == (Outcome.FAIL_TIMEOUT, ())
+
+    def test_crash_without_coverage_is_isolated(self, tmp_path):
+        (tmp_path / "cov.json").write_text(native_cov({StatementId("m.c", 1, "main")}))
+        cfg = load_config(write_config(
+            tmp_path,
+            enumerate_command="printf 'instcombine\\nlicm\\nsimplifycfg\\ngvn\\n'",
+            # the crash comes before the coverage is written, as an abort()
+            # of a gcov-instrumented compiler leaves no .gcda file
+            run_command="ulimit -c 0; case ,{passes}, in *,licm,*) kill -ABRT $$;; esac;"
+                        " cp cov.json {scratch}/cov.json; echo ok",
+            expected_output="ok",
+            coverage_paths=["{scratch}/cov.json"],
+        ))
+        driver = ProcessDriver(cfg, cache_dir=tmp_path / "cache")
+        result = tail_prune(driver, driver.enumerate_steps())
+        assert result.bug_causing_steps == ["licm"]
+        assert (result.baseline.outcome, result.baseline.blocks) == (Outcome.FAIL_CRASH, ())
+        assert result.probes[0].diff == {StatementId("m.c", 1)}
+        fresh = ProcessDriver(cfg, cache_dir=tmp_path / "cache")
+        assert fresh.execute(result.baseline.subset) == result.baseline
+        assert fresh.process_runs == 0
+
     def test_crash_signal(self, tmp_path):
         cfg = write_config(tmp_path, run_command="echo {passes}; kill -SEGV $$")
         driver = ProcessDriver(load_config(cfg))
@@ -489,8 +562,8 @@ class TestDiskCacheEntry:
         assert result.outcome is Outcome.FAIL_WRONG_OUTPUT
         assert json.loads(path.read_text())["version"] == 3
 
-    # every block that is valid on its own is also in VALID, so a driver
-    # that loaded VALID first meets it again as a memo hit
+    # most blocks that are valid on their own are also in VALID, so a
+    # driver that loaded VALID first meets them again as memo hits
     VALID = [["lib/u.c", ["helper"], "2,0"], ["m.c", ["main", None], "1,0,7,1"]]
 
     @pytest.mark.parametrize("files", [
@@ -521,6 +594,8 @@ class TestDiskCacheEntry:
         [["m.c", ["main", None], [1, 0, 7, 1]]],
         [VALID[0], VALID[0]],  # a file twice: both blocks are memo hits
         [VALID[1], ["./m.c", [None], "1,0"]],  # the same statement under two spellings
+        [["m.c", ["main"], "1,0"], ["./m.c", [None], "7,0"]],  # one file, two spellings
+        [VALID[1], VALID[0]],  # records out of file order
         5,
     ])
     @pytest.mark.parametrize("primed", [False, True])
@@ -565,6 +640,7 @@ class TestDiskCacheEntry:
         assert fresh.process_runs == 0
         assert len(fresh._blocks) == 2
         assert a.coverage == b.coverage == self.COVERAGE
+        assert all(x is y for x, y in zip(a.blocks, b.blocks))  # the memo's objects
         assert all(x is y for x, y in zip(sorted(a.coverage, key=StatementId.sort_key),
                                           sorted(b.coverage, key=StatementId.sort_key)))
 
@@ -597,7 +673,8 @@ def test_disk_entry_round_trip(functions):
         writer = Driver("fp", Path(tmp))
         for subset, run in runs.items():
             coverage = frozenset(StatementId(f, line, fn) for (f, line), fn in run.items())
-            writer._cache_store(subset, ExecutionResult(subset, Outcome.PASS, coverage))
+            writer._cache_store(subset, ExecutionResult(subset, Outcome.PASS,
+                                                        file_blocks(coverage)))
         fresh = Driver("fp", Path(tmp))
         for subset, run in runs.items():
             loaded = fresh._cache_load(subset)

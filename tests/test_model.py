@@ -9,11 +9,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bugsteps.model import (
+    ExecutionResult,
     Outcome,
     StatementId,
     StatementPool,
     Step,
     StepSequence,
+    file_blocks,
     normalize_path,
     symmetric_diff,
 )
@@ -53,6 +55,23 @@ class TestSymmetricDiff:
         d = symmetric_diff(a, b)
         assert d == symmetric_diff(b, a)
         assert not (d & (a & b))
+
+
+class TestFileBlocks:
+    @given(stmt_sets())
+    def test_one_block_per_file_in_file_order(self, stmts):
+        blocks = file_blocks(stmts)
+        files = [next(iter(block)).file for block in blocks]
+        assert files == sorted(set(files))
+        assert all(block and {s.file for s in block} == {file}
+                   for block, file in zip(blocks, files))
+        assert frozenset().union(*blocks) == stmts
+
+    def test_result_coverage_is_the_union(self):
+        result = ExecutionResult(("a",), Outcome.PASS, file_blocks([s3, s1, s2]))
+        assert [sorted(b, key=StatementId.sort_key) for b in result.blocks] == [[s1, s2], [s3]]
+        assert result.coverage == {s1, s2, s3}
+        assert ExecutionResult((), Outcome.PASS, ()).coverage == frozenset()
 
 
 class TestStatementId:
@@ -150,9 +169,7 @@ class TestStatementPool:
 
 class TestRemovalProbe:
     def _run(self, subset, outcome, coverage):
-        from bugsteps.model import ExecutionResult
-
-        return ExecutionResult(tuple(subset), outcome, frozenset(coverage))
+        return ExecutionResult(tuple(subset), outcome, file_blocks(coverage))
 
     def test_from_runs_computes_diff(self):
         from bugsteps.model import RemovalProbe

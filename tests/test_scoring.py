@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from bugsteps.model import (
     Outcome,
     RemovalProbe,
     StatementId,
+    file_blocks,
 )
 from bugsteps.scoring import (
     NO_BUG_CAUSING_STEPS,
@@ -29,7 +32,7 @@ def stmt(name, line=1, function=None):
 
 
 def run(subset, outcome, coverage):
-    return ExecutionResult(tuple(subset), outcome, frozenset(coverage))
+    return ExecutionResult(tuple(subset), outcome, file_blocks(coverage))
 
 
 def probe(removed, diff):
@@ -131,6 +134,26 @@ class TestOchiaiScorer:
     def test_degenerate_spectrum(self):
         with pytest.raises(DegenerateSpectrum):
             score_ochiai([run((), Outcome.FAIL_CRASH, {a})])
+
+    @given(st.lists(st.tuples(st.booleans(), st.frozensets(st.builds(
+        StatementId, st.sampled_from(["a.c", "b.c", "sub/c.c"]), st.integers(1, 5),
+        st.sampled_from([None, "f", "g"])), max_size=10)), min_size=2, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_per_statement_counts(self, spec):
+        """Few files and lines, so blocks repeat across runs, some of them
+        with the same lines under other function names."""
+        runs = [run((str(i),), Outcome.FAIL_CRASH if fails else Outcome.PASS, cov)
+                for i, (fails, cov) in enumerate(spec)]
+        failing = [r for r in runs if r.outcome.is_fail]
+        passing = [r for r in runs if not r.outcome.is_fail]
+        if not failing or not passing:
+            return
+        ef = Counter(chain.from_iterable(r.coverage for r in failing))
+        ep = Counter(chain.from_iterable(r.coverage for r in passing))
+        expected = {(s.file, s.line, s.function): f / math.sqrt(len(failing) * (f + ep[s]))
+                    for s, f in ef.items()}
+        got = {(s.file, s.line, s.function): v for s, v in score_ochiai(runs).items()}
+        assert got == expected
 
 
 class TestRankSum:
