@@ -105,6 +105,8 @@ class DriverConfig:
                 raise InvalidConfig(f"{f.name} must be {f.type}, got {value!r}")
         if self.run_command.count("{passes}") != 1:
             raise InvalidConfig("run_command must contain exactly one {passes} placeholder")
+        if "{step}" not in self.step_template:
+            raise InvalidConfig("step_template must contain a {step} placeholder")
         self.timeout = float(self.timeout)
         if not self.timeout > 0:
             raise InvalidConfig("timeout must be positive")

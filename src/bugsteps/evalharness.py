@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import statistics
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -53,7 +53,7 @@ class EvalRow:
     strategy: str
     scorer: str
     granularity: str
-    first_rank: Optional[float]
+    first_rank: float
     all_ranks: List[float]
     probe_count: int
     fallback: bool
@@ -62,19 +62,7 @@ class EvalRow:
     repeats: int = 1
 
     def to_json_dict(self):
-        return {
-            "bug_id": self.bug_id,
-            "strategy": self.strategy,
-            "scorer": self.scorer,
-            "granularity": self.granularity,
-            "first_rank": self.first_rank,
-            "all_ranks": self.all_ranks,
-            "probe_count": self.probe_count,
-            "fallback": self.fallback,
-            "unranked": self.unranked,
-            "report_length": self.report_length,
-            "repeats": self.repeats,
-        }
+        return asdict(self)
 
 
 def _strings(value) -> bool:
@@ -82,7 +70,10 @@ def _strings(value) -> bool:
 
 
 def load_manifest(path) -> List[DatasetBug]:
-    """Read a manifest's bug records; any malformed record is ``InvalidConfig``."""
+    """Read a manifest's bug records; any malformed record is ``InvalidConfig``.
+
+    A ground-truth unit listed twice counts once.
+    """
     path = Path(path)
     try:
         doc = json.loads(path.read_text("utf-8"))
@@ -121,8 +112,8 @@ def load_manifest(path) -> List[DatasetBug]:
             DatasetBug(
                 bug_id=bug_id,
                 config=config,
-                ground_truth_files=tuple(files),
-                ground_truth_functions=tuple(functions) if functions else None,
+                ground_truth_files=tuple(dict.fromkeys(files)),
+                ground_truth_functions=tuple(dict.fromkeys(functions)) if functions else None,
                 tags=tuple(tags),
             )
         )
@@ -131,57 +122,44 @@ def load_manifest(path) -> List[DatasetBug]:
 
 def match_ground_truth(report: RankedReport,
                        truth_units: Sequence[str]) -> Tuple[int, List[int], bool]:
-    """Rank every ground-truth unit in the report.
+    """Rank every ground-truth unit in the report, in ``truth_units`` order.
 
     Units absent from the report get the sentinel rank ``len(rows) + 1``;
     the returned flag says whether any unit was actually ranked.
     """
     if not truth_units:
         raise ValueError("ground truth is empty")
+    ranked = {row.unit: row.rank for row in report.rows}
     sentinel = len(report.rows) + 1
-    ranks = []
-    any_ranked = False
-    for unit in truth_units:
-        rank = report.rank_of(unit)
-        if rank is None:
-            ranks.append(sentinel)
-        else:
-            ranks.append(rank)
-            any_ranked = True
-    return min(ranks), sorted(ranks), any_ranked
+    ranks = [ranked.get(unit, sentinel) for unit in truth_units]
+    return min(ranks), ranks, any(unit in ranked for unit in truth_units)
 
 
 def evaluate_bug(bug: DatasetBug, strategy: str, scorer: str, granularity: str,
-                 seed: int = 0, repeat: int = 1, jobs: int = 1,
-                 cache_dir=None, driver=None) -> EvalRow:
+                 seed: int = 0, repeat: int = 1, *, driver) -> EvalRow:
     truth = bug.truth_units(granularity)
-    if driver is None:
-        driver = load_driver(bug.config, cache_dir=cache_dir)
     sequence = driver.enumerate_steps()
     verify_baseline(driver, sequence)
     runs = repeat if strategy == "rand" and repeat > 1 else 1
     firsts: List[int] = []
-    per_unit: Dict[str, List[int]] = {u: [] for u in truth}
+    run_ranks: List[List[int]] = []  # one list per run, in truth order
     probe_total = 0
     fallback_votes = 0
     unranked_votes = 0
     report_len = 0
     for i in range(runs):
         sub_seed = derive_seed(seed, f"rand:{i}") if runs > 1 else seed
-        isolation = run_strategy(strategy, driver, sequence, seed=sub_seed, jobs=jobs)
+        isolation = run_strategy(strategy, driver, sequence, seed=sub_seed)
         report = report_for(isolation, scorer, granularity)
-        first, _, any_ranked = match_ground_truth(report, truth)
+        first, ranks, any_ranked = match_ground_truth(report, truth)
         firsts.append(first)
-        sentinel = len(report.rows) + 1
-        for unit in truth:
-            rank = report.rank_of(unit)
-            per_unit[unit].append(rank if rank is not None else sentinel)
+        run_ranks.append(ranks)
         probe_total += isolation.probe_count
         fallback_votes += 1 if isolation.fallback else 0
         unranked_votes += 0 if any_ranked else 1
         report_len = max(report_len, len(report.rows))
     first_rank = float(statistics.median(firsts))
-    all_ranks = sorted(float(statistics.median(v)) for v in per_unit.values())
+    all_ranks = sorted(float(statistics.median(v)) for v in zip(*run_ranks))
     return EvalRow(
         bug_id=bug.bug_id,
         strategy=strategy,
@@ -226,7 +204,7 @@ def intersection_report(rows_by_strategy: Dict[str, Sequence[EvalRow]],
                 f"strategy {label!r} evaluated a different bug set"
             )
     isolated = {
-        label: {r.bug_id for r in rows if r.first_rank is not None and r.first_rank <= n}
+        label: {r.bug_id for r in rows if r.first_rank <= n}
         for label, rows in rows_by_strategy.items()
     }
     counts: Dict[str, int] = {}

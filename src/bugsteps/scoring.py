@@ -43,20 +43,13 @@ class ReportRow:
 class RankedReport:
     granularity: str
     rows: List[ReportRow]
-    tie_policy: str = TIE_POLICY
     provenance: Dict[str, object] = field(default_factory=dict)
     diagnostics: List[str] = field(default_factory=list)
-
-    def rank_of(self, unit: str) -> Optional[int]:
-        for row in self.rows:
-            if row.unit == unit:
-                return row.rank
-        return None
 
     def to_json_dict(self):
         return {
             "granularity": self.granularity,
-            "tie_policy": self.tie_policy,
+            "tie_policy": TIE_POLICY,
             "diagnostics": list(self.diagnostics),
             "provenance": dict(self.provenance),
             "rows": [
@@ -154,22 +147,8 @@ def unit_of(stmt: StatementId, granularity: str) -> Optional[str]:
     raise ValueError(f"unknown granularity {granularity!r}")
 
 
-def build_unit_index(statements: Iterable[StatementId],
-                     granularity: str) -> Dict[StatementId, str]:
-    index: Dict[StatementId, str] = {}
-    orphans = []
-    for stmt in statements:
-        unit = unit_of(stmt, granularity)
-        if unit is None:
-            orphans.append(str(stmt))
-        else:
-            index[stmt] = unit
-    if orphans:
-        raise UnmappedStatement(orphans)
-    return index
-
-
 def _ranked_rows(unit_scores: Dict[str, float]) -> List[ReportRow]:
+    """Rank units by score, ties by name; see ``TIE_POLICY``."""
     ordered = sorted(unit_scores.items(), key=lambda kv: (-kv[1], kv[0]))
     rows: List[ReportRow] = []
     i = 0
@@ -184,22 +163,24 @@ def _ranked_rows(unit_scores: Dict[str, float]) -> List[ReportRow]:
     return rows
 
 
-def aggregate_ranksum(scores: Dict[StatementId, float], granularity: str,
-                      unit_index: Dict[StatementId, str]) -> RankedReport:
+def aggregate_ranksum(scores: Dict[StatementId, float], granularity: str) -> RankedReport:
     """Aggregate statement scores to units with linearly decaying weights.
 
     Within a unit, its n positively-scored statements are ranked by score
     (ties by file then line) and the i-th gets weight (n+1-i)/sum(1..n);
-    the unit score is the weighted sum.
+    the unit score is the weighted sum.  A scored statement without a
+    unit raises ``UnmappedStatement``.
     """
-    orphans = [str(s) for s in scores if s not in unit_index]
+    per_unit: Dict[str, List] = {}
+    orphans = []
+    for stmt, score in scores.items():
+        unit = unit_of(stmt, granularity)
+        if unit is None:
+            orphans.append(str(stmt))
+        elif score > 0:
+            per_unit.setdefault(unit, []).append((stmt, score))
     if orphans:
         raise UnmappedStatement(orphans)
-    per_unit: Dict[str, List] = {}
-    for stmt, score in scores.items():
-        if score <= 0:
-            continue
-        per_unit.setdefault(unit_index[stmt], []).append((stmt, score))
     unit_scores: Dict[str, float] = {}
     for unit, pairs in per_unit.items():
         pairs.sort(key=lambda p: (-p[1], p[0].file, p[0].line))
@@ -214,22 +195,16 @@ def aggregate_ranksum(scores: Dict[StatementId, float], granularity: str,
 def compute_fallback(coverage: Iterable[StatementId], granularity: str) -> RankedReport:
     """Uniform report over the baseline coverage when nothing ever flipped.
 
-    Every covered unit scores eps = 1/|coverage|; at function granularity,
-    statements without function metadata cannot form a unit and are
-    skipped.
+    Every covered unit scores eps = 1/|coverage|, so all units form one tie
+    group; at function granularity, statements without function metadata
+    cannot form a unit and are skipped.
     """
     stmts = set(coverage)
-    units = sorted(
-        {u for u in (unit_of(s, granularity) for s in stmts) if u is not None}
-    )
-    rows: List[ReportRow] = []
-    if units:
-        eps = 1.0 / len(stmts)
-        rank = len(units)  # all tied, worst-rank
-        rows = [ReportRow(unit=u, score=eps, rank=rank) for u in units]
+    units = {u for u in (unit_of(s, granularity) for s in stmts) if u is not None}
+    eps = 1.0 / len(stmts) if stmts else 0.0
     return RankedReport(
         granularity=granularity,
-        rows=rows,
+        rows=_ranked_rows(dict.fromkeys(units, eps)),
         diagnostics=[NO_BUG_CAUSING_STEPS],
     )
 
@@ -247,15 +222,11 @@ def score_with(scorer: str, isolation) -> Dict[StatementId, float]:
 def report_for(isolation, scorer: str, granularity: str,
                provenance: Optional[Dict[str, object]] = None) -> RankedReport:
     """Score an isolation result and aggregate it into a ranked report."""
-    if isolation.fallback:
-        report = compute_fallback(isolation.baseline.coverage, granularity)
+    scores = {} if isolation.fallback else score_with(scorer, isolation)
+    if scores:
+        report = aggregate_ranksum(scores, granularity)
     else:
-        scores = score_with(scorer, isolation)
-        if not scores:
-            report = compute_fallback(isolation.baseline.coverage, granularity)
-        else:
-            unit_index = build_unit_index(scores.keys(), granularity)
-            report = aggregate_ranksum(scores, granularity, unit_index)
+        report = compute_fallback(isolation.baseline.coverage, granularity)
     if provenance:
         report.provenance.update(provenance)
     return report

@@ -14,7 +14,7 @@ import time
 import pytest
 
 from bugsteps.coverage import emit_native_json, parse_gcov_json, parse_native_json
-from bugsteps.evalharness import evaluate_manifest
+from bugsteps.evalharness import evaluate_manifest, match_ground_truth
 from bugsteps.isolate import no_del, rand_order, tail_prune
 from bugsteps.model import (
     ExecutionResult,
@@ -25,7 +25,6 @@ from bugsteps.model import (
 )
 from bugsteps.scoring import (
     aggregate_ranksum,
-    build_unit_index,
     report_for,
     score_flip_inverse,
     score_metallaxis,
@@ -84,8 +83,7 @@ def suite30():
 
 
 def first_rank(report, unit):
-    rank = report.rank_of(unit)
-    return rank if rank is not None else len(report.rows) + 1
+    return match_ground_truth(report, [unit])[0]
 
 
 class TestCriterion1:
@@ -170,8 +168,7 @@ class TestCriterion3:
 
         f1, f2 = StatementId("f.c", 1), StatementId("f.c", 2)
         rank_scores = {f1: 0.5, f2: 0.25}
-        report = aggregate_ranksum(rank_scores, "file",
-                                   build_unit_index(rank_scores, "file"))
+        report = aggregate_ranksum(rank_scores, "file")
         assert abs(report.rows[0].score - 0.41666666666666663) < TOL
 
         n = 3

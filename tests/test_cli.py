@@ -50,6 +50,19 @@ class TestTestbedGen:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("verb,flag", [
+    ("eval", "--repeat"), ("eval", "--jobs"), ("isolate", "--jobs"),
+])
+def test_count_flag_below_one_is_usage_error(tmp_path, capsys, verb, flag, value):
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main([verb, str(tmp_path / "input.json"), flag, value, "--output", str(out)])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestIsolate:
     def test_cf_neg_fold_defaults_rank_const_fold_first(self, testbed_dir, capsys):
         config, _ = config_for(testbed_dir, "cf_neg_fold")

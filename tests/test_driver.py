@@ -115,6 +115,7 @@ class TestConfig:
         {"workdir": 5},
         {"expected_output_file": "no-such-file.txt"},
         {"enumerate_command": None},
+        {"step_template": "-fno-tree"},
     ], ids=lambda overrides: json.dumps(overrides))
     def test_malformed_value_rejected(self, tmp_path, overrides):
         path = write_config(tmp_path, **overrides)

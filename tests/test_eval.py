@@ -50,6 +50,11 @@ class TestMatchGroundTruth:
         first, ranks, _ = match_ground_truth(rep, ["b.c", "c.c"])
         assert first == 2 and ranks == [2, 7]
 
+    def test_ranks_follow_truth_order(self):
+        rep = report([("a.c", 0.9, 1), ("b.c", 0.8, 2), ("c.c", 0.1, 7)])
+        first, ranks, _ = match_ground_truth(rep, ["c.c", "b.c"])
+        assert first == 2 and ranks == [7, 2]
+
     def test_empty_truth_rejected(self):
         with pytest.raises(ValueError):
             match_ground_truth(report([]), [])
@@ -181,6 +186,16 @@ class TestManifest:
         bug = DatasetBug("b", None, ("f.c",), None)
         with pytest.raises(GranularityMismatch):
             bug.truth_units("function")
+
+    def test_repeated_truth_unit_counts_once(self, tmp_path):
+        manifest = self.make_testbed(tmp_path, count=1)
+        doc = json.loads(manifest.read_text())
+        truth = doc["bugs"][0]["ground_truth"]
+        truth["files"] = truth["files"][:1] * 2
+        manifest.write_text(json.dumps(doc))
+        out = evaluate_manifest(manifest, strategies=["tail"], scorers=["compscan"])
+        (only,) = out["rows"]
+        assert only["all_ranks"] == [only["first_rank"]]
 
     def test_evaluate_manifest_structure(self, tmp_path):
         manifest = self.make_testbed(tmp_path, count=6)

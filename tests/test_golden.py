@@ -6,7 +6,9 @@
     bugsteps eval testbed/manifest.json --strategy tail,nodel,rand \
         --scorer compscan,mbfl,sbfl --repeat 3
 
-run from an empty directory with relative paths.  The digests pin every
+run from an empty directory with relative paths, and
+``golden/eval-seed42-count30-function.json`` is the same ``eval`` with
+``--granularity function`` added.  The digests pin every
 probe, run and diff that ``tail`` and ``rand`` (seed 7) produce on the
 same 30 scenarios, in order.
 """
@@ -21,7 +23,12 @@ from bugsteps.isolate import run_strategy
 from bugsteps.toy import ToyDriver
 from bugsteps.util import canonical_json
 
-GOLDEN_EVAL = Path(__file__).parent / "golden" / "eval-seed42-count30.json"
+GOLDEN = Path(__file__).parent / "golden"
+
+GOLDEN_EVAL = {
+    "file": GOLDEN / "eval-seed42-count30.json",
+    "function": GOLDEN / "eval-seed42-count30-function.json",
+}
 
 ISOLATION_DIGESTS = {
     ("tail", 0): "f3daba540f165776394fbd2fbedc012fd1c10ecc712b9f4b75bcf0590d7b0b86",
@@ -29,7 +36,8 @@ ISOLATION_DIGESTS = {
 }
 
 
-def test_eval_json_byte_identical(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("granularity", sorted(GOLDEN_EVAL))
+def test_eval_json_byte_identical(tmp_path, monkeypatch, capsys, granularity):
     monkeypatch.chdir(tmp_path)
     assert main(["testbed-gen", "--out", "testbed", "--seed", "42",
                  "--count", "30"]) == 0
@@ -37,8 +45,9 @@ def test_eval_json_byte_identical(tmp_path, monkeypatch, capsys):
     assert main(["eval", "testbed/manifest.json",
                  "--strategy", "tail,nodel,rand",
                  "--scorer", "compscan,mbfl,sbfl",
-                 "--repeat", "3", "--output", "eval.json"]) == 0
-    assert (tmp_path / "eval.json").read_bytes() == GOLDEN_EVAL.read_bytes()
+                 "--repeat", "3", "--granularity", granularity,
+                 "--output", "eval.json"]) == 0
+    assert (tmp_path / "eval.json").read_bytes() == GOLDEN_EVAL[granularity].read_bytes()
 
 
 @pytest.mark.parametrize("strategy,seed", sorted(ISOLATION_DIGESTS))

@@ -17,7 +17,6 @@ from bugsteps.model import (
 from bugsteps.scoring import (
     NO_BUG_CAUSING_STEPS,
     aggregate_ranksum,
-    build_unit_index,
     compute_fallback,
     score_flip_inverse,
     score_metallaxis,
@@ -160,13 +159,12 @@ class TestRankSum:
     def test_weights_closed_form(self):
         # n = 3 -> weights [3/6, 2/6, 1/6]
         scores = {stmt("f.c", 1): 0.5, stmt("f.c", 2): 0.5, stmt("f.c", 3): 0.5}
-        index = build_unit_index(scores, "file")
-        report = aggregate_ranksum(scores, "file", index)
+        report = aggregate_ranksum(scores, "file")
         assert abs(report.rows[0].score - 0.5) < TOL  # convex combination of equals
 
     def test_weighted_sum_worked_example(self):
         scores = {stmt("f.c", 1): 0.5, stmt("f.c", 2): 0.25}
-        report = aggregate_ranksum(scores, "file", build_unit_index(scores, "file"))
+        report = aggregate_ranksum(scores, "file")
         assert abs(report.rows[0].score - (2 / 3 * 0.5 + 1 / 3 * 0.25)) < TOL
         assert abs(report.rows[0].score - 0.41666666666666663) < 1e-6
 
@@ -177,14 +175,14 @@ class TestRankSum:
             stmt("B.c", 2): 0.5,
             stmt("B.c", 3): 0.5,
         }
-        report = aggregate_ranksum(scores, "file", build_unit_index(scores, "file"))
+        report = aggregate_ranksum(scores, "file")
         assert [(r.unit, r.rank) for r in report.rows] == [("A.c", 1), ("B.c", 2)]
         assert abs(report.rows[0].score - 1.0) < TOL
         assert abs(report.rows[1].score - 0.5) < TOL
 
     def test_zero_score_statements_excluded(self):
         scores = {stmt("f.c", 1): 0.5, stmt("f.c", 2): 0.0}
-        report = aggregate_ranksum(scores, "file", build_unit_index(scores, "file"))
+        report = aggregate_ranksum(scores, "file")
         assert abs(report.rows[0].score - 0.5) < TOL
 
     def test_function_granularity(self):
@@ -192,24 +190,17 @@ class TestRankSum:
             stmt("f.c", 1, "alpha"): 1.0,
             stmt("f.c", 9, "beta"): 0.25,
         }
-        report = aggregate_ranksum(
-            scores, "function", build_unit_index(scores, "function")
-        )
+        report = aggregate_ranksum(scores, "function")
         assert [r.unit for r in report.rows] == ["f.c::alpha", "f.c::beta"]
-
-    def test_unmapped_statement_raises(self):
-        scores = {stmt("f.c", 1): 1.0}
-        with pytest.raises(UnmappedStatement):
-            aggregate_ranksum(scores, "file", {})
 
     def test_function_orphans_raise(self):
         with pytest.raises(UnmappedStatement) as err:
-            build_unit_index({stmt("f.c", 1)}, "function")
+            aggregate_ranksum({stmt("f.c", 1): 1.0}, "function")
         assert err.value.orphans == ["f.c:1"]
 
     def test_worst_rank_ties(self):
         scores = {stmt("A.c", 1): 0.5, stmt("B.c", 1): 0.5, stmt("C.c", 1): 0.2}
-        report = aggregate_ranksum(scores, "file", build_unit_index(scores, "file"))
+        report = aggregate_ranksum(scores, "file")
         by_unit = {r.unit: r.rank for r in report.rows}
         assert by_unit == {"A.c": 2, "B.c": 2, "C.c": 3}
 
@@ -227,16 +218,13 @@ class TestRankSum:
     )
     def test_scaling_invariance_and_convexity(self, raw, scale):
         scores = {stmt(f, line): v for (f, line), v in raw.items()}
-        index = build_unit_index(scores, "file")
-        base = aggregate_ranksum(scores, "file", index)
-        scaled = aggregate_ranksum(
-            {k: v * scale for k, v in scores.items()}, "file", index
-        )
+        base = aggregate_ranksum(scores, "file")
+        scaled = aggregate_ranksum({k: v * scale for k, v in scores.items()}, "file")
         assert [r.unit for r in base.rows] == [r.unit for r in scaled.rows]
         assert [r.rank for r in base.rows] == [r.rank for r in scaled.rows]
         # convexity: unit score never exceeds its max statement score
         for row in base.rows:
-            best = max(v for k, v in scores.items() if index[k] == row.unit)
+            best = max(v for k, v in scores.items() if k.file == row.unit)
             assert row.score <= best + TOL
 
 
