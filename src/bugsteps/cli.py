@@ -24,7 +24,7 @@ from .coverage import emit_native_json
 from .driver import clear_cache_dir, load_driver
 from .errors import BugStepsError, NotReproducible
 from .evalharness import evaluate_manifest, render_metrics_table
-from .isolate import STRATEGIES, run_strategy, verify_baseline
+from .isolate import STRATEGIES, run_strategy
 from .model import Outcome
 from .scoring import GRANULARITIES, SCORERS, report_for
 from .toy.bugs import generate_scenarios, load_scenario, subset_outcome
@@ -56,7 +56,6 @@ def cmd_isolate(args) -> int:
     try:
         driver = load_driver(args.config, cache_dir=args.cache_dir)
         sequence = driver.enumerate_steps()
-        verify_baseline(driver, sequence)
         isolation = run_strategy(
             args.strategy, driver, sequence, seed=args.seed, jobs=args.jobs
         )

@@ -59,7 +59,6 @@ from .model import (
     Outcome,
     StatementId,
     StatementPool,
-    Step,
     StepSequence,
     file_blocks,
 )
@@ -93,7 +92,6 @@ class DriverConfig:
     timeout: float = 60.0
     workdir: str = "."
     env: Dict[str, str] = field(default_factory=dict)
-    alias_map: Optional[Dict[str, List[str]]] = None
     step_separator: str = ","
     step_template: str = "{step}"
     source_root: Optional[str] = None
@@ -155,7 +153,7 @@ def load_config(path) -> DriverConfig:
     Besides the fields, the document may hold ``kind`` (``"process"``) and
     ``expected_output_file``, read relative to the config file in place of
     ``expected_output``.  A relative ``workdir`` is resolved against the
-    config file's directory, and an empty ``alias_map`` means none.
+    config file's directory.
     """
     path = Path(path)
     doc = _read_config_doc(path)
@@ -167,8 +165,6 @@ def load_config(path) -> DriverConfig:
             doc["expected_output"] = (path.parent / doc.pop("expected_output_file")).read_bytes()
         elif isinstance(doc.get("expected_output"), str):
             doc["expected_output"] = doc["expected_output"].encode("utf-8")
-        if doc.get("alias_map") == {}:
-            doc["alias_map"] = None
         config = DriverConfig(**doc)
     except (InvalidConfig, OSError, TypeError, ValueError) as exc:
         raise InvalidConfig(f"driver config {path}: {exc}") from exc
@@ -193,32 +189,6 @@ def load_driver(path, cache_dir=None):
     if not isinstance(doc.get("scenario"), str):
         raise InvalidConfig(f"toy driver config {path} needs a 'scenario' path")
     return ToyDriver(load_scenario(path.parent / doc["scenario"]))
-
-
-def group_aliased_steps(sub_steps: Sequence[str],
-                        alias_map: Dict[str, List[str]]) -> StepSequence:
-    """Collapse enumerated sub-steps into logical steps.
-
-    A logical step's position is the position of its LAST enumerated
-    sub-step: by the time that sub-pass runs, every deletable sub-pass of a
-    later-or-overlapping option has already been handled, which is what
-    reverse traversal needs.
-    """
-    owner = {sub: logical for logical, subs in alias_map.items() for sub in subs}
-    last_pos: Dict[str, int] = {}
-    members: Dict[str, List[str]] = {}
-    order: List[str] = []
-    for pos, sub in enumerate(sub_steps):
-        logical = owner.get(sub, sub)
-        if logical not in last_pos:
-            order.append(logical)
-        last_pos[logical] = pos
-        members.setdefault(logical, []).append(sub)
-    order.sort(key=lambda logical: last_pos[logical])
-    return StepSequence(tuple(
-        Step(logical, tuple(members[logical]) if logical in alias_map else None)
-        for logical in order
-    ))
 
 
 class Driver:
@@ -371,6 +341,8 @@ class ProcessDriver(Driver):
         # every field but the timeout, which changes no result
         inputs = asdict(config)
         del inputs["timeout"]
+        # the removed alias_map was null in every digest: keep it so no digest moves
+        inputs["alias_map"] = None
         inputs["expected_sha"] = hashlib.sha256(inputs.pop("expected_output")).hexdigest()
         digest = fingerprint(inputs)
         root = Path(cache_dir) if cache_dir else Path(config.workdir) / ".bugsteps-cache"
@@ -388,17 +360,11 @@ class ProcessDriver(Driver):
         lines = [ln for ln in lines if ln]
         if not lines:
             raise EmptySequence("step enumeration produced no steps")
-        if self.config.alias_map:
-            return group_aliased_steps(lines, self.config.alias_map)
-        return StepSequence(tuple(map(Step, lines)))
+        return StepSequence(tuple(lines))
 
     def _run(self, key: Tuple[str, ...], positions: List[int]) -> Tuple[Outcome, Set[StatementId]]:
-        expanded: List[str] = []
-        for pos in positions:
-            step = self._sequence.steps[pos]
-            expanded.extend(step.aliases if step.aliases else (step.id,))
         joined = self.config.step_separator.join(
-            self.config.step_template.replace("{step}", s) for s in expanded
+            self.config.step_template.replace("{step}", s) for s in key
         )
         run_cmd = self.config.run_command.replace("{passes}", joined)
         # a fresh {scratch} per run, removed once its coverage is read (or

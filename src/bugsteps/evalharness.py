@@ -21,7 +21,7 @@ from . import __version__
 from .driver import load_driver
 from .errors import BugStepsError, GranularityMismatch, InvalidConfig, UnevenCoverage
 from .isolate import run_strategy, verify_baseline
-from .scoring import RankedReport, report_for
+from .scoring import GRANULARITIES, RankedReport, report_for
 from .util import derive_seed, fingerprint
 
 TOP_NS = (1, 3, 5, 10)
@@ -36,15 +36,12 @@ class DatasetBug:
     tags: Tuple[str, ...] = ()
 
     def truth_units(self, granularity: str) -> Tuple[str, ...]:
-        if granularity == "file":
-            return self.ground_truth_files
-        if granularity == "function":
-            if not self.ground_truth_functions:
-                raise GranularityMismatch(
-                    f"bug {self.bug_id} has no function-level ground truth"
-                )
-            return self.ground_truth_functions
-        raise ValueError(f"unknown granularity {granularity!r}")
+        if granularity not in GRANULARITIES:
+            raise ValueError(f"unknown granularity {granularity!r}")
+        units = self.ground_truth_files if granularity == "file" else self.ground_truth_functions
+        if not units:
+            raise GranularityMismatch(f"bug {self.bug_id} has no {granularity}-level ground truth")
+        return units
 
 
 @dataclass
@@ -72,7 +69,8 @@ def _strings(value) -> bool:
 def load_manifest(path) -> List[DatasetBug]:
     """Read a manifest's bug records; any malformed record is ``InvalidConfig``.
 
-    A ground-truth unit listed twice counts once.
+    A record must list ground-truth files, functions or both; a unit
+    listed twice counts once.
     """
     path = Path(path)
     try:
@@ -100,6 +98,8 @@ def load_manifest(path) -> List[DatasetBug]:
                 and _strings(tags)):
             raise InvalidConfig(f"{where}: ground-truth files/functions and tags must be "
                                 "lists of strings")
+        if not (files or functions):
+            raise InvalidConfig(f"{where} lists no ground-truth files or functions")
         if bug_id in seen:
             raise InvalidConfig(f"duplicate bug id {bug_id!r} in manifest")
         seen.add(bug_id)

@@ -77,9 +77,7 @@ class _Session:
         self.driver = driver
         self.issued = 0
         self.runs: Dict[Tuple[str, ...], ExecutionResult] = {}
-        self.base = self.record(driver.execute(sequence.ids))
-        if not self.base.outcome.is_fail:
-            raise NotReproducible("the full step sequence passed")
+        self.base = self.record(verify_baseline(driver, sequence))
 
     def probe(self, subset) -> ExecutionResult:
         self.issued += 1

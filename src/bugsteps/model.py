@@ -98,31 +98,21 @@ class StatementPool(dict):
 
 
 @dataclass(frozen=True)
-class Step:
-    """One individually skippable compilation step."""
-
-    id: str
-    aliases: Optional[Tuple[str, ...]] = None
-
-
-@dataclass(frozen=True)
 class StepSequence:
-    steps: Tuple[Step, ...]
+    """The ids of the individually skippable compilation steps, in execution order."""
+
+    ids: Tuple[str, ...]
 
     def __post_init__(self):
-        if len(self._ordinals) != len(self.steps):
+        if len(self._ordinals) != len(self.ids):
             raise ValueError("step ids must be pairwise distinct")
 
-    @property
-    def ids(self) -> Tuple[str, ...]:
-        return tuple(s.id for s in self.steps)
-
     def __len__(self):
-        return len(self.steps)
+        return len(self.ids)
 
     @cached_property
     def _ordinals(self) -> Dict[str, int]:
-        return {s.id: i for i, s in enumerate(self.steps)}
+        return {step: i for i, step in enumerate(self.ids)}
 
     def positions(self, subset: Sequence[str]) -> List[int]:
         """Positions of ``subset``, which must be an ordered subsequence of the steps.

@@ -13,7 +13,7 @@ from collections import Counter
 from typing import Dict, List, Sequence, Set, Tuple
 
 from ..driver import Driver
-from ..model import Outcome, StatementId, Step, StepSequence
+from ..model import Outcome, StatementId, StepSequence
 from ..util import fingerprint
 from .bugs import SeededBug, subset_outcome
 from .passes import Tracer
@@ -35,7 +35,7 @@ def step_ids_for_pipeline(pipeline: Sequence[str]) -> Tuple[str, ...]:
 
 def pipeline_steps(pipeline: Sequence[str]) -> StepSequence:
     """The step sequence of a scenario's pipeline, one step per pass occurrence."""
-    return StepSequence(tuple(map(Step, step_ids_for_pipeline(pipeline))))
+    return StepSequence(step_ids_for_pipeline(pipeline))
 
 
 class ToyDriver(Driver):

@@ -4,7 +4,6 @@ from bugsteps.model import (
     ExecutionResult,
     Outcome,
     StatementId,
-    Step,
     StepSequence,
     file_blocks,
 )
@@ -29,7 +28,7 @@ class FakeDriver:
         self.trace = []  # every issued subset, in order
 
     def enumerate_steps(self):
-        return StepSequence(tuple(map(Step, self.ids)))
+        return StepSequence(tuple(self.ids))
 
     def coverage_for(self, subset):
         cov = set()

@@ -76,6 +76,16 @@ class TestIsolate:
         assert prov["seed"] == 0
         assert "config_fingerprint" in prov and "tool_version" in prov
 
+    def test_full_sequence_executed_once(self, tmp_path, monkeypatch, capsys):
+        from bugsteps import cli
+        from conftest import FakeDriver
+
+        driver = FakeDriver(["a", "b", "c"], lambda subset: "b" in subset)
+        monkeypatch.setattr(cli, "load_driver", lambda config, cache_dir=None: driver)
+        assert main(["isolate", str(tmp_path / "unused.json")]) == 0
+        assert json.loads(capsys.readouterr().out)["provenance"]["bug_causing_steps"] == ["b"]
+        assert driver.trace.count(("a", "b", "c")) == 1
+
     def test_passing_config_exits_2(self, tmp_path, testbed_dir):
         config, _ = config_for(testbed_dir, "cf_neg_fold")
         scn_path = (config.parent / json.loads(config.read_text())["scenario"]).resolve()
@@ -251,6 +261,7 @@ class TestEval:
         {"bugs": [{"config": "x.json"}]},
         {"bugs": [5]},
         {"bugs": [{"bug_id": "b", "config": "x.json", "ground_truth": "x.c"}]},
+        {"bugs": [{"bug_id": "b", "config": "x.json"}]},
     ])
     def test_malformed_manifest_exits_3(self, tmp_path, capsys, doc):
         (tmp_path / "x.json").write_text(json.dumps({"kind": "toy", "scenario": "s.json"}))

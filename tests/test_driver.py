@@ -16,7 +16,6 @@ from bugsteps.driver import (
     DriverConfig,
     ProcessDriver,
     clear_cache_dir,
-    group_aliased_steps,
     load_config,
     load_driver,
 )
@@ -105,8 +104,6 @@ class TestConfig:
     @pytest.mark.parametrize("overrides", [
         {"timeout": "abc"},
         {"timeout": None},
-        {"alias_map": [["dce", "ud_dce"]]},
-        {"alias_map": {"dce": "ud_dce"}},
         {"run_command": None},
         {"env": [1, 2]},
         {"env": {"X": 1}},
@@ -130,9 +127,12 @@ class TestConfig:
         with pytest.raises(InvalidConfig, match="run_command"):
             load_config(tmp_path / "config.json")
 
-    def test_unknown_key_rejected_by_name(self, tmp_path):
-        path = write_config(tmp_path, coverage_path=["cov.json"])
-        with pytest.raises(InvalidConfig, match="coverage_path"):
+    # alias_map: {} is the spelling that once meant "no alias map"
+    @pytest.mark.parametrize("key,value", [("coverage_path", ["cov.json"]), ("alias_map", {})],
+                             ids=["coverage_path", "alias_map"])
+    def test_unknown_key_rejected_by_name(self, tmp_path, key, value):
+        path = write_config(tmp_path, **{key: value})
+        with pytest.raises(InvalidConfig, match=key):
             load_driver(path)
 
     def test_absent_keys_take_field_defaults(self, tmp_path):
@@ -140,9 +140,6 @@ class TestConfig:
         path.write_text(json.dumps({"enumerate_command": "e", "run_command": "r {passes}"}))
         expected = DriverConfig("e", "r {passes}", workdir=str(tmp_path.resolve()))
         assert load_config(path) == expected
-
-    def test_empty_alias_map_means_none(self, tmp_path):
-        assert load_config(write_config(tmp_path, alias_map={})).alias_map is None
 
     # the digest earlier versions gave the config below: it names the
     # disk-cache directory and the report's config_fingerprint, so a schema
@@ -241,26 +238,6 @@ class TestEnumerate:
     def test_idempotent(self, tmp_path):
         driver = ProcessDriver(load_config(write_config(tmp_path)))
         assert driver.enumerate_steps() == driver.enumerate_steps()
-
-    def test_gcc_style_alias_grouping(self, tmp_path):
-        # sub-pass execution order dse1, ud_dce, dse2, rtl_dce with
-        # dce = {ud_dce, rtl_dce} and dse = {dse1, dse2}: ordering by the
-        # last sub-pass yields [dse, dce]
-        cfg = write_config(
-            tmp_path,
-            enumerate_command="printf 'dse1\\nud_dce\\ndse2\\nrtl_dce\\n'",
-            alias_map={"dce": ["ud_dce", "rtl_dce"], "dse": ["dse1", "dse2"]},
-        )
-        seq = ProcessDriver(load_config(cfg)).enumerate_steps()
-        assert seq.ids == ("dse", "dce")
-        assert seq.steps[0].aliases == ("dse1", "dse2")
-        assert seq.steps[1].aliases == ("ud_dce", "rtl_dce")
-
-    def test_alias_grouping_pure(self):
-        seq = group_aliased_steps(
-            ["a", "x1", "b", "x2"], {"x": ["x1", "x2"]}
-        )
-        assert seq.ids == ("a", "b", "x")
 
 
 class TestExecute:
@@ -389,18 +366,18 @@ class TestExecute:
             with pytest.raises(ValueError):
                 driver.execute(subset)
 
-    def test_alias_probe_removes_all_sub_steps(self, tmp_path):
+    def test_passes_expand_each_retained_step(self, tmp_path):
         marker = tmp_path / "ran.txt"
         cfg = write_config(
             tmp_path,
-            enumerate_command="printf 'dse1\\nud_dce\\ndse2\\nrtl_dce\\n'",
-            alias_map={"dce": ["ud_dce", "rtl_dce"], "dse": ["dse1", "dse2"]},
+            step_template="-f{step}",
+            step_separator=" ",
             run_command=f"echo {{passes}} >> {marker}; echo ok",
             expected_output="ok",
         )
         driver = ProcessDriver(load_config(cfg))
-        driver.execute(("dse",))
-        assert marker.read_text().strip() == "dse1,dse2"
+        driver.execute(("instcombine", "simplifycfg"))
+        assert marker.read_text().strip() == "-finstcombine -fsimplifycfg"
 
     def scratch_config(self, tmp_path, coverage="cov.json"):
         """Each run appends its ``{scratch}`` to seen.txt and copies cov.json there."""

@@ -174,6 +174,9 @@ class TestManifest:
         {"bugs": [{"bug_id": "b", "config": "x.json", "ground_truth": ["x.c"]}]},
         {"bugs": [{"bug_id": "b", "config": "x.json", "ground_truth": {"files": "x.c"}}]},
         {"bugs": [{"bug_id": "b", "config": "x.json", "tags": [1]}]},
+        {"bugs": [{"bug_id": "b", "config": "x.json"}]},
+        {"bugs": [{"bug_id": "b", "config": "x.json",
+                   "ground_truth": {"files": [], "functions": []}}]},
     ])
     def test_malformed_record_rejected(self, tmp_path, doc):
         (tmp_path / "x.json").write_text("{}")
@@ -182,10 +185,13 @@ class TestManifest:
         with pytest.raises(InvalidConfig, match="manifest.json"):
             load_manifest(manifest)
 
-    def test_granularity_mismatch(self):
-        bug = DatasetBug("b", None, ("f.c",), None)
-        with pytest.raises(GranularityMismatch):
-            bug.truth_units("function")
+    @pytest.mark.parametrize("bug,granularity", [
+        (DatasetBug("b", None, ("f.c",), None), "function"),
+        (DatasetBug("b", None, (), ("f.c::g",)), "file"),
+    ], ids=["no-functions", "no-files"])
+    def test_granularity_mismatch(self, bug, granularity):
+        with pytest.raises(GranularityMismatch, match=f"no {granularity}-level ground truth"):
+            bug.truth_units(granularity)
 
     def test_repeated_truth_unit_counts_once(self, tmp_path):
         manifest = self.make_testbed(tmp_path, count=1)
@@ -196,6 +202,19 @@ class TestManifest:
         out = evaluate_manifest(manifest, strategies=["tail"], scorers=["compscan"])
         (only,) = out["rows"]
         assert only["all_ranks"] == [only["first_rank"]]
+
+    def test_function_only_truth_is_an_error_row_at_file_granularity(self, tmp_path):
+        manifest = self.make_testbed(tmp_path, count=1)
+        doc = json.loads(manifest.read_text())
+        del doc["bugs"][0]["ground_truth"]["files"]
+        manifest.write_text(json.dumps(doc))
+        out = evaluate_manifest(manifest, strategies=["tail"], scorers=["compscan"])
+        assert out["rows"] == []
+        (error,) = out["errors"]
+        assert "no file-level ground truth" in error["error"]
+        out = evaluate_manifest(manifest, strategies=["tail"], scorers=["compscan"],
+                                granularity="function")
+        assert len(out["rows"]) == 1 and out["errors"] == []
 
     def test_evaluate_manifest_structure(self, tmp_path):
         manifest = self.make_testbed(tmp_path, count=6)

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bugsteps.errors import InconsistentOracle, NotReproducible
-from bugsteps.isolate import no_del, rand_order, run_strategy, tail_prune, verify_baseline
+from bugsteps.isolate import (STRATEGIES, no_del, rand_order, run_strategy, tail_prune,
+                              verify_baseline)
 from bugsteps.model import Outcome
 
 from conftest import FakeDriver
@@ -30,6 +31,13 @@ class TestVerifyBaseline:
         d.predicate = lambda subset: False
         with pytest.raises(NotReproducible):
             verify_baseline(d, d.enumerate_steps())
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_strategy_checks_the_baseline(self, strategy):
+        d = driver_for(4, set())
+        d.predicate = lambda subset: False
+        with pytest.raises(NotReproducible, match="check the bug configuration"):
+            run_strategy(strategy, d, d.enumerate_steps())
 
     def test_crash_baseline_accepted(self):
         d = driver_for(3, {2})

@@ -13,7 +13,6 @@ from bugsteps.model import (
     Outcome,
     StatementId,
     StatementPool,
-    Step,
     StepSequence,
     file_blocks,
     normalize_path,
@@ -227,11 +226,10 @@ class TestRemovalProbe:
 
 class TestStepSequence:
     def test_duplicate_ids_rejected(self):
-        steps = (Step("a"), Step("a"))
         with pytest.raises(ValueError):
-            StepSequence(steps)
+            StepSequence(("a", "a"))
 
     def test_ids_in_order(self):
-        seq = StepSequence((Step("a"), Step("b")))
+        seq = StepSequence(("a", "b"))
         assert seq.ids == ("a", "b")
         assert seq.positions(["b"]) == [1]
