@@ -8,7 +8,14 @@ the ``execute_calls``/``process_runs`` counters and a ``StatementPool``,
 so every run a driver parses or loads shares one ``StatementId`` per
 statement.  A backend's run yields an outcome and a flat set of
 statements; ``execute`` groups them into the result's per-file blocks
-(``model.file_blocks``).  Cache entries are keyed by the driver
+(``model.file_blocks``).  ``ProcessDriver`` returns a run as soon as its
+outcome is known: its coverage files are matched then, but read, parsed,
+grouped and stored on disk, and its ``{scratch}`` removed, in one later
+settle step.  That comes at the first read of the result's blocks, right
+after the driver's next command starts, so the parse overlaps that
+command, or when the strategy ends and reads every run.  A command's
+timeout counts from after that settle; a command that writes more than
+a pipe buffer of output stalls until the settle ends.  Cache entries are keyed by the driver
 fingerprint plus the ordered retained subset, so repeated identical
 subsets never re-run.  A disk entry is a compact version-3 document with
 one ``[file, [function names], "line,index,line,index,..."]`` record per
@@ -37,14 +44,16 @@ import signal
 import subprocess
 import tempfile
 import threading
+import weakref
 from contextlib import suppress
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from glob import glob
 from itertools import repeat
 from operator import attrgetter, lt
 from pathlib import Path
-from typing import (Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
-                    get_args, get_origin, get_type_hints)
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
+                    Union, get_args, get_origin, get_type_hints)
 
 from . import coverage as covmod
 from .errors import (
@@ -198,7 +207,8 @@ class Driver:
     answers from the memory cache, then from the disk tier when
     ``cache_dir`` is set, and only then calls ``_run``.  Subclasses
     implement ``_enumerate()`` and ``_run(key, positions)``, which returns
-    the run's outcome and the statements it covered.
+    the run's outcome and either the statements it covered or a
+    ``_PendingRun`` that collects them later.
     """
 
     def __init__(self, fingerprint: str, cache_dir: Optional[Path] = None):
@@ -206,6 +216,7 @@ class Driver:
         self.cache_dir = cache_dir
         self._mem: Dict[Tuple[str, ...], ExecutionResult] = {}
         self._lock = threading.Lock()
+        self._pending: List[_PendingRun] = []
         self._sequence: Optional[StepSequence] = None
         self.statements = StatementPool()
         # a disk entry's file record -> its decoded block
@@ -216,8 +227,8 @@ class Driver:
     def _enumerate(self) -> StepSequence:
         raise NotImplementedError
 
-    def _run(self, key: Tuple[str, ...],
-             positions: List[int]) -> Tuple[Outcome, Iterable[StatementId]]:
+    def _run(self, key: Tuple[str, ...], positions: List[int]
+             ) -> Tuple[Outcome, Union[Iterable[StatementId], "_PendingRun"]]:
         raise NotImplementedError
 
     def enumerate_steps(self) -> StepSequence:
@@ -235,17 +246,33 @@ class Driver:
             cached = self._mem.get(key)
         if cached is not None:
             return cached
+        pending = None
         result = self._cache_load(key) if self.cache_dir else None
         if result is None:
             outcome, statements = self._run(key, positions)
-            result = ExecutionResult(key, outcome, file_blocks(statements))
+            if isinstance(statements, _PendingRun):
+                pending = statements
+                result = ExecutionResult.deferred(key, outcome, pending.settle)
+            else:
+                result = ExecutionResult(key, outcome, file_blocks(statements))
+                if self.cache_dir:
+                    self._cache_store(key, result)
             with self._lock:
                 self.process_runs += 1
-            if self.cache_dir:
-                self._cache_store(key, result)
         with self._lock:
+            # in one step, so a failed settle always finds the run to forget
             self._mem[key] = result
+            if pending is not None:
+                self._pending.append(pending)
         return result
+
+    def _settle_pending(self) -> None:
+        """Settle each run not settled yet; one that a read settled raised its error there."""
+        with self._lock:
+            pending, self._pending = self._pending, []
+        for run in pending:
+            if run.pending:
+                run.settle()
 
     # -- disk tier -------------------------------------------------------
 
@@ -320,6 +347,51 @@ class Driver:
         os.replace(tmp, path)
 
 
+class _PendingRun:
+    """The deferred part of one run: collect its coverage into blocks,
+    store its disk entry and remove its ``{scratch}``.
+
+    ``settle`` does it once, whichever thread calls first, then drops the
+    driver: a settled run keeps no result -> run -> driver -> memory cache
+    -> result cycle alive.  A settle that raises stores no entry, takes
+    the run out of the memory cache and raises the same error on every
+    call.  A run collected unsettled still removes its ``{scratch}``.
+    """
+
+    def __init__(self, driver: Driver, key: Tuple[str, ...], outcome: Outcome,
+                 collect: Callable[[], Iterable[StatementId]], scratch: str):
+        self._driver, self._key, self._outcome, self._collect = driver, key, outcome, collect
+        self._remove_scratch = weakref.finalize(self, shutil.rmtree, scratch, ignore_errors=True)
+        self._lock = threading.Lock()
+        self._blocks: Tuple[Block, ...] = ()
+        self._error: Optional[BaseException] = None
+
+    @property
+    def pending(self) -> bool:
+        return self._driver is not None
+
+    def settle(self) -> Tuple[Block, ...]:
+        with self._lock:
+            driver = self._driver
+            if driver is not None:
+                self._driver = None
+                try:
+                    self._blocks = file_blocks(self._collect())
+                    if driver.cache_dir:
+                        driver._cache_store(self._key, ExecutionResult(
+                            self._key, self._outcome, self._blocks))
+                except BaseException as exc:
+                    self._error = exc
+                    with driver._lock:
+                        driver._mem.pop(self._key, None)
+                finally:
+                    self._collect = None
+                    self._remove_scratch()
+        if self._error is not None:
+            raise self._error
+        return self._blocks
+
+
 _LINE = attrgetter("line")
 _FUNCTION = attrgetter("function")
 
@@ -362,19 +434,23 @@ class ProcessDriver(Driver):
             raise EmptySequence("step enumeration produced no steps")
         return StepSequence(tuple(lines))
 
-    def _run(self, key: Tuple[str, ...], positions: List[int]) -> Tuple[Outcome, Set[StatementId]]:
+    def _run(self, key: Tuple[str, ...], positions: List[int]) -> Tuple[Outcome, _PendingRun]:
         joined = self.config.step_separator.join(
             self.config.step_template.replace("{step}", s) for s in key
         )
         run_cmd = self.config.run_command.replace("{passes}", joined)
-        # a fresh {scratch} per run, removed once its coverage is read (or
-        # fails to be); a process that left the timed-out group may still be
+        # a fresh {scratch} per run, removed once the run settles (or fails
+        # to start); a process that left the timed-out group may still be
         # writing into it, so a failed removal must not abort the isolation
-        with tempfile.TemporaryDirectory(prefix="bugsteps-run-",
-                                         ignore_cleanup_errors=True) as tmp:
-            scratch = Path(tmp)
-            outcome = self._outcome(run_cmd, scratch)
-            return outcome, self._collect_coverage(scratch, outcome)
+        scratch = tempfile.mkdtemp(prefix="bugsteps-run-")
+        try:
+            outcome = self._outcome(run_cmd, Path(scratch))
+            matched = self._coverage_files(Path(scratch), outcome)
+        except BaseException:
+            shutil.rmtree(scratch, ignore_errors=True)
+            raise
+        collect = partial(self._parse_coverage, matched)
+        return outcome, _PendingRun(self, key, outcome, collect, scratch)
 
     def _outcome(self, run_cmd: str, scratch: Path) -> Outcome:
         """Run the pipeline, then the test command if any, and judge the output."""
@@ -413,10 +489,13 @@ class ProcessDriver(Driver):
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                               start_new_session=True) as proc:
             try:
+                # the earlier runs' coverage is parsed while this command
+                # runs; its timeout counts from after that
+                self._settle_pending()
                 stdout, stderr = proc.communicate(timeout=self.config.timeout)
             except BaseException as exc:
                 # no terminal interrupt reaches a new session: kill the
-                # group on an interrupt as on a timeout
+                # group on an interrupt, a timeout or a failed settle
                 with suppress(ProcessLookupError):
                     os.killpg(proc.pid, signal.SIGKILL)
                 proc.wait()
@@ -425,25 +504,27 @@ class ProcessDriver(Driver):
                 raise
         return subprocess.CompletedProcess(command, proc.returncode, stdout, stderr)
 
-    def _collect_coverage(self, scratch: Path, outcome: Outcome) -> Set[StatementId]:
-        """Every statement the matched coverage files hold.
+    def _coverage_files(self, scratch: Path, outcome: Outcome) -> List[str]:
+        """The coverage files the run wrote, matched as soon as it ends.
 
         A crash or timeout may end the run before it writes any coverage:
         then no file matching is recorded as no statement covered.
         """
-        parser = COVERAGE_PARSERS[self.config.coverage_source]
         matched: List[str] = []
         for pattern in self.config.coverage_paths:
             pattern = pattern.replace("{scratch}", str(scratch))
             if not os.path.isabs(pattern):
                 pattern = os.path.join(self.config.workdir, pattern)
             matched.extend(sorted(glob(pattern)))
-        if not matched:
-            if outcome in (Outcome.FAIL_CRASH, Outcome.FAIL_TIMEOUT):
-                return set()
+        if not matched and outcome not in (Outcome.FAIL_CRASH, Outcome.FAIL_TIMEOUT):
             raise CoverageMissing(
                 f"no coverage file matched {self.config.coverage_paths!r}"
             )
+        return matched
+
+    def _parse_coverage(self, matched: List[str]) -> Set[StatementId]:
+        """Every statement the matched coverage files hold."""
+        parser = COVERAGE_PARSERS[self.config.coverage_source]
         out = set()
         for fname in matched:
             out.update(parser(Path(fname).read_bytes(), self.config.source_root,

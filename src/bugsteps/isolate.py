@@ -93,6 +93,9 @@ class _Session:
         return result
 
     def finish(self, strategy, probes, final_sequence, seed=None) -> IsolationResult:
+        for run in self.runs.values():
+            # settles a deferred run: its error raises here, its entry is stored
+            run.blocks
         order = self.base.subset.index
         return IsolationResult(
             strategy=strategy,

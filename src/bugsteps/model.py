@@ -14,7 +14,7 @@ import operator
 import posixpath
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 
 # every statement of a file repeats its path: normalize each distinct path once
@@ -162,12 +162,30 @@ class ExecutionResult:
 
     ``blocks`` holds the coverage as ``file_blocks`` gives it.  Equal
     blocks of different runs may be one object, as a disk cache load
-    returns them.
+    returns them.  A ``deferred`` result has its outcome at once and
+    gets its blocks from ``settle()`` on their first read; from then on,
+    as for any other result, they are a plain attribute.
     """
 
     subset: Tuple[str, ...]
     outcome: Outcome
     blocks: Tuple[Block, ...]
+
+    @classmethod
+    def deferred(cls, subset: Tuple[str, ...], outcome: Outcome,
+                 settle: Callable[[], Tuple[Block, ...]]) -> "ExecutionResult":
+        result = cls.__new__(cls)
+        result.__dict__.update(subset=subset, outcome=outcome, _settle=settle)
+        return result
+
+    def __getattr__(self, name):
+        # reached only for an attribute not yet set: a deferred result's blocks
+        settle = self.__dict__.get("_settle") if name == "blocks" else None
+        if settle is None:
+            raise AttributeError(name)
+        blocks = self.__dict__["blocks"] = settle()  # an error raises on every read
+        self.__dict__.pop("_settle", None)
+        return blocks
 
     @cached_property
     def coverage(self) -> Block:

@@ -1,3 +1,6 @@
+import gc
+import tempfile
+
 import pytest
 
 from bugsteps.model import (
@@ -60,6 +63,24 @@ class FakeDriver:
         if self._cache is not None:
             self._cache[key] = result
         return result
+
+
+@pytest.fixture(autouse=True)
+def scratch_gate(tmp_path, monkeypatch):
+    """Fails a test that leaves a run's ``{scratch}`` directory behind.
+
+    ``tempfile`` makes the test's directories under a root of its own.  A
+    run dropped before it settled removes its directory once collected,
+    so a leftover counts only if it outlives a garbage collection.
+    """
+    root = tmp_path / "tempdir"
+    root.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(root))
+    yield
+    if any(root.glob("bugsteps-run-*")):
+        gc.collect()
+    leaked = sorted(p.name for p in root.glob("bugsteps-run-*"))
+    assert not leaked, f"scratch directories left behind: {leaked}"
 
 
 @pytest.fixture

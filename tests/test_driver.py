@@ -1,9 +1,12 @@
+import gc
 import json
 import os
 import subprocess
 import sys
 import tempfile
 import time
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -12,9 +15,11 @@ from hypothesis import strategies as st
 
 from bugsteps.coverage import emit_native_json
 from bugsteps.driver import (
+    COVERAGE_PARSERS,
     Driver,
     DriverConfig,
     ProcessDriver,
+    _PendingRun,
     clear_cache_dir,
     load_config,
     load_driver,
@@ -24,9 +29,10 @@ from bugsteps.errors import (
     CoverageMissing,
     EmptySequence,
     InvalidConfig,
+    MalformedCoverage,
 )
-from bugsteps.isolate import tail_prune
-from bugsteps.model import ExecutionResult, Outcome, StatementId, file_blocks
+from bugsteps.isolate import no_del, run_strategy, tail_prune
+from bugsteps.model import ExecutionResult, Outcome, StatementId, StepSequence, file_blocks
 
 PY = sys.executable
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -348,7 +354,7 @@ class TestExecute:
         cfg_path = write_config(tmp_path)
         cache = tmp_path / "cache"
         d1 = ProcessDriver(load_config(cfg_path), cache_dir=cache)
-        d1.execute(("licm",))
+        d1.execute(("licm",)).coverage  # settles the run: its entry is on disk
         d2 = ProcessDriver(load_config(cfg_path), cache_dir=cache)
         r = d2.execute(("licm",))
         assert d2.process_runs == 0
@@ -426,12 +432,170 @@ class TestExecute:
         assert result.coverage == {StatementId("src/x.c", 4)}
 
 
+def scratch_dirs():
+    return list(Path(tempfile.gettempdir()).glob("bugsteps-run-*"))
+
+
+class TestDeferredCoverage:
+    """A run returns at its outcome; its coverage is parsed and stored later."""
+
+    def config(self, tmp_path, **overrides):
+        # fails while licm is retained; the empty subset writes malformed
+        # coverage and the subset of instcombine alone runs for 30 s
+        (tmp_path / "cov.json").write_text(native_cov({StatementId("m.c", 1)}))
+        doc = dict(
+            run_command="p=,{passes},; case $p in"
+                        " ,,) echo '{' > {scratch}/cov.json;;"
+                        " ,instcombine,) sleep 30;;"
+                        " *) cp cov.json {scratch}/cov.json;; esac;"
+                        " case $p in *,licm,*) echo bad;; *) echo ok;; esac",
+            expected_output="ok",
+            coverage_paths=["{scratch}/cov.json"],
+        )
+        doc.update(overrides)
+        return load_config(write_config(tmp_path, **doc))
+
+    def tail_config(self, tmp_path):
+        """Every run writes coverage; the failure needs licm."""
+        return self.config(tmp_path, run_command="cp cov.json {scratch}/cov.json;"
+                                                 " case ,{passes}, in *,licm,*) echo bad;;"
+                                                 " *) echo ok;; esac")
+
+    def test_outcome_before_parse(self, tmp_path, monkeypatch):
+        parsed = []
+        parse = COVERAGE_PARSERS["native_json"]
+        monkeypatch.setitem(COVERAGE_PARSERS, "native_json",
+                            lambda *a, **kw: parsed.append(1) or parse(*a, **kw))
+        driver = ProcessDriver(self.config(tmp_path), cache_dir=tmp_path / "cache")
+        first = driver.execute(("licm",))
+        assert first.outcome is Outcome.FAIL_WRONG_OUTPUT and not parsed
+        assert not driver._cache_path(("licm",)).exists() and len(scratch_dirs()) == 1
+        second = driver.execute(("licm", "simplifycfg"))
+        # the next run's start settled the first: parsed, stored, scratch removed
+        assert len(parsed) == 1 and driver._cache_path(("licm",)).exists()
+        assert len(scratch_dirs()) == 1
+        assert first.coverage == second.coverage == {StatementId("m.c", 1)}
+        assert len(parsed) == 2 and not scratch_dirs()
+
+    def test_malformed_coverage_raises_in_the_strategy(self, tmp_path):
+        driver = ProcessDriver(self.config(tmp_path), cache_dir=tmp_path / "cache")
+        start = time.monotonic()
+        # runs: the full sequence, then the empty subset (malformed), then
+        # instcombine alone, whose start settles the empty subset's run
+        with pytest.raises(MalformedCoverage):
+            run_strategy("tail", driver, driver.enumerate_steps())
+        assert time.monotonic() - start < 10  # the 30 s run was killed, not awaited
+        assert driver.process_runs == 2
+        assert not driver._cache_path(()).exists()
+        assert driver._cache_path(("instcombine", "licm", "simplifycfg")).exists()
+        assert () not in driver._mem
+        assert not scratch_dirs()
+
+    def test_failed_settle_raises_on_every_read_and_is_not_memoized(self, tmp_path):
+        driver = ProcessDriver(self.config(tmp_path), cache_dir=tmp_path / "cache")
+        result = driver.execute(())
+        assert result.outcome is Outcome.PASS
+        with pytest.raises(MalformedCoverage) as first:
+            result.coverage
+        with pytest.raises(MalformedCoverage) as again:
+            result.blocks
+        assert again.value is first.value
+        assert not driver._cache_path(()).exists() and not scratch_dirs()
+        with pytest.raises(MalformedCoverage):
+            driver.execute(()).coverage
+        assert driver.process_runs == 2
+
+    def test_slow_parse_is_not_a_timeout(self, tmp_path, monkeypatch):
+        parse = COVERAGE_PARSERS["native_json"]
+
+        def slow(*args, **kwargs):
+            time.sleep(0.5)
+            return parse(*args, **kwargs)
+
+        monkeypatch.setitem(COVERAGE_PARSERS, "native_json", slow)
+        driver = ProcessDriver(self.config(tmp_path, timeout=0.3))
+        driver.execute(("licm",))
+        # settling the first run outlasts the timeout; the quick command does not
+        assert driver.execute(("simplifycfg",)).outcome is Outcome.PASS
+
+    def test_dropped_result_removes_its_scratch(self, tmp_path):
+        driver = ProcessDriver(self.config(tmp_path))
+        driver.execute(("licm",))
+        assert len(scratch_dirs()) == 1
+        del driver
+        gc.collect()
+        assert not scratch_dirs()
+
+    def test_concurrent_settles_collect_each_run_once(self, tmp_path):
+        class SlowCollector(Driver):
+            """Each run's coverage comes from a slow collector that logs its calls."""
+
+            def __init__(self):
+                super().__init__("fp", tmp_path / "cache")
+                self.collected = []
+
+            def _enumerate(self):
+                return StepSequence(tuple("abcdef"))
+
+            def _run(self, key, positions):
+                def collect():
+                    self.collected.append(key)
+                    time.sleep(0.002)
+                    return {StatementId(f"{s}.c", 1) for s in key}
+
+                scratch = tempfile.mkdtemp(prefix="bugsteps-run-")
+                return Outcome.PASS, _PendingRun(self, key, Outcome.PASS, collect, scratch)
+
+        driver = SlowCollector()
+        results = [driver.execute(tuple("abcdef")[i:]) for i in range(6)]
+
+        def settle(n):
+            driver._settle_pending()
+            return [r.blocks for r in (results if n % 2 else results[::-1])]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                seen = [f.result(timeout=30) for f in [pool.submit(settle, n) for n in range(16)]]
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(driver.collected) == sorted(r.subset for r in results)
+        assert all(blocks in (seen[0], seen[0][::-1]) for blocks in seen)
+        assert all(driver._cache_path(r.subset).exists() for r in results)
+        assert not scratch_dirs()
+
+    def test_isolated_driver_is_freed_without_a_collection(self, tmp_path):
+        # a settled run drops its driver: no result -> run -> driver cycle
+        # keeps an isolation's driver and runs alive until the collector runs
+        driver = ProcessDriver(self.tail_config(tmp_path), cache_dir=tmp_path / "cache")
+        gc.disable()
+        try:
+            result = tail_prune(driver, driver.enumerate_steps())
+            alive = weakref.ref(driver)
+            del driver, result
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    def test_tail_prune_stores_every_run(self, tmp_path):
+        driver = ProcessDriver(self.tail_config(tmp_path), cache_dir=tmp_path / "cache")
+        result = tail_prune(driver, driver.enumerate_steps())
+        assert result.bug_causing_steps == ["licm"]
+        for run in result.all_runs:
+            doc = json.loads(driver._cache_path(run.subset).read_text())
+            assert (doc["version"], doc["subset"]) == (3, list(run.subset))
+            assert doc["outcome"] == run.outcome.value
+            assert doc["files"] == [["m.c", [None], "1,0"]]
+        assert not scratch_dirs()
+
+
 class TestCacheClear:
     def test_clear_counts_entries(self, tmp_path):
         cache = tmp_path / "cache"
         driver = ProcessDriver(load_config(write_config(tmp_path)), cache_dir=cache)
-        driver.execute(("licm",))
-        driver.execute(("instcombine",))
+        driver.execute(("licm",)).coverage
+        driver.execute(("instcombine",)).coverage
         assert clear_cache_dir(cache) >= 2
         assert not cache.exists()
         assert clear_cache_dir(cache) == 0
@@ -441,7 +605,7 @@ class TestCacheClear:
         cache = tmp_path / "cache"
         driver = ProcessDriver(load_config(write_config(tmp_path)), cache_dir=cache)
         for subset in [("licm",), ("instcombine",), ("instcombine", "licm")]:
-            driver.execute(subset)
+            driver.execute(subset).coverage
             leftover = driver.cache_dir / "runs" / "_".join(subset) / "cov.json"
             leftover.parent.mkdir(parents=True)
             leftover.write_text(native_cov({StatementId("m.c", 1)}))
@@ -463,6 +627,7 @@ class TestDiskCacheEntry:
 
     def test_fresh_driver_loads_equal_result(self, tmp_path):
         first = self.make_driver(tmp_path).execute(("licm",))
+        first.coverage  # settles the run: its entry is on disk
         fresh = self.make_driver(tmp_path)
         loaded = fresh.execute(("licm",))
         assert fresh.process_runs == 0
@@ -472,7 +637,7 @@ class TestDiskCacheEntry:
 
     def test_entry_is_version_3(self, tmp_path):
         driver = self.make_driver(tmp_path)
-        driver.execute(("licm",))
+        driver.execute(("licm",)).coverage
         text = self.entry(driver, ("licm",)).read_text()
         doc = json.loads(text)
         assert doc["version"] == 3
@@ -483,6 +648,7 @@ class TestDiskCacheEntry:
     def test_entry_with_wall_time_loads(self, tmp_path):
         # earlier versions also stored the run's duration, which is not read
         first = self.make_driver(tmp_path).execute(("licm",))
+        first.coverage
         path = self.entry(self.make_driver(tmp_path), ("licm",))
         doc = json.loads(path.read_text())
         path.write_text(json.dumps({**doc, "wall_time": 0.25}, separators=(",", ":")))
@@ -493,10 +659,12 @@ class TestDiskCacheEntry:
     def test_version_1_entry_is_rerun_and_rewritten(self, tmp_path):
         driver = self.make_driver(tmp_path)
         result = driver.execute(("licm",))
+        result.coverage
         path = self.entry(driver, ("licm",))
         path.write_text(json.dumps(result.to_json_dict(), sort_keys=True))
         fresh = self.make_driver(tmp_path)
         rerun = fresh.execute(("licm",))
+        rerun.coverage
         assert fresh.process_runs == 1
         assert (rerun.outcome, rerun.coverage) == (result.outcome, result.coverage)
         assert json.loads(path.read_text())["version"] == 3
@@ -504,6 +672,7 @@ class TestDiskCacheEntry:
     def test_version_2_entry_is_rerun_and_rewritten(self, tmp_path, caplog):
         driver = self.make_driver(tmp_path)
         result = driver.execute(("licm",))
+        result.coverage
         path = self.entry(driver, ("licm",))
         path.write_text(json.dumps({
             "version": 2, "subset": ["licm"], "outcome": result.outcome.value,
@@ -511,6 +680,7 @@ class TestDiskCacheEntry:
             "lines": [[2, 0], [1, 1, 7, 2]]}))
         fresh = self.make_driver(tmp_path)
         rerun = fresh.execute(("licm",))
+        rerun.coverage
         assert fresh.process_runs == 1
         assert (rerun.outcome, rerun.coverage) == (result.outcome, result.coverage)
         assert json.loads(path.read_text())["version"] == 3
@@ -536,6 +706,7 @@ class TestDiskCacheEntry:
         path.parent.mkdir(parents=True)
         path.write_text(text)
         result = driver.execute(("licm",))
+        result.coverage
         assert driver.process_runs == 1
         assert result.outcome is Outcome.FAIL_WRONG_OUTPUT
         assert json.loads(path.read_text())["version"] == 3
@@ -581,7 +752,7 @@ class TestDiskCacheEntry:
                                                                 files, primed):
         driver = self.make_driver(tmp_path)
         if primed:
-            driver.execute(("licm",))
+            driver.execute(("licm",)).coverage
             driver = self.make_driver(tmp_path)
             assert driver._cache_load(("licm",)) is not None and driver._blocks
         path = self.entry(driver, ("licm",))
@@ -589,6 +760,7 @@ class TestDiskCacheEntry:
         path.write_text(json.dumps({"version": 3, "subset": ["licm"], "outcome": "pass",
                                     "files": files}))
         result = driver.execute(("licm",))
+        result.coverage
         assert driver.process_runs == 1
         assert result.outcome is Outcome.FAIL_WRONG_OUTPUT
         assert "discarding corrupt cache entry" in caplog.text
@@ -610,8 +782,8 @@ class TestDiskCacheEntry:
 
     def test_repeated_block_decoded_once(self, tmp_path):
         driver = self.make_driver(tmp_path)
-        driver.execute(("licm",))
-        driver.execute(("instcombine",))
+        driver.execute(("licm",)).coverage
+        driver.execute(("instcombine",)).coverage
         fresh = self.make_driver(tmp_path)
         a = fresh.execute(("licm",))
         b = fresh.execute(("instcombine",))
@@ -719,6 +891,22 @@ class TestToyThroughSubprocess:
             b = toy_driver.execute(subset)
             assert a.outcome == b.outcome, subset
             assert a.coverage == b.coverage, subset
+
+    def test_no_del_jobs_agree_and_parse_each_run_once(self, tmp_path, scenario_file,
+                                                      monkeypatch):
+        scenario_path, scn = scenario_file
+        parsed = []
+        parse = COVERAGE_PARSERS["native_json"]
+        monkeypatch.setitem(COVERAGE_PARSERS, "native_json",
+                            lambda *a, **kw: parsed.append(1) or parse(*a, **kw))
+        docs = []
+        for jobs in (1, 2):
+            (tmp_path / str(jobs)).mkdir()
+            driver = self.make_driver(tmp_path / str(jobs), scenario_path, scn)
+            docs.append(no_del(driver, driver.enumerate_steps(), jobs=jobs).to_json_dict())
+            assert len(parsed) == driver.process_runs
+            parsed.clear()
+        assert docs[0] == docs[1]
 
     def test_crash_scenario_aborts_through_subprocess(self, tmp_path):
         from bugsteps.toy import generate_scenarios
