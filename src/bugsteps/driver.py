@@ -7,19 +7,15 @@ the result cache (in memory, plus a disk tier when ``cache_dir`` is set),
 the ``execute_calls``/``process_runs`` counters and a ``StatementPool``,
 so every run a driver parses or loads shares one ``StatementId`` per
 statement.  A backend's run yields an outcome and a flat set of
-statements; ``execute`` groups them into the result's per-file blocks
-(``model.file_blocks``).  ``ProcessDriver`` returns a run as soon as its
-outcome is known: its coverage files are matched then, but read, parsed,
-grouped and stored on disk, and its ``{scratch}`` removed, in one later
-settle step.  That comes at the first read of the result's blocks, right
-after the driver's next command starts, so the parse overlaps that
-command, or when the strategy ends and reads every run.  A command's
-timeout counts from after that settle; a command that writes more than
-a pipe buffer of output stalls until the settle ends.  Cache entries are keyed by the driver
-fingerprint plus the ordered retained subset, so repeated identical
-subsets never re-run.  A disk entry is a compact version-3 document with
-one ``[file, [function names], "line,index,line,index,..."]`` record per
-file, in file order, the indices local to that file's names.  The runs of
+statements; ``Driver._result`` groups them into the result's per-file
+blocks (``model.file_blocks``).  ``ProcessDriver`` returns a run once its
+outcome is known and its coverage files are read; a thread of its own
+parses and stores them while the next run's command runs.  Cache entries
+are keyed by the driver fingerprint plus the ordered retained subset, so
+repeated identical subsets never re-run.  A disk entry is a compact
+version-3 document with one ``[file, [function names],
+"line,index,line,index,..."]`` record per file, in file order, the
+indices local to that file's names.  The runs of
 one isolation differ in a few steps, so most files' records repeat from
 entry to entry: each driver memoizes a record's decoded block by the
 record itself, a repeated record costs one dict lookup, and the loaded
@@ -45,6 +41,7 @@ import subprocess
 import tempfile
 import threading
 import weakref
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import suppress
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
@@ -52,8 +49,8 @@ from glob import glob
 from itertools import repeat
 from operator import attrgetter, lt
 from pathlib import Path
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
-                    Union, get_args, get_origin, get_type_hints)
+from typing import (Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
+                    get_args, get_origin, get_type_hints)
 
 from . import coverage as covmod
 from .errors import (
@@ -207,8 +204,7 @@ class Driver:
     answers from the memory cache, then from the disk tier when
     ``cache_dir`` is set, and only then calls ``_run``.  Subclasses
     implement ``_enumerate()`` and ``_run(key, positions)``, which returns
-    the run's outcome and either the statements it covered or a
-    ``_PendingRun`` that collects them later.
+    the run's result, most simply ``_result`` of its outcome and statements.
     """
 
     def __init__(self, fingerprint: str, cache_dir: Optional[Path] = None):
@@ -216,7 +212,6 @@ class Driver:
         self.cache_dir = cache_dir
         self._mem: Dict[Tuple[str, ...], ExecutionResult] = {}
         self._lock = threading.Lock()
-        self._pending: List[_PendingRun] = []
         self._sequence: Optional[StepSequence] = None
         self.statements = StatementPool()
         # a disk entry's file record -> its decoded block
@@ -227,9 +222,15 @@ class Driver:
     def _enumerate(self) -> StepSequence:
         raise NotImplementedError
 
-    def _run(self, key: Tuple[str, ...], positions: List[int]
-             ) -> Tuple[Outcome, Union[Iterable[StatementId], "_PendingRun"]]:
+    def _run(self, key: Tuple[str, ...], positions: List[int]) -> ExecutionResult:
         raise NotImplementedError
+
+    def _result(self, key: Tuple[str, ...], outcome: Outcome,
+                statements: Iterable[StatementId]) -> ExecutionResult:
+        result = ExecutionResult(key, outcome, file_blocks(statements))
+        if self.cache_dir:
+            self._cache_store(key, result)
+        return result
 
     def enumerate_steps(self) -> StepSequence:
         if self._sequence is None:
@@ -246,33 +247,14 @@ class Driver:
             cached = self._mem.get(key)
         if cached is not None:
             return cached
-        pending = None
         result = self._cache_load(key) if self.cache_dir else None
         if result is None:
-            outcome, statements = self._run(key, positions)
-            if isinstance(statements, _PendingRun):
-                pending = statements
-                result = ExecutionResult.deferred(key, outcome, pending.settle)
-            else:
-                result = ExecutionResult(key, outcome, file_blocks(statements))
-                if self.cache_dir:
-                    self._cache_store(key, result)
+            result = self._run(key, positions)
             with self._lock:
                 self.process_runs += 1
         with self._lock:
-            # in one step, so a failed settle always finds the run to forget
             self._mem[key] = result
-            if pending is not None:
-                self._pending.append(pending)
         return result
-
-    def _settle_pending(self) -> None:
-        """Settle each run not settled yet; one that a read settled raised its error there."""
-        with self._lock:
-            pending, self._pending = self._pending, []
-        for run in pending:
-            if run.pending:
-                run.settle()
 
     # -- disk tier -------------------------------------------------------
 
@@ -347,49 +329,19 @@ class Driver:
         os.replace(tmp, path)
 
 
-class _PendingRun:
-    """The deferred part of one run: collect its coverage into blocks,
-    store its disk entry and remove its ``{scratch}``.
+def _parsed_blocks(driver_ref, key: Tuple[str, ...], parsed: Future) -> Tuple[Block, ...]:
+    """A deferred run's blocks; a run whose parse failed leaves the memory cache.
 
-    ``settle`` does it once, whichever thread calls first, then drops the
-    driver: a settled run keeps no result -> run -> driver -> memory cache
-    -> result cycle alive.  A settle that raises stores no entry, takes
-    the run out of the memory cache and raises the same error on every
-    call.  A run collected unsettled still removes its ``{scratch}``.
+    The driver is held weakly, so a result read later keeps no driver alive.
     """
-
-    def __init__(self, driver: Driver, key: Tuple[str, ...], outcome: Outcome,
-                 collect: Callable[[], Iterable[StatementId]], scratch: str):
-        self._driver, self._key, self._outcome, self._collect = driver, key, outcome, collect
-        self._remove_scratch = weakref.finalize(self, shutil.rmtree, scratch, ignore_errors=True)
-        self._lock = threading.Lock()
-        self._blocks: Tuple[Block, ...] = ()
-        self._error: Optional[BaseException] = None
-
-    @property
-    def pending(self) -> bool:
-        return self._driver is not None
-
-    def settle(self) -> Tuple[Block, ...]:
-        with self._lock:
-            driver = self._driver
-            if driver is not None:
-                self._driver = None
-                try:
-                    self._blocks = file_blocks(self._collect())
-                    if driver.cache_dir:
-                        driver._cache_store(self._key, ExecutionResult(
-                            self._key, self._outcome, self._blocks))
-                except BaseException as exc:
-                    self._error = exc
-                    with driver._lock:
-                        driver._mem.pop(self._key, None)
-                finally:
-                    self._collect = None
-                    self._remove_scratch()
-        if self._error is not None:
-            raise self._error
-        return self._blocks
+    try:
+        return parsed.result()
+    except Exception:
+        driver = driver_ref()
+        if driver is not None:
+            with driver._lock:
+                driver._mem.pop(key, None)
+        raise
 
 
 _LINE = attrgetter("line")
@@ -419,6 +371,7 @@ class ProcessDriver(Driver):
         digest = fingerprint(inputs)
         root = Path(cache_dir) if cache_dir else Path(config.workdir) / ".bugsteps-cache"
         super().__init__(digest, root / digest[:16])
+        self._parser = ThreadPoolExecutor(max_workers=1, thread_name_prefix="bugsteps-parse")
 
     def _enumerate(self) -> StepSequence:
         proc = self._run_command(self.config.enumerate_command, scratch=None)
@@ -434,23 +387,24 @@ class ProcessDriver(Driver):
             raise EmptySequence("step enumeration produced no steps")
         return StepSequence(tuple(lines))
 
-    def _run(self, key: Tuple[str, ...], positions: List[int]) -> Tuple[Outcome, _PendingRun]:
+    def _run(self, key: Tuple[str, ...], positions: List[int]) -> ExecutionResult:
         joined = self.config.step_separator.join(
             self.config.step_template.replace("{step}", s) for s in key
         )
         run_cmd = self.config.run_command.replace("{passes}", joined)
-        # a fresh {scratch} per run, removed once the run settles (or fails
-        # to start); a process that left the timed-out group may still be
+        # a fresh {scratch} per run, removed once its coverage is read (or
+        # fails to be); a process that left the timed-out group may still be
         # writing into it, so a failed removal must not abort the isolation
-        scratch = tempfile.mkdtemp(prefix="bugsteps-run-")
-        try:
-            outcome = self._outcome(run_cmd, Path(scratch))
-            matched = self._coverage_files(Path(scratch), outcome)
-        except BaseException:
-            shutil.rmtree(scratch, ignore_errors=True)
-            raise
-        collect = partial(self._parse_coverage, matched)
-        return outcome, _PendingRun(self, key, outcome, collect, scratch)
+        with tempfile.TemporaryDirectory(prefix="bugsteps-run-",
+                                         ignore_cleanup_errors=True) as tmp:
+            scratch = Path(tmp)
+            outcome = self._outcome(run_cmd, scratch)
+            data = self._read_coverage(scratch, outcome)
+        # the next run's command starts while the parser thread works
+        parsed = self._parser.submit(
+            lambda: self._result(key, outcome, self._parse_coverage(data)).blocks)
+        return ExecutionResult.deferred(
+            key, outcome, partial(_parsed_blocks, weakref.ref(self), key, parsed))
 
     def _outcome(self, run_cmd: str, scratch: Path) -> Outcome:
         """Run the pipeline, then the test command if any, and judge the output."""
@@ -489,13 +443,10 @@ class ProcessDriver(Driver):
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                               start_new_session=True) as proc:
             try:
-                # the earlier runs' coverage is parsed while this command
-                # runs; its timeout counts from after that
-                self._settle_pending()
                 stdout, stderr = proc.communicate(timeout=self.config.timeout)
             except BaseException as exc:
                 # no terminal interrupt reaches a new session: kill the
-                # group on an interrupt, a timeout or a failed settle
+                # group on an interrupt as on a timeout
                 with suppress(ProcessLookupError):
                     os.killpg(proc.pid, signal.SIGKILL)
                 proc.wait()
@@ -504,8 +455,8 @@ class ProcessDriver(Driver):
                 raise
         return subprocess.CompletedProcess(command, proc.returncode, stdout, stderr)
 
-    def _coverage_files(self, scratch: Path, outcome: Outcome) -> List[str]:
-        """The coverage files the run wrote, matched as soon as it ends.
+    def _read_coverage(self, scratch: Path, outcome: Outcome) -> List[bytes]:
+        """The contents of every coverage file the run wrote.
 
         A crash or timeout may end the run before it writes any coverage:
         then no file matching is recorded as no statement covered.
@@ -520,15 +471,14 @@ class ProcessDriver(Driver):
             raise CoverageMissing(
                 f"no coverage file matched {self.config.coverage_paths!r}"
             )
-        return matched
+        return [Path(fname).read_bytes() for fname in matched]
 
-    def _parse_coverage(self, matched: List[str]) -> Set[StatementId]:
-        """Every statement the matched coverage files hold."""
+    def _parse_coverage(self, data: List[bytes]) -> Set[StatementId]:
+        """Every statement the coverage files hold."""
         parser = COVERAGE_PARSERS[self.config.coverage_source]
         out = set()
-        for fname in matched:
-            out.update(parser(Path(fname).read_bytes(), self.config.source_root,
-                              pool=self.statements))
+        for text in data:
+            out.update(parser(text, self.config.source_root, pool=self.statements))
         return out
 
 

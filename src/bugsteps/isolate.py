@@ -94,7 +94,7 @@ class _Session:
 
     def finish(self, strategy, probes, final_sequence, seed=None) -> IsolationResult:
         for run in self.runs.values():
-            # settles a deferred run: its error raises here, its entry is stored
+            # waits for a deferred run's parse: its error raises here, its entry is stored
             run.blocks
         order = self.base.subset.index
         return IsolationResult(

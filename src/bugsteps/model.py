@@ -179,12 +179,12 @@ class ExecutionResult:
         return result
 
     def __getattr__(self, name):
-        # reached only for an attribute not yet set: a deferred result's blocks
+        # reached only for an attribute not yet set: a deferred result's
+        # blocks; ``settle`` stays, so a racing first read calls it too
         settle = self.__dict__.get("_settle") if name == "blocks" else None
         if settle is None:
             raise AttributeError(name)
         blocks = self.__dict__["blocks"] = settle()  # an error raises on every read
-        self.__dict__.pop("_settle", None)
         return blocks
 
     @cached_property

@@ -10,10 +10,10 @@ compiler.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..driver import Driver
-from ..model import Outcome, StatementId, StepSequence
+from ..model import ExecutionResult, StepSequence
 from ..util import fingerprint
 from .bugs import SeededBug, subset_outcome
 from .passes import Tracer
@@ -46,7 +46,7 @@ class ToyDriver(Driver):
     def _enumerate(self) -> StepSequence:
         return pipeline_steps(self.bug.pipeline)
 
-    def _run(self, key: Tuple[str, ...], positions: List[int]) -> Tuple[Outcome, Set[StatementId]]:
+    def _run(self, key: Tuple[str, ...], positions: List[int]) -> ExecutionResult:
         tracer = Tracer()
         outcome, _ = subset_outcome(self.bug, positions, tracer=tracer)
-        return outcome, tracer.covered
+        return self._result(key, outcome, tracer.covered)

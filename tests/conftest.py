@@ -1,4 +1,3 @@
-import gc
 import tempfile
 
 import pytest
@@ -67,18 +66,12 @@ class FakeDriver:
 
 @pytest.fixture(autouse=True)
 def scratch_gate(tmp_path, monkeypatch):
-    """Fails a test that leaves a run's ``{scratch}`` directory behind.
-
-    ``tempfile`` makes the test's directories under a root of its own.  A
-    run dropped before it settled removes its directory once collected,
-    so a leftover counts only if it outlives a garbage collection.
-    """
+    """Fails a test that leaves a run's ``{scratch}`` directory behind;
+    ``tempfile`` makes the test's directories under a root of its own."""
     root = tmp_path / "tempdir"
     root.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(root))
     yield
-    if any(root.glob("bugsteps-run-*")):
-        gc.collect()
     leaked = sorted(p.name for p in root.glob("bugsteps-run-*"))
     assert not leaked, f"scratch directories left behind: {leaked}"
 

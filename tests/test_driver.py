@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -19,7 +20,6 @@ from bugsteps.driver import (
     Driver,
     DriverConfig,
     ProcessDriver,
-    _PendingRun,
     clear_cache_dir,
     load_config,
     load_driver,
@@ -32,7 +32,7 @@ from bugsteps.errors import (
     MalformedCoverage,
 )
 from bugsteps.isolate import no_del, run_strategy, tail_prune
-from bugsteps.model import ExecutionResult, Outcome, StatementId, StepSequence, file_blocks
+from bugsteps.model import ExecutionResult, Outcome, StatementId, file_blocks
 
 PY = sys.executable
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -436,17 +436,26 @@ def scratch_dirs():
     return list(Path(tempfile.gettempdir()).glob("bugsteps-run-*"))
 
 
+def patch_parser(monkeypatch, before):
+    """Calls ``before()`` ahead of every native JSON parse."""
+    parse = COVERAGE_PARSERS["native_json"]
+
+    def patched(*args, **kwargs):
+        before()
+        return parse(*args, **kwargs)
+
+    monkeypatch.setitem(COVERAGE_PARSERS, "native_json", patched)
+
+
 class TestDeferredCoverage:
     """A run returns at its outcome; its coverage is parsed and stored later."""
 
     def config(self, tmp_path, **overrides):
-        # fails while licm is retained; the empty subset writes malformed
-        # coverage and the subset of instcombine alone runs for 30 s
+        # fails while licm is retained; the empty subset writes malformed coverage
         (tmp_path / "cov.json").write_text(native_cov({StatementId("m.c", 1)}))
         doc = dict(
             run_command="p=,{passes},; case $p in"
                         " ,,) echo '{' > {scratch}/cov.json;;"
-                        " ,instcombine,) sleep 30;;"
                         " *) cp cov.json {scratch}/cov.json;; esac;"
                         " case $p in *,licm,*) echo bad;; *) echo ok;; esac",
             expected_output="ok",
@@ -455,43 +464,48 @@ class TestDeferredCoverage:
         doc.update(overrides)
         return load_config(write_config(tmp_path, **doc))
 
-    def tail_config(self, tmp_path):
-        """Every run writes coverage; the failure needs licm."""
-        return self.config(tmp_path, run_command="cp cov.json {scratch}/cov.json;"
-                                                 " case ,{passes}, in *,licm,*) echo bad;;"
-                                                 " *) echo ok;; esac")
-
-    def test_outcome_before_parse(self, tmp_path, monkeypatch):
-        parsed = []
-        parse = COVERAGE_PARSERS["native_json"]
-        monkeypatch.setitem(COVERAGE_PARSERS, "native_json",
-                            lambda *a, **kw: parsed.append(1) or parse(*a, **kw))
+    def test_run_returns_before_its_parse(self, tmp_path, monkeypatch):
+        release = threading.Event()
+        patch_parser(monkeypatch, lambda: release.wait(30))
         driver = ProcessDriver(self.config(tmp_path), cache_dir=tmp_path / "cache")
         first = driver.execute(("licm",))
-        assert first.outcome is Outcome.FAIL_WRONG_OUTPUT and not parsed
-        assert not driver._cache_path(("licm",)).exists() and len(scratch_dirs()) == 1
-        second = driver.execute(("licm", "simplifycfg"))
-        # the next run's start settled the first: parsed, stored, scratch removed
-        assert len(parsed) == 1 and driver._cache_path(("licm",)).exists()
-        assert len(scratch_dirs()) == 1
+        second = driver.execute(("simplifycfg",))
+        # both outcomes are known while the first parse still waits
+        assert (first.outcome, second.outcome) == (Outcome.FAIL_WRONG_OUTPUT, Outcome.PASS)
+        assert not driver._cache_path(("licm",)).exists() and not scratch_dirs()
+        release.set()
         assert first.coverage == second.coverage == {StatementId("m.c", 1)}
-        assert len(parsed) == 2 and not scratch_dirs()
+        assert driver._cache_path(("licm",)).exists()
+
+    def test_each_run_reads_its_own_shared_coverage_files(self, tmp_path, monkeypatch):
+        # every run rewrites the same two coverage files in the working
+        # directory; a slow parse of the first file must not let the next
+        # run's command rewrite the second before it is read
+        steps = ("instcombine", "licm", "simplifycfg")
+        for step in steps:
+            for part in "ab":
+                (tmp_path / f"{step}.{part}").write_text(
+                    native_cov({StatementId(f"{step}.{part}.c", 1)}))
+        patch_parser(monkeypatch, lambda: time.sleep(0.1))
+        driver = ProcessDriver(self.config(
+            tmp_path, run_command="p={passes}; cp $p.a a.json; cp $p.b b.json; echo ok",
+            coverage_paths=["a.json", "b.json"]))
+        results = [driver.execute((step,)) for step in steps]
+        for step, result in zip(steps, results):
+            assert result.coverage == {StatementId(f"{step}.a.c", 1), StatementId(f"{step}.b.c", 1)}
 
     def test_malformed_coverage_raises_in_the_strategy(self, tmp_path):
         driver = ProcessDriver(self.config(tmp_path), cache_dir=tmp_path / "cache")
-        start = time.monotonic()
-        # runs: the full sequence, then the empty subset (malformed), then
-        # instcombine alone, whose start settles the empty subset's run
+        # the empty subset, the second run, writes malformed coverage
         with pytest.raises(MalformedCoverage):
             run_strategy("tail", driver, driver.enumerate_steps())
-        assert time.monotonic() - start < 10  # the 30 s run was killed, not awaited
-        assert driver.process_runs == 2
+        assert driver.process_runs >= 2
         assert not driver._cache_path(()).exists()
         assert driver._cache_path(("instcombine", "licm", "simplifycfg")).exists()
         assert () not in driver._mem
         assert not scratch_dirs()
 
-    def test_failed_settle_raises_on_every_read_and_is_not_memoized(self, tmp_path):
+    def test_failed_parse_raises_on_every_read_and_is_not_memoized(self, tmp_path):
         driver = ProcessDriver(self.config(tmp_path), cache_dir=tmp_path / "cache")
         result = driver.execute(())
         assert result.outcome is Outcome.PASS
@@ -506,80 +520,52 @@ class TestDeferredCoverage:
         assert driver.process_runs == 2
 
     def test_slow_parse_is_not_a_timeout(self, tmp_path, monkeypatch):
-        parse = COVERAGE_PARSERS["native_json"]
+        def busy():
+            # holds the interpreter between switches, as a parse in Python does
+            end = time.monotonic() + 0.5
+            while time.monotonic() < end:
+                pass
 
-        def slow(*args, **kwargs):
-            time.sleep(0.5)
-            return parse(*args, **kwargs)
-
-        monkeypatch.setitem(COVERAGE_PARSERS, "native_json", slow)
+        patch_parser(monkeypatch, busy)
         driver = ProcessDriver(self.config(tmp_path, timeout=0.3))
-        driver.execute(("licm",))
-        # settling the first run outlasts the timeout; the quick command does not
+        first = driver.execute(("licm",))
+        # the first run's parse outlasts the timeout; the quick command does not
         assert driver.execute(("simplifycfg",)).outcome is Outcome.PASS
+        assert first.coverage == {StatementId("m.c", 1)}
 
-    def test_dropped_result_removes_its_scratch(self, tmp_path):
+    def test_concurrent_first_reads_parse_once(self, tmp_path, monkeypatch):
+        parsed = []
+        patch_parser(monkeypatch, lambda: parsed.append(1) or time.sleep(0.05))
         driver = ProcessDriver(self.config(tmp_path))
-        driver.execute(("licm",))
-        assert len(scratch_dirs()) == 1
-        del driver
-        gc.collect()
-        assert not scratch_dirs()
-
-    def test_concurrent_settles_collect_each_run_once(self, tmp_path):
-        class SlowCollector(Driver):
-            """Each run's coverage comes from a slow collector that logs its calls."""
-
-            def __init__(self):
-                super().__init__("fp", tmp_path / "cache")
-                self.collected = []
-
-            def _enumerate(self):
-                return StepSequence(tuple("abcdef"))
-
-            def _run(self, key, positions):
-                def collect():
-                    self.collected.append(key)
-                    time.sleep(0.002)
-                    return {StatementId(f"{s}.c", 1) for s in key}
-
-                scratch = tempfile.mkdtemp(prefix="bugsteps-run-")
-                return Outcome.PASS, _PendingRun(self, key, Outcome.PASS, collect, scratch)
-
-        driver = SlowCollector()
-        results = [driver.execute(tuple("abcdef")[i:]) for i in range(6)]
-
-        def settle(n):
-            driver._settle_pending()
-            return [r.blocks for r in (results if n % 2 else results[::-1])]
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                seen = [f.result(timeout=30) for f in [pool.submit(settle, n) for n in range(16)]]
-        finally:
-            sys.setswitchinterval(interval)
-        assert sorted(driver.collected) == sorted(r.subset for r in results)
-        assert all(blocks in (seen[0], seen[0][::-1]) for blocks in seen)
-        assert all(driver._cache_path(r.subset).exists() for r in results)
-        assert not scratch_dirs()
+        result = driver.execute(("licm",))
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            seen = list(pool.map(lambda _: result.blocks, range(8)))
+        assert len(parsed) == 1 and all(blocks is seen[0] for blocks in seen)
 
     def test_isolated_driver_is_freed_without_a_collection(self, tmp_path):
-        # a settled run drops its driver: no result -> run -> driver cycle
-        # keeps an isolation's driver and runs alive until the collector runs
-        driver = ProcessDriver(self.tail_config(tmp_path), cache_dir=tmp_path / "cache")
+        # a result holds its driver weakly: no result -> driver -> memory
+        # cache -> result cycle keeps an isolation's driver and runs alive
+        driver = ProcessDriver(self.config(tmp_path, run_command=(
+            "cp cov.json {scratch}/cov.json; case ,{passes}, in *,licm,*) echo bad;;"
+            " *) echo ok;; esac")), cache_dir=tmp_path / "cache")
         gc.disable()
         try:
             result = tail_prune(driver, driver.enumerate_steps())
+            assert result.bug_causing_steps == ["licm"]
             alive = weakref.ref(driver)
             del driver, result
+            # the parser thread drops its last task a moment after finishing it
+            deadline = time.monotonic() + 5
+            while alive() is not None and time.monotonic() < deadline:
+                time.sleep(0.01)
             assert alive() is None
         finally:
             gc.enable()
 
     def test_tail_prune_stores_every_run(self, tmp_path):
-        driver = ProcessDriver(self.tail_config(tmp_path), cache_dir=tmp_path / "cache")
+        driver = ProcessDriver(self.config(tmp_path, run_command=(
+            "cp cov.json {scratch}/cov.json; case ,{passes}, in *,licm,*) echo bad;;"
+            " *) echo ok;; esac")), cache_dir=tmp_path / "cache")
         result = tail_prune(driver, driver.enumerate_steps())
         assert result.bug_causing_steps == ["licm"]
         for run in result.all_runs:
@@ -587,7 +573,6 @@ class TestDeferredCoverage:
             assert (doc["version"], doc["subset"]) == (3, list(run.subset))
             assert doc["outcome"] == run.outcome.value
             assert doc["files"] == [["m.c", [None], "1,0"]]
-        assert not scratch_dirs()
 
 
 class TestCacheClear:
