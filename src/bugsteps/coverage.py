@@ -13,7 +13,7 @@ import posixpath
 from typing import FrozenSet, Iterable, Optional
 
 from .errors import MalformedCoverage
-from .model import StatementId, StatementPool, normalize_path
+from .model import StatementId, StatementPool, normalize_path, statements_json
 
 NATIVE_VERSION = 1
 
@@ -137,12 +137,6 @@ def parse_native_json(data: bytes, source_root: Optional[str] = None,
 
 
 def emit_native_json(statements: Iterable[StatementId]) -> bytes:
-    """Serialize a coverage set canonically (sorted by file, then line)."""
-    recs = []
-    for s in sorted(set(statements), key=StatementId.sort_key):
-        rec = {"file": s.file, "line": s.line}
-        if s.function is not None:
-            rec["function"] = s.function
-        recs.append(rec)
-    doc = {"version": NATIVE_VERSION, "statements": recs}
+    """Serialize a coverage set canonically (``model.statements_json``)."""
+    doc = {"version": NATIVE_VERSION, "statements": statements_json(set(statements))}
     return (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode("utf-8")

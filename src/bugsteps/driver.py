@@ -324,7 +324,8 @@ class Driver:
         }
         path = self._cache_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
+        # one name per writing thread: drivers of one fingerprint may share the directory
+        tmp = path.with_name(f"{path.stem}.{os.getpid()}.{threading.get_ident()}.tmp")
         tmp.write_text(json.dumps(doc, separators=(",", ":")), "utf-8")
         os.replace(tmp, path)
 

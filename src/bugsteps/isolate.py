@@ -168,11 +168,11 @@ def no_del(driver, sequence: StepSequence, jobs: int = 1) -> IsolationResult:
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             runs = list(pool.map(driver.execute, subsets))
-        for run in runs:
-            session.issued += 1
-            session.record(run)
     else:
-        runs = [session.probe(sub) for sub in subsets]
+        runs = list(map(driver.execute, subsets))
+    session.issued += len(runs)
+    for run in runs:
+        session.record(run)
     probes = [
         RemovalProbe.from_runs(removed, session.base, run)
         for removed, run in zip(ids, runs)

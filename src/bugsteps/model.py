@@ -83,6 +83,11 @@ class StatementId:
         return cls(doc["file"], doc["line"], doc.get("function"))
 
 
+def statements_json(statements: Iterable[StatementId]) -> List[dict]:
+    """The one JSON form of a statement list: each ``to_json_dict``, by file, then line."""
+    return [s.to_json_dict() for s in sorted(statements, key=StatementId.sort_key)]
+
+
 class StatementPool(dict):
     """One shared ``StatementId`` per ``(file, line, function)`` key.
 
@@ -196,9 +201,7 @@ class ExecutionResult:
         return {
             "subset": list(self.subset),
             "outcome": self.outcome.value,
-            "coverage": [
-                s.to_json_dict() for s in sorted(self.coverage, key=StatementId.sort_key)
-            ],
+            "coverage": statements_json(self.coverage),
         }
 
 
@@ -241,5 +244,5 @@ class RemovalProbe:
             "removed_step": self.removed_step,
             "baseline_subset": list(self.baseline.subset),
             "probe_subset": list(self.probe.subset),
-            "diff": [s.to_json_dict() for s in sorted(self.diff, key=StatementId.sort_key)],
+            "diff": statements_json(self.diff),
         }

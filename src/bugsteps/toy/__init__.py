@@ -1,32 +1,1 @@
-from .bugs import ARCHETYPES, SeededBug, generate_scenarios, subset_outcome
-from .driver import ToyDriver, step_ids_for_pipeline
-from .ir import Instr, MiniProgram, interpret, validate_program
-from .passes import (
-    CANONICAL_ORDER,
-    CATALOGS,
-    CrashSignal,
-    PassSpec,
-    Tracer,
-    pass_spec,
-    run_pipeline,
-)
-
-__all__ = [
-    "ARCHETYPES",
-    "CANONICAL_ORDER",
-    "CATALOGS",
-    "CrashSignal",
-    "Instr",
-    "MiniProgram",
-    "PassSpec",
-    "SeededBug",
-    "Tracer",
-    "ToyDriver",
-    "generate_scenarios",
-    "interpret",
-    "pass_spec",
-    "run_pipeline",
-    "step_ids_for_pipeline",
-    "subset_outcome",
-    "validate_program",
-]
+"""The testbed compiler; import its modules directly (``bugsteps.toy.bugs`` etc.)."""

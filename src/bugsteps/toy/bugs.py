@@ -17,38 +17,31 @@ from pathlib import Path
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from ..errors import GenerationFailed, InvalidConfig
-from ..model import Outcome, StatementId
+from ..model import Outcome, StatementId, statements_json
+from ..scoring import unit_of
 from ..util import derive_seed
 from .ir import Instr, MiniProgram, interpret, validate_program
 from .passes import CANONICAL_ORDER, CATALOGS, CrashSignal, run_pipeline
 
-# archetype -> (kind, trigger passes, (gt pass, gt events))
+# archetype -> (scenario id tag, kind, trigger passes, (gt pass, gt events))
 _ARCHETYPE_INFO = {
-    "cf_neg_fold": ("WrongCode", ("const_fold",), ("const_fold", ("fold_neg",))),
-    "stale_cse_sr": ("StaleState", ("cse", "strength_reduce"),
+    "cf_neg_fold": ("CF-neg-fold", "WrongCode", ("const_fold",),
+                    ("const_fold", ("fold_neg",))),
+    "stale_cse_sr": ("STALE-cse-sr", "StaleState", ("cse", "strength_reduce"),
                      ("cse", ("publish_const_fact",))),
-    "cse_dup_shift": ("WrongCode", ("cse",), ("cse", ("key_shl",))),
-    "dce_dead_crash": ("Crash", ("dce",), ("dce", ("guard_dead_set",))),
-    "sr_pow2_off": ("WrongCode", ("strength_reduce",),
+    "cse_dup_shift": ("CSE-dup-shift", "WrongCode", ("cse",), ("cse", ("key_shl",))),
+    "dce_dead_crash": ("DCE-dead-crash", "Crash", ("dce",), ("dce", ("guard_dead_set",))),
+    "sr_pow2_off": ("SR-pow2-off", "WrongCode", ("strength_reduce",),
                     ("strength_reduce", ("rewrite_shl",))),
-    "ic_add_zero": ("WrongCode", ("instcombine_lite",),
+    "ic_add_zero": ("IC-add-zero", "WrongCode", ("instcombine_lite",),
                     ("instcombine_lite", ("add_zero_left", "pick_operand"))),
-    "ra_chain_crash": ("Crash", ("reassociate",), ("reassociate", ("chain_guard",))),
-    "cf_shl_fold": ("WrongCode", ("const_fold",), ("const_fold", ("fold_shl",))),
+    "ra_chain_crash": ("RA-chain-crash", "Crash", ("reassociate",),
+                       ("reassociate", ("chain_guard",))),
+    "cf_shl_fold": ("CF-shl-fold", "WrongCode", ("const_fold",),
+                    ("const_fold", ("fold_shl",))),
 }
 
 ARCHETYPES = tuple(_ARCHETYPE_INFO)
-
-_TAGS = {
-    "cf_neg_fold": "CF-neg-fold",
-    "stale_cse_sr": "STALE-cse-sr",
-    "cse_dup_shift": "CSE-dup-shift",
-    "dce_dead_crash": "DCE-dead-crash",
-    "sr_pow2_off": "SR-pow2-off",
-    "ic_add_zero": "IC-add-zero",
-    "ra_chain_crash": "RA-chain-crash",
-    "cf_shl_fold": "CF-shl-fold",
-}
 
 
 @dataclass(frozen=True)
@@ -68,7 +61,7 @@ class SeededBug:
 
     @property
     def ground_truth_functions(self) -> Tuple[str, ...]:
-        return tuple(sorted({f"{s.file}::{s.function}" for s in self.ground_truth}))
+        return tuple(sorted({unit_of(s, "function") for s in self.ground_truth}))
 
     def to_json_dict(self):
         return {
@@ -76,9 +69,7 @@ class SeededBug:
             "kind": self.kind,
             "archetype": self.archetype,
             "trigger_passes": list(self.trigger_passes),
-            "ground_truth": [
-                s.to_json_dict() for s in sorted(self.ground_truth, key=StatementId.sort_key)
-            ],
+            "ground_truth": statements_json(self.ground_truth),
             "program": self.program.to_json_dict(),
             "expected_output": list(self.expected_output),
             "pipeline": list(self.pipeline),
@@ -126,7 +117,7 @@ class _ProgBuilder:
 
 
 def _ground_truth(archetype: str) -> FrozenSet[StatementId]:
-    _, _, (pass_name, events) = _ARCHETYPE_INFO[archetype]
+    *_, (pass_name, events) = _ARCHETYPE_INFO[archetype]
     cat = CATALOGS[pass_name]
     return frozenset(cat[e] for e in events)
 
@@ -301,7 +292,7 @@ def _validate_scenario(bug: SeededBug) -> bool:
 
 
 def _build_scenario(archetype: str, rng: random.Random, scenario_id: str) -> SeededBug:
-    kind, triggers, _ = _ARCHETYPE_INFO[archetype]
+    _, kind, triggers, _ = _ARCHETYPE_INFO[archetype]
     params = (rng.randrange(2, 10), rng.randrange(2, 10))
     pb = _ProgBuilder(params)
     pool, filler_ops = _MOTIFS[archetype](pb, rng)
@@ -330,7 +321,7 @@ def generate_scenarios(seed: int, count: int) -> List[SeededBug]:
     out = []
     for i in range(count):
         archetype = ARCHETYPES[i % len(ARCHETYPES)]
-        scenario_id = f"{_TAGS[archetype]}-{i:03d}"
+        scenario_id = f"{_ARCHETYPE_INFO[archetype][0]}-{i:03d}"
         bug = None
         for attempt in range(30):
             rng = random.Random(derive_seed(seed, f"scenario:{i}:{attempt}"))

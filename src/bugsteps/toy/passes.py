@@ -66,15 +66,6 @@ def _noop(event: str) -> None:
     return None
 
 
-@dataclass(frozen=True)
-class PassSpec:
-    """Static description of a pass's virtual file and its pseudo-statements."""
-
-    name: str
-    virtual_file: str
-    statements: Tuple[StatementId, ...]
-
-
 _SHAPE_EVENTS = (
     ["len_le4", "len_le8", "len_le12", "len_le16", "len_gt16"]
     + ["consts_0", "consts_1", "consts_2", "consts_3", "consts_ge4"]
@@ -138,12 +129,6 @@ def _build_catalog(name: str) -> Dict[str, StatementId]:
 
 
 CATALOGS: Dict[str, Dict[str, StatementId]] = {n: _build_catalog(n) for n in CANONICAL_ORDER}
-
-
-def pass_spec(name: str) -> PassSpec:
-    cat = CATALOGS[name]
-    stmts = tuple(sorted(cat.values(), key=StatementId.sort_key))
-    return PassSpec(name=name, virtual_file=f"passes/{name}.mini", statements=stmts)
 
 
 # Passes inspect their input to different depths: a surgical value-numbering

@@ -84,7 +84,7 @@ def fake_driver_factory():
 @pytest.fixture(scope="session")
 def testbed30():
     """The fixed 30-scenario suite (seed 42) used by quantitative checks."""
-    from bugsteps.toy import generate_scenarios
+    from bugsteps.toy.bugs import generate_scenarios
 
     return generate_scenarios(42, 30)
 
@@ -92,6 +92,6 @@ def testbed30():
 @pytest.fixture(scope="session")
 def testbed100():
     """100 scenarios for the exhaustive property checks."""
-    from bugsteps.toy import generate_scenarios
+    from bugsteps.toy.bugs import generate_scenarios
 
     return generate_scenarios(1001, 100)

@@ -30,8 +30,8 @@ from bugsteps.scoring import (
     score_metallaxis,
     score_ochiai,
 )
-from bugsteps.toy import ToyDriver, generate_scenarios
-from bugsteps.toy.bugs import subset_outcome
+from bugsteps.toy.bugs import generate_scenarios, subset_outcome
+from bugsteps.toy.driver import ToyDriver
 from bugsteps.util import canonical_json, derive_seed
 
 TOL = 1e-9

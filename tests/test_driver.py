@@ -191,7 +191,7 @@ class TestToyConfig:
         return path
 
     def scenario_doc(self):
-        from bugsteps.toy import generate_scenarios
+        from bugsteps.toy.bugs import generate_scenarios
 
         return generate_scenarios(42, 1)[0].to_json_dict()
 
@@ -620,6 +620,24 @@ class TestDiskCacheEntry:
         functions = {(s.file, s.line, s.function) for s in loaded.coverage}
         assert functions == {(s.file, s.line, s.function) for s in self.COVERAGE}
 
+    def test_concurrent_stores_of_one_entry(self, tmp_path):
+        # two drivers of one fingerprint and cache directory, as when an
+        # eval manifest lists one config under two bug ids
+        key = ("licm",)
+        result = ExecutionResult(key, Outcome.PASS, file_blocks(self.COVERAGE))
+        drivers = [Driver("fp", tmp_path / "cache") for _ in range(2)]
+        start = threading.Barrier(2)
+
+        def store(driver):
+            start.wait()
+            for _ in range(200):
+                driver._cache_store(key, result)
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            list(pool.map(store, drivers))
+        assert Driver("fp", tmp_path / "cache")._cache_load(key) == result
+        assert [p.name for p in (tmp_path / "cache").iterdir()] == [self.entry(drivers[0], key).name]
+
     def test_entry_is_version_3(self, tmp_path):
         driver = self.make_driver(tmp_path)
         driver.execute(("licm",)).coverage
@@ -820,7 +838,7 @@ def test_disk_entry_round_trip(functions):
 
 @pytest.fixture(scope="module")
 def scenario_file(tmp_path_factory):
-    from bugsteps.toy import generate_scenarios
+    from bugsteps.toy.bugs import generate_scenarios
 
     tmp = tmp_path_factory.mktemp("toy-subproc")
     scn = next(s for s in generate_scenarios(42, 8)
@@ -865,7 +883,7 @@ class TestToyThroughSubprocess:
         assert any(s.file == "passes/const_fold.mini" for s in result.coverage)
 
     def test_agrees_with_in_process_driver(self, tmp_path, scenario_file):
-        from bugsteps.toy import ToyDriver
+        from bugsteps.toy.driver import ToyDriver
 
         scenario_path, scn = scenario_file
         proc_driver = self.make_driver(tmp_path, scenario_path, scn)
@@ -894,7 +912,7 @@ class TestToyThroughSubprocess:
         assert docs[0] == docs[1]
 
     def test_crash_scenario_aborts_through_subprocess(self, tmp_path):
-        from bugsteps.toy import generate_scenarios
+        from bugsteps.toy.bugs import generate_scenarios
 
         scn = next(s for s in generate_scenarios(42, 8) if s.kind == "Crash")
         scn_path = tmp_path / "crash.json"

@@ -7,6 +7,7 @@ from bugsteps.evalharness import (
     DatasetBug,
     EvalRow,
     compute_metrics,
+    evaluate_bug,
     evaluate_manifest,
     intersection_report,
     load_manifest,
@@ -14,6 +15,8 @@ from bugsteps.evalharness import (
     render_metrics_table,
 )
 from bugsteps.scoring import RankedReport, ReportRow
+from bugsteps.toy.bugs import generate_scenarios
+from bugsteps.toy.driver import ToyDriver
 from bugsteps.util import canonical_json
 
 
@@ -216,6 +219,18 @@ class TestManifest:
                                 granularity="function")
         assert len(out["rows"]) == 1 and out["errors"] == []
 
+    def test_unloadable_config_errors_every_pair(self, tmp_path):
+        manifest = self.make_testbed(tmp_path, count=1)
+        doc = json.loads(manifest.read_text())
+        (tmp_path / "testbed" / doc["bugs"][0]["config"]).write_text("{")
+        out = evaluate_manifest(manifest, strategies=["tail", "nodel"],
+                                scorers=["compscan", "sbfl"])
+        assert out["rows"] == []
+        assert [(e["strategy"], e["scorer"]) for e in out["errors"]] == [
+            ("nodel", "compscan"), ("nodel", "sbfl"), ("tail", "compscan"), ("tail", "sbfl")]
+        assert len({e["error"] for e in out["errors"]}) == 1
+        assert "cannot read driver config" in out["errors"][0]["error"]
+
     def test_evaluate_manifest_structure(self, tmp_path):
         manifest = self.make_testbed(tmp_path, count=6)
         doc = evaluate_manifest(
@@ -255,3 +270,15 @@ class TestManifest:
         text = render_metrics_table(metrics)
         assert "Top1" in text and "MFR" in text and "MAR" in text
         assert "tail+compscan" in text
+
+
+class TestEvaluateBug:
+    @pytest.mark.parametrize("strategy,repeat", [("tail", 1), ("nodel", 1), ("rand", 3)])
+    def test_each_isolation_executes_the_baseline_once(self, strategy, repeat):
+        bug = generate_scenarios(42, 1)[0]
+        driver = ToyDriver(bug)
+        truth = DatasetBug(bug.id, None, bug.ground_truth_files, None)
+        row = evaluate_bug(truth, strategy, "compscan", "file", repeat=repeat, driver=driver)
+        assert row.repeats == repeat
+        # one baseline execution per isolation, then the probes
+        assert driver.execute_calls == repeat + row.probe_count

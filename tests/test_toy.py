@@ -4,21 +4,10 @@ import random
 import pytest
 
 from bugsteps.model import Outcome
-from bugsteps.toy import (
-    CANONICAL_ORDER,
-    Instr,
-    MiniProgram,
-    SeededBug,
-    Tracer,
-    ToyDriver,
-    generate_scenarios,
-    interpret,
-    pass_spec,
-    run_pipeline,
-    subset_outcome,
-    validate_program,
-)
-from bugsteps.toy.bugs import _validate_scenario
+from bugsteps.toy.bugs import SeededBug, _validate_scenario, generate_scenarios, subset_outcome
+from bugsteps.toy.driver import ToyDriver
+from bugsteps.toy.ir import Instr, MiniProgram, interpret, validate_program
+from bugsteps.toy.passes import CANONICAL_ORDER, CATALOGS, Tracer, run_pipeline
 
 MASK = (1 << 64) - 1
 
@@ -114,10 +103,10 @@ class TestRunPipeline:
 class TestInstrumentation:
     def test_catalog_sizes(self):
         for name in CANONICAL_ORDER:
-            spec = pass_spec(name)
-            assert 30 <= len(spec.statements) <= 80, name
-            assert spec.virtual_file == f"passes/{name}.mini"
-            lines = [s.line for s in spec.statements]
+            statements = CATALOGS[name].values()
+            assert 30 <= len(statements) <= 80, name
+            assert {s.file for s in statements} == {f"passes/{name}.mini"}
+            lines = [s.line for s in statements]
             assert len(set(lines)) == len(lines)
 
     def test_coverage_iff_pass_executed(self):
