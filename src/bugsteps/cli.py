@@ -20,9 +20,9 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .coverage import emit_native_json
+from .coverage import emit_gcov_json
 from .driver import clear_cache_dir, load_driver
-from .errors import BugStepsError, NotReproducible
+from .errors import BugStepsError, InvalidConfig, NotReproducible
 from .evalharness import evaluate_manifest, render_metrics_table
 from .isolate import STRATEGIES, run_strategy
 from .model import Outcome
@@ -53,35 +53,28 @@ def _write_output(text: str, output):
 
 
 def cmd_isolate(args) -> int:
-    try:
-        driver = load_driver(args.config, cache_dir=args.cache_dir)
-        sequence = driver.enumerate_steps()
-        isolation = run_strategy(
-            args.strategy, driver, sequence, seed=args.seed, jobs=args.jobs
-        )
-        report = report_for(
-            isolation,
-            args.scorer,
-            args.granularity,
-            provenance={
-                "tool_version": __version__,
-                "config": str(args.config),
-                "config_fingerprint": driver.fingerprint,
-                "strategy": args.strategy,
-                "scorer": args.scorer,
-                "granularity": args.granularity,
-                "seed": args.seed,
-                "probe_count": isolation.probe_count,
-                "distinct_runs": len(isolation.all_runs),
-                "bug_causing_steps": isolation.bug_causing_steps,
-            },
-        )
-    except NotReproducible as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_REPRODUCIBLE
-    except BugStepsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DRIVER_ERROR
+    driver = load_driver(args.config, cache_dir=args.cache_dir)
+    sequence = driver.enumerate_steps()
+    isolation = run_strategy(
+        args.strategy, driver, sequence, seed=args.seed, jobs=args.jobs
+    )
+    report = report_for(
+        isolation,
+        args.scorer,
+        args.granularity,
+        provenance={
+            "tool_version": __version__,
+            "config": str(args.config),
+            "config_fingerprint": driver.fingerprint,
+            "strategy": args.strategy,
+            "scorer": args.scorer,
+            "granularity": args.granularity,
+            "seed": args.seed,
+            "probe_count": isolation.probe_count,
+            "distinct_runs": len(isolation.all_runs),
+            "bug_causing_steps": isolation.bug_causing_steps,
+        },
+    )
     if args.isolation_out:
         Path(args.isolation_out).write_text(
             canonical_json(isolation.to_json_dict()), "utf-8"
@@ -96,28 +89,21 @@ def cmd_isolate(args) -> int:
 def cmd_eval(args) -> int:
     strategies = [s.strip() for s in args.strategy.split(",") if s.strip()]
     scorers = [s.strip() for s in args.scorer.split(",") if s.strip()]
-    for s in strategies:
-        if s not in STRATEGIES:
-            print(f"error: unknown strategy {s!r}", file=sys.stderr)
-            return EXIT_DRIVER_ERROR
-    for s in scorers:
-        if s not in SCORERS:
-            print(f"error: unknown scorer {s!r}", file=sys.stderr)
-            return EXIT_DRIVER_ERROR
-    try:
-        doc = evaluate_manifest(
-            args.manifest,
-            strategies=strategies,
-            scorers=scorers,
-            granularity=args.granularity,
-            seed=args.seed,
-            repeat=args.repeat,
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-        )
-    except BugStepsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DRIVER_ERROR
+    for kind, names, known in (("strategy", strategies, STRATEGIES),
+                               ("scorer", scorers, SCORERS)):
+        for name in names:
+            if name not in known:
+                raise InvalidConfig(f"unknown {kind} {name!r}")
+    doc = evaluate_manifest(
+        args.manifest,
+        strategies=strategies,
+        scorers=scorers,
+        granularity=args.granularity,
+        seed=args.seed,
+        repeat=args.repeat,
+        jobs=args.jobs,
+        cache_dir=args.cache_dir,
+    )
     if not doc["rows"]:
         print("error: no bug evaluated successfully", file=sys.stderr)
         return EXIT_NO_ROWS
@@ -138,11 +124,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_testbed_gen(args) -> int:
-    try:
-        scenarios = generate_scenarios(args.seed, args.count)
-    except BugStepsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DRIVER_ERROR
+    scenarios = generate_scenarios(args.seed, args.count)
     out = Path(args.out)
     scen_dir = out / "scenarios"
     conf_dir = out / "configs"
@@ -176,11 +158,7 @@ def cmd_testbed_gen(args) -> int:
 
 
 def cmd_testbed_run(args) -> int:
-    try:
-        bug = load_scenario(args.scenario)
-    except BugStepsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DRIVER_ERROR
+    bug = load_scenario(args.scenario)
     sequence = pipeline_steps(bug.pipeline)
     if args.list_steps:
         for sid in sequence.ids:
@@ -190,12 +168,11 @@ def cmd_testbed_run(args) -> int:
     try:
         positions = sequence.positions(wanted)
     except (KeyError, ValueError) as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return EXIT_DRIVER_ERROR
+        raise InvalidConfig(exc.args[0]) from exc
     tracer = Tracer()
     outcome, outputs = subset_outcome(bug, positions, tracer=tracer)
     if args.coverage_out:
-        Path(args.coverage_out).write_bytes(emit_native_json(tracer.covered))
+        Path(args.coverage_out).write_bytes(emit_gcov_json(tracer.covered))
     if outcome is Outcome.FAIL_CRASH:
         sys.stderr.write("compiler crashed\n")
         sys.stderr.flush()
@@ -271,7 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BugStepsError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NOT_REPRODUCIBLE if isinstance(exc, NotReproducible) else EXIT_DRIVER_ERROR
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
-"""Coverage exchange formats.
+"""Coverage exchange: the gcov JSON intermediate format.
 
-Two formats are supported: the gcov JSON intermediate format (as written by
-``gcov --json-format``, possibly gzip-compressed) and this package's own
-native JSON format, which round-trips bit-exactly modulo ordering.
+``parse_gcov_json`` reads what ``gcov --json-format`` writes, possibly
+gzip-compressed; ``emit_gcov_json`` writes the same layout, so the
+testbed's coverage takes the path of real gcov output.
 """
 
 from __future__ import annotations
@@ -10,14 +10,15 @@ from __future__ import annotations
 import gzip
 import json
 import posixpath
+from itertools import groupby
+from operator import attrgetter
 from typing import FrozenSet, Iterable, Optional
 
 from .errors import MalformedCoverage
-from .model import StatementId, StatementPool, normalize_path, statements_json
-
-NATIVE_VERSION = 1
+from .model import StatementId, StatementPool, normalize_path
 
 _GZIP_MAGIC = b"\x1f\x8b"
+_FILE = attrgetter("file")
 
 
 def _decode(data: bytes) -> bytes:
@@ -62,8 +63,8 @@ def _statement_file(path: str, root_prefix: Optional[str]) -> Optional[str]:
     return None if path.startswith("/") else path
 
 
-def _function(rec: dict, key: str) -> Optional[str]:
-    func = rec.get(key) or None
+def _function(rec: dict) -> Optional[str]:
+    func = rec.get("function_name") or None
     if func is not None and not isinstance(func, str):
         raise MalformedCoverage(f"function name must be a string, got {func!r}")
     return func
@@ -99,44 +100,18 @@ def parse_gcov_json(data: bytes, source_root: Optional[str] = None,
                 raise MalformedCoverage(f"non-numeric line record in {frec['file']!r}") from exc
             if count <= 0 or line < 1:
                 continue
-            out.add(pool[fname, line, _function(lrec, "function_name")])
+            out.add(pool[fname, line, _function(lrec)])
     return frozenset(out)
 
 
-def parse_native_json(data: bytes, source_root: Optional[str] = None,
-                      pool: Optional[StatementPool] = None) -> FrozenSet[StatementId]:
-    """Parse this package's native coverage exchange format.
+def emit_gcov_json(statements: Iterable[StatementId]) -> bytes:
+    """The gcov JSON document ``parse_gcov_json`` reads back as ``statements``.
 
-    Statements come from ``pool`` (a fresh one when omitted).
+    Files in order and lines in order within each file, each line run once.
     """
-    pool = StatementPool() if pool is None else pool
-    root_prefix = _root_prefix(source_root)
-    doc = _loads(_decode(data))
-    if not isinstance(doc, dict):
-        raise MalformedCoverage("native coverage document must be an object")
-    if doc.get("version") != NATIVE_VERSION:
-        raise MalformedCoverage(f"unsupported native coverage version: {doc.get('version')!r}")
-    stmts = doc.get("statements")
-    if not isinstance(stmts, list):
-        raise MalformedCoverage("native coverage document missing 'statements' array")
-    out = set()
-    for rec in stmts:
-        if not isinstance(rec, dict) or "file" not in rec or "line" not in rec:
-            raise MalformedCoverage("native statement record missing file/line")
-        fname = _statement_file(str(rec["file"]), root_prefix)
-        if fname is None:
-            continue
-        try:
-            line = int(rec["line"])
-        except (TypeError, ValueError) as exc:
-            raise MalformedCoverage("non-numeric line in native statement record") from exc
-        if line < 1:
-            raise MalformedCoverage(f"statement line must be >= 1, got {line}")
-        out.add(pool[fname, line, _function(rec, "function")])
-    return frozenset(out)
-
-
-def emit_native_json(statements: Iterable[StatementId]) -> bytes:
-    """Serialize a coverage set canonically (``model.statements_json``)."""
-    doc = {"version": NATIVE_VERSION, "statements": statements_json(set(statements))}
-    return (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode("utf-8")
+    files = [
+        {"file": file, "lines": [{"line_number": s.line, "count": 1, "function_name": s.function}
+                                 for s in stmts]}
+        for file, stmts in groupby(sorted(statements, key=StatementId.sort_key), _FILE)
+    ]
+    return json.dumps({"files": files}, separators=(",", ":")).encode("utf-8")

@@ -35,6 +35,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -75,8 +76,10 @@ log = logging.getLogger(__name__)
 CACHE_VERSION = 3
 
 COVERAGE_PARSERS = {
-    "native_json": covmod.parse_native_json,
     "gcov_json": covmod.parse_gcov_json,
+    # an older spelling, read the same way: the benchmark's testbed-proc
+    # config names it, and perfbench/spans.py looks the parser up under it
+    "native_json": covmod.parse_gcov_json,
 }
 
 
@@ -93,7 +96,7 @@ class DriverConfig:
     run_command: str
     test_command: Optional[str] = None
     expected_output: bytes = b""
-    coverage_source: str = "native_json"
+    coverage_source: str = "gcov_json"
     coverage_paths: List[str] = field(default_factory=list)
     timeout: float = 60.0
     workdir: str = "."
@@ -483,17 +486,35 @@ class ProcessDriver(Driver):
         return out
 
 
-def clear_cache_dir(cache_dir) -> int:
-    """Remove every cached record under ``cache_dir``; returns entries removed.
+# what the disk cache writes: <fingerprint[:16]>/<digest>.json entries and
+# their <digest>.<pid>.<thread id>.tmp files (<digest>.tmp.<pid> in earlier versions)
+_FINGERPRINT_DIR = re.compile(r"[0-9a-f]{16}")
+_CACHE_FILE = re.compile(r"[0-9a-f]+\.json|[0-9a-f]+(?:\.[0-9]+)*\.tmp(?:\.[0-9]+)?")
 
-    Only cache entries count, not the coverage files that earlier versions
-    left in ``runs/<digest>/`` scratch directories.
+
+def clear_cache_dir(cache_dir) -> int:
+    """Remove what the disk cache wrote under ``cache_dir``; returns entries removed.
+
+    That is the entries and temporary files of each fingerprint directory,
+    the ``runs/`` scratch trees earlier versions left there, and then each
+    directory left empty.  An entry file directly in ``cache_dir`` goes too,
+    as when it names one fingerprint's directory.  Nothing else is removed.
     """
     root = Path(cache_dir)
     if not root.exists():
         return 0
-    removed = sum(
-        "runs" not in path.relative_to(root).parts[:-1] for path in root.rglob("*.json")
-    )
-    shutil.rmtree(root)
+    if not root.is_dir():
+        raise InvalidConfig(f"cache directory {root} is not a directory")
+    fingerprint_dirs = [d for d in root.iterdir()
+                        if d.is_dir() and _FINGERPRINT_DIR.fullmatch(d.name)]
+    removed = 0
+    for directory in [*fingerprint_dirs, root]:
+        if directory is not root:
+            shutil.rmtree(directory / "runs", ignore_errors=True)
+        for path in directory.iterdir():
+            if path.is_file() and _CACHE_FILE.fullmatch(path.name):
+                path.unlink()
+                removed += path.suffix == ".json"
+        with suppress(OSError):
+            directory.rmdir()  # only once empty
     return removed

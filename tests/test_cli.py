@@ -293,7 +293,7 @@ class TestTestbedRun:
         out = capsys.readouterr().out
         scn = json.loads(scn_path.read_text())
         assert [int(x) for x in out.split()] == scn["expected_output"]
-        assert json.loads(cov.read_text())["statements"] == []
+        assert json.loads(cov.read_text())["files"] == []
 
     def test_unknown_pass_rejected(self, testbed_dir):
         config, _ = config_for(testbed_dir, "cf_neg_fold")
@@ -320,3 +320,19 @@ class TestCacheClear:
         assert main(["cache-clear", "--cache-dir", str(cache)]) == 0
         assert "removed 1" in capsys.readouterr().out
         assert not cache.exists()
+
+    def test_foreign_files_survive(self, tmp_path, capsys):
+        victim = tmp_path / "victim"
+        (victim / "src").mkdir(parents=True)
+        (victim / "src" / "main.c").write_text("int main(void) { return 0; }\n")
+        (victim / "README").write_text("mine\n")
+        assert main(["cache-clear", "--cache-dir", str(victim)]) == 0
+        assert "removed 0" in capsys.readouterr().out
+        assert (victim / "src" / "main.c").exists() and (victim / "README").exists()
+
+    def test_plain_file_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "cache"
+        path.write_text("mine\n")
+        assert main(["cache-clear", "--cache-dir", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert path.read_text() == "mine\n"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bugsteps.coverage import emit_native_json, parse_gcov_json, parse_native_json
+from bugsteps.coverage import emit_gcov_json, parse_gcov_json
 from bugsteps.errors import MalformedCoverage
 from bugsteps.model import StatementId, StatementPool
 
@@ -73,16 +73,13 @@ class TestGcovJson:
         lines = [{"line_number": 3, "count": 1, "function_name": function}]
         with pytest.raises(MalformedCoverage):
             parse_gcov_json(gcov_doc([{"file": "f.c", "lines": lines}]))
-        native = {"version": 1, "statements": [{"file": "f.c", "line": 3, "function": function}]}
-        with pytest.raises(MalformedCoverage):
-            parse_native_json(json.dumps(native).encode())
 
     def test_pool_shared_between_parses(self):
         pool = StatementPool()
         doc = gcov_doc([{"file": "./f.c", "lines": [{"line_number": 3, "count": 1}]}])
         (a,) = parse_gcov_json(doc, pool=pool)
         (b,) = parse_gcov_json(doc, pool=pool)
-        (c,) = parse_native_json(emit_native_json({a}), pool=pool)
+        (c,) = parse_gcov_json(emit_gcov_json({a}), pool=pool)
         assert a is b is c
         assert a.file == "f.c"
 
@@ -110,58 +107,57 @@ class TestGcovJson:
 
 @pytest.mark.parametrize("source_root", [None, "/src/llvm"])
 @pytest.mark.parametrize("path", ["", ".", "a/..", "/src/llvm", "/usr/x.c", "../x.c"])
-def test_degenerate_paths_dropped_by_both_parsers(path, source_root):
+def test_degenerate_paths_dropped(path, source_root):
     gcov = gcov_doc([
         {"file": path, "lines": [{"line_number": 3, "count": 1}]},
         {"file": "k.c", "lines": [{"line_number": 4, "count": 1}]},
     ])
     assert parse_gcov_json(gcov, source_root=source_root) == {StatementId("k.c", 4)}
-    native = {"version": 1, "statements": [{"file": path, "line": 3},
-                                           {"file": "k.c", "line": 4}]}
-    parsed = parse_native_json(json.dumps(native).encode(), source_root=source_root)
-    assert parsed == {StatementId("k.c", 4)}
 
 
-def test_path_under_root_made_relative_by_both_parsers():
+def test_path_under_root_made_relative():
     path = "/src/llvm//lib/x/../Foo.cpp"
     gcov = gcov_doc([{"file": path, "lines": [{"line_number": 3, "count": 1}]}])
-    native = json.dumps({"version": 1, "statements": [{"file": path, "line": 3}]}).encode()
-    for parse, doc in [(parse_gcov_json, gcov), (parse_native_json, native)]:
-        assert parse(doc, source_root="/src/llvm/") == {StatementId("lib/Foo.cpp", 3)}
+    assert parse_gcov_json(gcov, source_root="/src/llvm/") == {StatementId("lib/Foo.cpp", 3)}
 
 
-class TestNativeJson:
+def triples(stmts):
+    return {(s.file, s.line, s.function) for s in stmts}
+
+
+class TestEmitGcovJson:
+    def test_layout(self):
+        stmts = {StatementId("b.c", 2), StatementId("a.c", 9, "g"), StatementId("a.c", 1, "f")}
+        assert json.loads(emit_gcov_json(stmts)) == {"files": [
+            {"file": "a.c", "lines": [
+                {"line_number": 1, "count": 1, "function_name": "f"},
+                {"line_number": 9, "count": 1, "function_name": "g"},
+            ]},
+            {"file": "b.c", "lines": [{"line_number": 2, "count": 1, "function_name": None}]},
+        ]}
+
     def test_emit_parse_roundtrip(self):
         stmts = {
             StatementId("a.c", 1, "f"),
             StatementId("a.c", 9),
             StatementId("sub/b.c", 4, "g"),
         }
-        assert parse_native_json(emit_native_json(stmts)) == stmts
+        assert triples(parse_gcov_json(emit_gcov_json(stmts))) == triples(stmts)
 
     def test_emit_is_canonical(self):
         stmts = {StatementId("a.c", 2), StatementId("a.c", 1)}
-        blob = emit_native_json(stmts)
-        assert parse_native_json(blob) == stmts
-        assert emit_native_json(parse_native_json(blob)) == blob
+        blob = emit_gcov_json(stmts)
+        assert parse_gcov_json(blob) == stmts
+        assert emit_gcov_json(parse_gcov_json(blob)) == blob
 
     def test_empty_statements(self):
-        assert parse_native_json(b'{"version": 1, "statements": []}') == frozenset()
+        assert emit_gcov_json(()) == b'{"files":[]}'
+        assert parse_gcov_json(emit_gcov_json(())) == frozenset()
 
     def test_large_fixture_exact_count(self):
         stmts = {StatementId(f"d/f{i % 97}.c", i + 1) for i in range(10000)}
         assert len(stmts) == 10000
-        assert len(parse_native_json(emit_native_json(stmts))) == 10000
-
-    def test_bad_version(self):
-        with pytest.raises(MalformedCoverage):
-            parse_native_json(b'{"version": 2, "statements": []}')
-
-    def test_line_zero_rejected(self):
-        with pytest.raises(MalformedCoverage):
-            parse_native_json(
-                b'{"version": 1, "statements": [{"file": "a.c", "line": 0}]}'
-            )
+        assert len(parse_gcov_json(emit_gcov_json(stmts))) == 10000
 
     @given(
         st.frozensets(
@@ -175,4 +171,4 @@ class TestNativeJson:
         )
     )
     def test_roundtrip_property(self, stmts):
-        assert parse_native_json(emit_native_json(stmts)) == stmts
+        assert triples(parse_gcov_json(emit_gcov_json(stmts))) == triples(stmts)

@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bugsteps.coverage import emit_native_json
+from bugsteps.coverage import emit_gcov_json
 from bugsteps.driver import (
     COVERAGE_PARSERS,
     Driver,
@@ -38,8 +39,8 @@ PY = sys.executable
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def native_cov(statements):
-    return emit_native_json(statements).decode()
+def gcov_cov(statements):
+    return emit_gcov_json(statements).decode()
 
 
 def exits(pid, within=5.0):
@@ -63,14 +64,13 @@ def exits(pid, within=5.0):
 def write_config(tmp_path, **overrides):
     cov_file = tmp_path / "cov.json"
     if not cov_file.exists():
-        cov_file.write_text(native_cov({StatementId("m.c", 1)}))
+        cov_file.write_text(gcov_cov({StatementId("m.c", 1)}))
     doc = {
         "kind": "process",
         "enumerate_command": "printf 'instcombine\\nlicm\\nsimplifycfg\\n'",
         "run_command": "echo ran {passes}",
         "test_command": None,
         "expected_output": "ran instcombine,licm,simplifycfg",
-        "coverage_source": "native_json",
         "coverage_paths": ["cov.json"],
         "timeout": 10,
         "workdir": ".",
@@ -300,7 +300,7 @@ class TestExecute:
         assert (result.outcome, result.blocks) == (Outcome.FAIL_TIMEOUT, ())
 
     def test_crash_without_coverage_is_isolated(self, tmp_path):
-        (tmp_path / "cov.json").write_text(native_cov({StatementId("m.c", 1, "main")}))
+        (tmp_path / "cov.json").write_text(gcov_cov({StatementId("m.c", 1, "main")}))
         cfg = load_config(write_config(
             tmp_path,
             enumerate_command="printf 'instcombine\\nlicm\\nsimplifycfg\\ngvn\\n'",
@@ -387,7 +387,7 @@ class TestExecute:
 
     def scratch_config(self, tmp_path, coverage="cov.json"):
         """Each run appends its ``{scratch}`` to seen.txt and copies cov.json there."""
-        (tmp_path / "cov.json").write_text(native_cov({StatementId("m.c", 1)}))
+        (tmp_path / "cov.json").write_text(gcov_cov({StatementId("m.c", 1)}))
         return write_config(
             tmp_path,
             run_command="echo {scratch} >> seen.txt; cp cov.json {scratch}/cov.json;"
@@ -431,20 +431,26 @@ class TestExecute:
         result = driver.execute(("instcombine",))
         assert result.coverage == {StatementId("src/x.c", 4)}
 
+    def test_native_json_is_an_older_spelling_of_gcov_json(self, tmp_path):
+        assert COVERAGE_PARSERS["native_json"] is COVERAGE_PARSERS["gcov_json"]
+        assert load_config(write_config(tmp_path)).coverage_source == "gcov_json"
+        cfg = load_config(write_config(tmp_path, coverage_source="native_json"))
+        assert ProcessDriver(cfg).execute(("licm",)).coverage == {StatementId("m.c", 1)}
+
 
 def scratch_dirs():
     return list(Path(tempfile.gettempdir()).glob("bugsteps-run-*"))
 
 
 def patch_parser(monkeypatch, before):
-    """Calls ``before()`` ahead of every native JSON parse."""
-    parse = COVERAGE_PARSERS["native_json"]
+    """Calls ``before()`` ahead of every gcov JSON parse."""
+    parse = COVERAGE_PARSERS["gcov_json"]
 
     def patched(*args, **kwargs):
         before()
         return parse(*args, **kwargs)
 
-    monkeypatch.setitem(COVERAGE_PARSERS, "native_json", patched)
+    monkeypatch.setitem(COVERAGE_PARSERS, "gcov_json", patched)
 
 
 class TestDeferredCoverage:
@@ -452,7 +458,7 @@ class TestDeferredCoverage:
 
     def config(self, tmp_path, **overrides):
         # fails while licm is retained; the empty subset writes malformed coverage
-        (tmp_path / "cov.json").write_text(native_cov({StatementId("m.c", 1)}))
+        (tmp_path / "cov.json").write_text(gcov_cov({StatementId("m.c", 1)}))
         doc = dict(
             run_command="p=,{passes},; case $p in"
                         " ,,) echo '{' > {scratch}/cov.json;;"
@@ -485,7 +491,7 @@ class TestDeferredCoverage:
         for step in steps:
             for part in "ab":
                 (tmp_path / f"{step}.{part}").write_text(
-                    native_cov({StatementId(f"{step}.{part}.c", 1)}))
+                    gcov_cov({StatementId(f"{step}.{part}.c", 1)}))
         patch_parser(monkeypatch, lambda: time.sleep(0.1))
         driver = ProcessDriver(self.config(
             tmp_path, run_command="p={passes}; cp $p.a a.json; cp $p.b b.json; echo ok",
@@ -593,8 +599,35 @@ class TestCacheClear:
             driver.execute(subset).coverage
             leftover = driver.cache_dir / "runs" / "_".join(subset) / "cov.json"
             leftover.parent.mkdir(parents=True)
-            leftover.write_text(native_cov({StatementId("m.c", 1)}))
+            leftover.write_text(gcov_cov({StatementId("m.c", 1)}))
         assert clear_cache_dir(cache) == 3
+
+    def test_only_what_the_cache_wrote_is_removed(self, tmp_path):
+        cache = tmp_path / "cache"
+        driver = ProcessDriver(load_config(write_config(tmp_path)), cache_dir=cache)
+        driver.execute(("licm",)).coverage
+        driver.execute(("instcombine",)).coverage
+        entry = driver._cache_path(("licm",))
+        leftovers = [entry.with_name(f"{entry.stem}.123.456.tmp"),
+                     entry.with_name(f"{entry.stem}.tmp.123")]
+        for leftover in leftovers:
+            leftover.write_text("{")
+        foreign = [cache / "README", cache / "src" / "main.c", driver.cache_dir / "notes.txt",
+                   driver.cache_dir / "keep" / f"{entry.stem}.json"]
+        for path in foreign:
+            path.parent.mkdir(exist_ok=True)
+            path.write_text("mine")
+        assert clear_cache_dir(cache) == 2
+        assert all(path.read_text() == "mine" for path in foreign)
+        assert not entry.exists() and not any(p.exists() for p in leftovers)
+        assert sorted(p.name for p in driver.cache_dir.iterdir()) == ["keep", "notes.txt"]
+
+    def test_a_file_is_not_a_cache_dir(self, tmp_path):
+        path = tmp_path / "cache"
+        path.write_text("mine")
+        with pytest.raises(InvalidConfig):
+            clear_cache_dir(path)
+        assert path.read_text() == "mine"
 
 
 class TestDiskCacheEntry:
@@ -604,7 +637,7 @@ class TestDiskCacheEntry:
     def make_driver(self, tmp_path):
         cov = tmp_path / "cov.json"
         if not cov.exists():
-            cov.write_text(native_cov(self.COVERAGE))
+            cov.write_text(gcov_cov(self.COVERAGE))
         return ProcessDriver(load_config(write_config(tmp_path)), cache_dir=tmp_path / "cache")
 
     def entry(self, driver, subset):
@@ -862,7 +895,6 @@ class TestToyThroughSubprocess:
                 " --passes '{passes}' --coverage-out '{scratch}/cov.json'",
             "test_command": None,
             "expected_output": expected,
-            "coverage_source": "native_json",
             "coverage_paths": ["{scratch}/cov.json"],
             "timeout": 60,
             "workdir": str(tmp_path),
@@ -899,8 +931,8 @@ class TestToyThroughSubprocess:
                                                       monkeypatch):
         scenario_path, scn = scenario_file
         parsed = []
-        parse = COVERAGE_PARSERS["native_json"]
-        monkeypatch.setitem(COVERAGE_PARSERS, "native_json",
+        parse = COVERAGE_PARSERS["gcov_json"]
+        monkeypatch.setitem(COVERAGE_PARSERS, "gcov_json",
                             lambda *a, **kw: parsed.append(1) or parse(*a, **kw))
         docs = []
         for jobs in (1, 2):
@@ -921,3 +953,80 @@ class TestToyThroughSubprocess:
         result = driver.execute(driver.enumerate_steps().ids)
         assert result.outcome is Outcome.FAIL_CRASH
         assert result.coverage  # coverage written before the abort
+
+
+# each argv word names a pass; pass_b is the seeded one: it alone changes the value
+GCOV_PROGRAM = """\
+#include <stdio.h>
+#include <string.h>
+
+static int pass_a(int v) {
+    return v * 2 / 2;
+}
+
+static int pass_b(int v) {
+    int w = v + 1;
+    return w;
+}
+
+static int pass_c(int v) {
+    return v - 0;
+}
+
+int main(int argc, char **argv) {
+    int v = 21;
+    for (int i = 1; i < argc; i++) {
+        if (!strcmp(argv[i], "a"))
+            v = pass_a(v);
+        else if (!strcmp(argv[i], "b"))
+            v = pass_b(v);
+        else if (!strcmp(argv[i], "c"))
+            v = pass_c(v);
+    }
+    printf("%d\\n", v);
+    return 0;
+}
+"""
+
+
+@pytest.mark.skipif(not (shutil.which("gcc") and shutil.which("gcov")),
+                    reason="needs gcc and gcov on PATH")
+class TestRealGcov:
+    """A ``gcc --coverage`` program read through ``gcov --json-format``."""
+
+    def config(self, tmp_path):
+        build = (tmp_path / "build").resolve()
+        build.mkdir()
+        (build / "m.c").write_text(GCOV_PROGRAM)
+        # compiled apart from the link, so the note file is m.gcno on every gcc
+        for command in (["gcc", "--coverage", "-O0", "-c", "m.c", "-o", "m.o"],
+                        ["gcc", "--coverage", "m.o", "-o", "prog"]):
+            subprocess.run(command, cwd=build, check=True, capture_output=True)
+        # the run writes m.gcda straight into its own {scratch}, so no
+        # counters of an earlier run are added to it
+        strip = len(build.parts) - 1
+        return load_config(write_config(
+            tmp_path,
+            enumerate_command="printf 'a\\nb\\nc\\n'",
+            run_command=f"GCOV_PREFIX={{scratch}} GCOV_PREFIX_STRIP={strip} build/prog {{passes}}"
+                        " && cp build/m.gcno {scratch}/ && cd {scratch}"
+                        " && gcov --json-format --stdout m.gcda > cov.json",
+            step_separator=" ",
+            expected_output="21",
+            coverage_paths=["{scratch}/cov.json"],
+        ))
+
+    def test_tail_isolates_the_seeded_pass(self, tmp_path):
+        driver = ProcessDriver(self.config(tmp_path), cache_dir=tmp_path / "cache")
+        result = tail_prune(driver, driver.enumerate_steps())
+        assert result.bug_causing_steps == ["b"]
+        seeded = {s for s in result.baseline.coverage if s.function == "pass_b"}
+        assert seeded and seeded <= result.probes[0].diff
+
+    def test_no_coverage_leaks_into_the_next_run(self, tmp_path):
+        driver = ProcessDriver(self.config(tmp_path))
+        full = driver.execute(("a", "b", "c"))
+        only_a = driver.execute(("a",))
+        others = {s for s in full.coverage if s.function in ("pass_b", "pass_c")}
+        assert others and not others & only_a.coverage
+        assert any(s.function == "pass_a" for s in only_a.coverage)
