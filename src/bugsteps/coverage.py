@@ -1,8 +1,8 @@
 """Coverage exchange: the gcov JSON intermediate format.
 
-``parse_gcov_json`` reads what ``gcov --json-format`` writes, possibly
-gzip-compressed; ``emit_gcov_json`` writes the same layout, so the
-testbed's coverage takes the path of real gcov output.
+``parse_gcov_blocks`` reads what ``gcov --json-format`` writes, possibly
+gzip-compressed, as per-file blocks; ``emit_gcov_json`` writes the same
+layout, so the testbed's coverage takes the path of real gcov output.
 """
 
 from __future__ import annotations
@@ -12,10 +12,10 @@ import json
 import posixpath
 from itertools import groupby
 from operator import attrgetter
-from typing import FrozenSet, Iterable, Optional
+from typing import Dict, Iterable, Optional, Tuple
 
 from .errors import MalformedCoverage
-from .model import StatementId, StatementPool, normalize_path
+from .model import Block, StatementId, StatementPool, normalize_path
 
 _GZIP_MAGIC = b"\x1f\x8b"
 _FILE = attrgetter("file")
@@ -63,49 +63,72 @@ def _statement_file(path: str, root_prefix: Optional[str]) -> Optional[str]:
     return None if path.startswith("/") else path
 
 
-def _function(rec: dict) -> Optional[str]:
-    func = rec.get("function_name") or None
-    if func is not None and not isinstance(func, str):
-        raise MalformedCoverage(f"function name must be a string, got {func!r}")
-    return func
-
-
-def parse_gcov_json(data: bytes, source_root: Optional[str] = None,
-                    pool: Optional[StatementPool] = None) -> FrozenSet[StatementId]:
-    """Parse a gcov JSON-intermediate document into a set of executed statements.
+def parse_gcov_blocks(documents: Iterable[bytes], source_root: Optional[str] = None,
+                      pool: Optional[StatementPool] = None,
+                      memo: Optional[Dict[tuple, Block]] = None) -> Tuple[Block, ...]:
+    """Parse a run's gcov JSON-intermediate documents into one block per covered file.
 
     Only lines with a positive execution count are kept; duplicate records
-    for the same line are unioned, keeping the first record's function.
-    Statements come from ``pool`` (a fresh one when omitted).
+    for the same line, also under another spelling of its file or in
+    another document, are unioned, keeping the function of the first such
+    record in document order.  The blocks are in file order and none is
+    empty.  Statements come from ``pool`` (a fresh one when omitted).  A
+    block is looked up in ``memo`` by its file and its ``(line, function)``
+    pairs in line order, so a file whose covered lines and functions repeat
+    from run to run is built once and yields the same block object every
+    time.
     """
     pool = StatementPool() if pool is None else pool
+    memo = {} if memo is None else memo
     root_prefix = _root_prefix(source_root)
-    doc = _loads(_decode(data))
-    if not isinstance(doc, dict) or not isinstance(doc.get("files"), list):
-        raise MalformedCoverage("gcov document missing 'files' array")
-    out = set()
-    for frec in doc["files"]:
-        if not isinstance(frec, dict) or "file" not in frec:
-            raise MalformedCoverage("gcov file record missing 'file'")
-        fname = _statement_file(str(frec["file"]), root_prefix)
-        if fname is None:
-            continue
-        for lrec in frec.get("lines", []):
-            if not isinstance(lrec, dict) or "line_number" not in lrec:
-                raise MalformedCoverage(f"gcov line record malformed in {frec['file']!r}")
-            try:
-                line = int(lrec["line_number"])
-                count = int(lrec.get("count", 0))
-            except (TypeError, ValueError) as exc:
-                raise MalformedCoverage(f"non-numeric line record in {frec['file']!r}") from exc
-            if count <= 0 or line < 1:
+    # normalized file -> {line: function of the line's first positive record}
+    files: Dict[str, Dict[int, Optional[str]]] = {}
+    for data in documents:
+        doc = _loads(_decode(data))
+        if not isinstance(doc, dict) or not isinstance(doc.get("files"), list):
+            raise MalformedCoverage("gcov document missing 'files' array")
+        for frec in doc["files"]:
+            if not isinstance(frec, dict) or "file" not in frec:
+                raise MalformedCoverage("gcov file record missing 'file'")
+            fname = _statement_file(str(frec["file"]), root_prefix)
+            if fname is None:
                 continue
-            out.add(pool[fname, line, _function(lrec)])
-    return frozenset(out)
+            lines = files.get(fname)
+            if lines is None:
+                lines = files[fname] = {}
+            first = lines.setdefault
+            for lrec in frec.get("lines", []):
+                try:
+                    line, count = lrec["line_number"], lrec.get("count", 0)
+                except (TypeError, KeyError):
+                    raise MalformedCoverage(
+                        f"gcov line record malformed in {frec['file']!r}") from None
+                try:
+                    line, count = int(line), int(count)
+                except (TypeError, ValueError) as exc:
+                    raise MalformedCoverage(
+                        f"non-numeric line record in {frec['file']!r}") from exc
+                if count > 0 and line > 0:
+                    function = lrec.get("function_name") or None
+                    if function is not None and not isinstance(function, str):
+                        raise MalformedCoverage(
+                            f"function name must be a string, got {function!r}")
+                    first(line, function)
+    blocks = []
+    for fname in sorted(files):
+        if not files[fname]:
+            continue
+        key = (fname, tuple(sorted(files[fname].items())))
+        block = memo.get(key)
+        if block is None:
+            block = memo[key] = frozenset(
+                pool[fname, line, function] for line, function in key[1])
+        blocks.append(block)
+    return tuple(blocks)
 
 
 def emit_gcov_json(statements: Iterable[StatementId]) -> bytes:
-    """The gcov JSON document ``parse_gcov_json`` reads back as ``statements``.
+    """The gcov JSON document ``parse_gcov_blocks`` reads back as ``statements``.
 
     Files in order and lines in order within each file, each line run once.
     """

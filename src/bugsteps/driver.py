@@ -6,27 +6,34 @@ base class owns everything the answers share: the ordered-subset check,
 the result cache (in memory, plus a disk tier when ``cache_dir`` is set),
 the ``execute_calls``/``process_runs`` counters and a ``StatementPool``,
 so every run a driver parses or loads shares one ``StatementId`` per
-statement.  A backend's run yields an outcome and a flat set of
-statements; ``Driver._result`` groups them into the result's per-file
-blocks (``model.file_blocks``).  ``ProcessDriver`` returns a run once its
-outcome is known and its coverage files are read; a thread of its own
-parses and stores them while the next run's command runs.  Cache entries
-are keyed by the driver fingerprint plus the ordered retained subset, so
-repeated identical subsets never re-run.  A disk entry is a compact
-version-3 document with one ``[file, [function names],
-"line,index,line,index,..."]`` record per file, in file order, the
-indices local to that file's names.  The runs of
-one isolation differ in a few steps, so most files' records repeat from
-entry to entry: each driver memoizes a record's decoded block by the
-record itself, a repeated record costs one dict lookup, and the loaded
-result holds the memo's block objects as they are.  An entry of another
-version is a miss; one that does not decode, or whose records are not in
-strictly increasing file order once normalized, is logged and a miss;
-either way the subset re-runs and the entry is overwritten.  Backends
-implement only step enumeration and one uncached run: ``ProcessDriver``
-talks to a real compiler through configurable shell commands and
-coverage files, and the testbed's in-process driver lives in
-``bugsteps.toy.driver``.
+statement.  A backend's run yields an outcome and per-file blocks of
+statements, and ``Driver._result`` stores them.  ``ProcessDriver``
+returns a run once its outcome is known and its coverage files are read;
+a thread of its own parses and stores them while the next run's command
+runs.  Cache entries are keyed by the driver fingerprint plus the ordered
+retained subset, so repeated identical subsets never re-run.  A disk
+entry is a compact version-3 document with one ``[file, [function
+names], "line,index,line,index,..."]`` record per file, in file order,
+the indices local to that file's names.
+
+The runs of one isolation differ in a few steps, so most files' coverage
+repeats from run to run, and memos keep a run's cost to the files that
+changed.  Every driver decodes each distinct disk record once, keyed by
+the record itself, and a loaded result holds the memo's block objects as
+they are.  A ``ProcessDriver`` also keeps two memos on its one parser
+thread, so no lock guards them.  The parser looks each file's block up
+by the file and its ``(line, function)`` pairs over all of the run's
+coverage documents, so a repeated file yields the block object of its
+first parse.  The store encodes each block object's record once; it is
+keyed by identity, not by value, because ``StatementId`` equality
+ignores the function name and equal blocks may differ in their records.
+An entry of another version is a miss; one that does not decode, or
+whose records are not in strictly increasing file order once normalized,
+is logged and a miss; either way the subset re-runs and the entry is
+overwritten.  Backends implement only step enumeration and one uncached
+run: ``ProcessDriver`` talks to a real compiler through configurable
+shell commands and coverage files, and the testbed's in-process driver
+lives in ``bugsteps.toy.driver``.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ from glob import glob
 from itertools import repeat
 from operator import attrgetter, lt
 from pathlib import Path
-from typing import (Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
+from typing import (Dict, List, Optional, Sequence, Tuple, Union,
                     get_args, get_origin, get_type_hints)
 
 from . import coverage as covmod
@@ -67,7 +74,6 @@ from .model import (
     StatementId,
     StatementPool,
     StepSequence,
-    file_blocks,
 )
 from .util import fingerprint
 
@@ -76,10 +82,10 @@ log = logging.getLogger(__name__)
 CACHE_VERSION = 3
 
 COVERAGE_PARSERS = {
-    "gcov_json": covmod.parse_gcov_json,
+    "gcov_json": covmod.parse_gcov_blocks,
     # an older spelling, read the same way: the benchmark's testbed-proc
     # config names it, and perfbench/spans.py looks the parser up under it
-    "native_json": covmod.parse_gcov_json,
+    "native_json": covmod.parse_gcov_blocks,
 }
 
 
@@ -207,7 +213,7 @@ class Driver:
     answers from the memory cache, then from the disk tier when
     ``cache_dir`` is set, and only then calls ``_run``.  Subclasses
     implement ``_enumerate()`` and ``_run(key, positions)``, which returns
-    the run's result, most simply ``_result`` of its outcome and statements.
+    the run's result, most simply ``_result`` of its outcome and blocks.
     """
 
     def __init__(self, fingerprint: str, cache_dir: Optional[Path] = None):
@@ -229,8 +235,8 @@ class Driver:
         raise NotImplementedError
 
     def _result(self, key: Tuple[str, ...], outcome: Outcome,
-                statements: Iterable[StatementId]) -> ExecutionResult:
-        result = ExecutionResult(key, outcome, file_blocks(statements))
+                blocks: Tuple[Block, ...]) -> ExecutionResult:
+        result = ExecutionResult(key, outcome, blocks)
         if self.cache_dir:
             self._cache_store(key, result)
         return result
@@ -323,7 +329,7 @@ class Driver:
             "version": CACHE_VERSION,
             "subset": list(result.subset),
             "outcome": result.outcome.value,
-            "files": [_encode_block(sorted(block, key=_LINE)) for block in result.blocks],
+            "files": list(map(self._record, result.blocks)),
         }
         path = self._cache_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -331,6 +337,10 @@ class Driver:
         tmp = path.with_name(f"{path.stem}.{os.getpid()}.{threading.get_ident()}.tmp")
         tmp.write_text(json.dumps(doc, separators=(",", ":")), "utf-8")
         os.replace(tmp, path)
+
+    def _record(self, block: Block) -> list:
+        """``block``'s ``[file, functions, text]`` record."""
+        return _encode_block(sorted(block, key=_LINE))
 
 
 def _parsed_blocks(driver_ref, key: Tuple[str, ...], parsed: Future) -> Tuple[Block, ...]:
@@ -376,6 +386,13 @@ class ProcessDriver(Driver):
         root = Path(cache_dir) if cache_dir else Path(config.workdir) / ".bugsteps-cache"
         super().__init__(digest, root / digest[:16])
         self._parser = ThreadPoolExecutor(max_workers=1, thread_name_prefix="bugsteps-parse")
+        # the parser's block memo: (file, ((line, function), ...)) -> block;
+        # only the parser thread reads or fills it
+        self._parsed: Dict[tuple, Block] = {}
+        # id(block) -> (block, its file record), filled by the store on the
+        # parser thread: by identity, since equal blocks may differ in their
+        # statements' functions; the block is held so that its id is not reused
+        self._records: Dict[int, Tuple[Block, list]] = {}
 
     def _enumerate(self) -> StepSequence:
         proc = self._run_command(self.config.enumerate_command, scratch=None)
@@ -477,13 +494,17 @@ class ProcessDriver(Driver):
             )
         return [Path(fname).read_bytes() for fname in matched]
 
-    def _parse_coverage(self, data: List[bytes]) -> Set[StatementId]:
-        """Every statement the coverage files hold."""
-        parser = COVERAGE_PARSERS[self.config.coverage_source]
-        out = set()
-        for text in data:
-            out.update(parser(text, self.config.source_root, pool=self.statements))
-        return out
+    def _parse_coverage(self, data: List[bytes]) -> Tuple[Block, ...]:
+        """The coverage files' blocks, one per covered file in file order."""
+        return COVERAGE_PARSERS[self.config.coverage_source](
+            data, self.config.source_root, pool=self.statements, memo=self._parsed)
+
+    def _record(self, block: Block) -> list:
+        """``block``'s record, encoded once per block object."""
+        hit = self._records.get(id(block))
+        if hit is None:
+            hit = self._records[id(block)] = (block, super()._record(block))
+        return hit[1]
 
 
 # what the disk cache writes: <fingerprint[:16]>/<digest>.json entries and

@@ -13,7 +13,7 @@ from collections import Counter
 from typing import Dict, List, Sequence, Tuple
 
 from ..driver import Driver
-from ..model import ExecutionResult, StepSequence
+from ..model import ExecutionResult, StepSequence, file_blocks
 from ..util import fingerprint
 from .bugs import SeededBug, subset_outcome
 from .passes import Tracer
@@ -49,4 +49,4 @@ class ToyDriver(Driver):
     def _run(self, key: Tuple[str, ...], positions: List[int]) -> ExecutionResult:
         tracer = Tracer()
         outcome, _ = subset_outcome(self.bug, positions, tracer=tracer)
-        return self._result(key, outcome, tracer.covered)
+        return self._result(key, outcome, file_blocks(tracer.covered))

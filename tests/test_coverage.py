@@ -1,17 +1,24 @@
 import gzip
 import json
+import operator
+import posixpath
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from bugsteps.coverage import emit_gcov_json, parse_gcov_json
+from bugsteps.coverage import emit_gcov_json, parse_gcov_blocks
 from bugsteps.errors import MalformedCoverage
-from bugsteps.model import StatementId, StatementPool
+from bugsteps.model import StatementId, StatementPool, normalize_path
 
 
 def gcov_doc(files):
     return json.dumps({"format_version": "1", "files": files}).encode()
+
+
+def parse_statements(data, source_root=None, pool=None):
+    """The statements of one gcov document, as one flat set."""
+    return frozenset().union(*parse_gcov_blocks([data], source_root, pool))
 
 
 class TestGcovJson:
@@ -26,10 +33,10 @@ class TestGcovJson:
                 ],
             }
         ])
-        assert parse_gcov_json(doc) == {StatementId("f.c", 6), StatementId("f.c", 9)}
+        assert parse_statements(doc) == {StatementId("f.c", 6), StatementId("f.c", 9)}
 
     def test_empty_files(self):
-        assert parse_gcov_json(gcov_doc([])) == frozenset()
+        assert parse_statements(gcov_doc([])) == frozenset()
 
     def test_duplicate_line_records_union(self):
         # oracle: manual set union over records with count > 0
@@ -42,20 +49,20 @@ class TestGcovJson:
                 ],
             }
         ])
-        parsed = parse_gcov_json(doc)
+        parsed = parse_statements(doc)
         assert parsed == {StatementId("f.c", 4)}
         assert len(parsed) == 1
 
     def test_gzip_compressed(self):
         doc = gcov_doc([{"file": "g.c", "lines": [{"line_number": 2, "count": 7}]}])
-        assert parse_gcov_json(gzip.compress(doc)) == {StatementId("g.c", 2)}
+        assert parse_statements(gzip.compress(doc)) == {StatementId("g.c", 2)}
 
     def test_function_metadata_kept(self):
         doc = gcov_doc([
             {"file": "f.c", "lines": [{"line_number": 3, "count": 1,
                                        "function_name": "run"}]}
         ])
-        (stmt,) = parse_gcov_json(doc)
+        (stmt,) = parse_statements(doc)
         assert stmt.function == "run"
 
     def test_repeated_line_keeps_first_function(self):
@@ -65,21 +72,21 @@ class TestGcovJson:
                 {"line_number": 3, "count": 1, "function_name": "second"},
             ]}
         ])
-        (stmt,) = parse_gcov_json(doc)
+        (stmt,) = parse_statements(doc)
         assert stmt.function == "first"
 
     @pytest.mark.parametrize("function", [["f"], {"f": 1}, 7])
     def test_non_string_function_rejected(self, function):
         lines = [{"line_number": 3, "count": 1, "function_name": function}]
         with pytest.raises(MalformedCoverage):
-            parse_gcov_json(gcov_doc([{"file": "f.c", "lines": lines}]))
+            parse_statements(gcov_doc([{"file": "f.c", "lines": lines}]))
 
     def test_pool_shared_between_parses(self):
         pool = StatementPool()
         doc = gcov_doc([{"file": "./f.c", "lines": [{"line_number": 3, "count": 1}]}])
-        (a,) = parse_gcov_json(doc, pool=pool)
-        (b,) = parse_gcov_json(doc, pool=pool)
-        (c,) = parse_gcov_json(emit_gcov_json({a}), pool=pool)
+        (a,) = parse_statements(doc, pool=pool)
+        (b,) = parse_statements(doc, pool=pool)
+        (c,) = parse_statements(emit_gcov_json({a}), pool=pool)
         assert a is b is c
         assert a.file == "f.c"
 
@@ -88,21 +95,21 @@ class TestGcovJson:
             {"file": "/src/llvm/lib/Foo.cpp", "lines": [{"line_number": 3, "count": 1}]},
             {"file": "/usr/include/stdio.h", "lines": [{"line_number": 9, "count": 5}]},
         ])
-        parsed = parse_gcov_json(doc, source_root="/src/llvm")
+        parsed = parse_statements(doc, source_root="/src/llvm")
         assert parsed == {StatementId("lib/Foo.cpp", 3)}
 
     def test_line_zero_dropped(self):
         doc = gcov_doc([{"file": "f.c", "lines": [{"line_number": 0, "count": 4}]}])
-        assert parse_gcov_json(doc) == frozenset()
+        assert parse_statements(doc) == frozenset()
 
     def test_malformed_reports_offset(self):
         with pytest.raises(MalformedCoverage) as err:
-            parse_gcov_json(b'{"files": [0,')
+            parse_statements(b'{"files": [0,')
         assert err.value.offset is not None
 
     def test_missing_files_array(self):
         with pytest.raises(MalformedCoverage):
-            parse_gcov_json(b"{}")
+            parse_statements(b"{}")
 
 
 @pytest.mark.parametrize("source_root", [None, "/src/llvm"])
@@ -112,13 +119,13 @@ def test_degenerate_paths_dropped(path, source_root):
         {"file": path, "lines": [{"line_number": 3, "count": 1}]},
         {"file": "k.c", "lines": [{"line_number": 4, "count": 1}]},
     ])
-    assert parse_gcov_json(gcov, source_root=source_root) == {StatementId("k.c", 4)}
+    assert parse_statements(gcov, source_root=source_root) == {StatementId("k.c", 4)}
 
 
 def test_path_under_root_made_relative():
     path = "/src/llvm//lib/x/../Foo.cpp"
     gcov = gcov_doc([{"file": path, "lines": [{"line_number": 3, "count": 1}]}])
-    assert parse_gcov_json(gcov, source_root="/src/llvm/") == {StatementId("lib/Foo.cpp", 3)}
+    assert parse_statements(gcov, source_root="/src/llvm/") == {StatementId("lib/Foo.cpp", 3)}
 
 
 def triples(stmts):
@@ -142,22 +149,22 @@ class TestEmitGcovJson:
             StatementId("a.c", 9),
             StatementId("sub/b.c", 4, "g"),
         }
-        assert triples(parse_gcov_json(emit_gcov_json(stmts))) == triples(stmts)
+        assert triples(parse_statements(emit_gcov_json(stmts))) == triples(stmts)
 
     def test_emit_is_canonical(self):
         stmts = {StatementId("a.c", 2), StatementId("a.c", 1)}
         blob = emit_gcov_json(stmts)
-        assert parse_gcov_json(blob) == stmts
-        assert emit_gcov_json(parse_gcov_json(blob)) == blob
+        assert parse_statements(blob) == stmts
+        assert emit_gcov_json(parse_statements(blob)) == blob
 
     def test_empty_statements(self):
         assert emit_gcov_json(()) == b'{"files":[]}'
-        assert parse_gcov_json(emit_gcov_json(())) == frozenset()
+        assert parse_statements(emit_gcov_json(())) == frozenset()
 
     def test_large_fixture_exact_count(self):
         stmts = {StatementId(f"d/f{i % 97}.c", i + 1) for i in range(10000)}
         assert len(stmts) == 10000
-        assert len(parse_gcov_json(emit_gcov_json(stmts))) == 10000
+        assert len(parse_statements(emit_gcov_json(stmts))) == 10000
 
     @given(
         st.frozensets(
@@ -171,4 +178,65 @@ class TestEmitGcovJson:
         )
     )
     def test_roundtrip_property(self, stmts):
-        assert triples(parse_gcov_json(emit_gcov_json(stmts))) == triples(stmts)
+        assert triples(parse_statements(emit_gcov_json(stmts))) == triples(stmts)
+
+
+def reference_triples(documents, source_root):
+    """The per-statement parse: ``(file, line, function)`` of each covered
+    line, the function of the line's first positive record in document order."""
+    root = posixpath.normpath(source_root) + "/" if source_root else None
+    first = {}
+    for frec in (frec for files in documents for frec in files):
+        path = posixpath.normpath(frec["file"])
+        if root and path.startswith(root):
+            path = path[len(root):]
+        try:
+            path = normalize_path(path)
+        except ValueError:
+            continue
+        if path.startswith("/"):
+            continue
+        for lrec in frec["lines"]:
+            if int(lrec["count"]) > 0 and int(lrec["line_number"]) > 0:
+                first.setdefault((path, int(lrec["line_number"])), lrec.get("function_name"))
+    return {(file, line, function) for (file, line), function in first.items()}
+
+
+_LINE_RECORDS = st.lists(st.fixed_dictionaries(
+    {"line_number": st.one_of(st.integers(0, 5), st.integers(0, 5).map(str)),
+     "count": st.sampled_from([0, 1, 7, "2"])},
+    optional={"function_name": st.sampled_from(["foo", "bar"])},
+), max_size=6)
+_FILES = ["m.c", "./m.c", "lib/u.c", "lib//u.c", "/src/m.c", "/src/./lib/u.c", "/usr/x.h", "."]
+_DOCUMENT = st.lists(st.fixed_dictionaries({"file": st.sampled_from(_FILES),
+                                            "lines": _LINE_RECORDS}), max_size=6)
+
+
+@given(st.lists(_DOCUMENT, min_size=1, max_size=3), st.sampled_from([None, "", "/src", "/src/"]))
+@example([[{"file": "m.c", "lines": [{"line_number": 3, "count": 1}]},
+           {"file": "./m.c", "lines": [{"line_number": 3, "count": 1, "function_name": "foo"},
+                                       {"line_number": 4, "count": 1}]}]], None)
+@example([[{"file": "m.c", "lines": [{"line_number": 3, "count": 0, "function_name": "foo"},
+                                     {"line_number": 3, "count": 2, "function_name": "bar"}]}]],
+         None)
+@example([[{"file": "m.c", "lines": [{"line_number": "3", "count": 1, "function_name": "foo"},
+                                     {"line_number": 3, "count": 1, "function_name": "bar"}]}]],
+         None)
+@example([[{"file": "/src/m.c", "lines": [{"line_number": 1, "count": 1}]},
+           {"file": "m.c", "lines": [{"line_number": 2, "count": 1}]},
+           {"file": "/usr/x.h", "lines": [{"line_number": 1, "count": 1}]}]], "/src/")
+@example([[{"file": "m.c", "lines": [{"line_number": 3, "count": 1, "function_name": "bar"}]}],
+          [{"file": "./m.c", "lines": [{"line_number": 3, "count": 1, "function_name": "foo"},
+                                       {"line_number": 5, "count": 1}]}]], None)
+def test_blocks_agree_with_per_statement_parse(documents, source_root):
+    data = [json.dumps({"files": files}).encode() for files in documents]
+    pool, memo = StatementPool(), {}
+    blocks = parse_gcov_blocks(data, source_root, pool=pool, memo=memo)
+    assert all(blocks)
+    names = [next(iter(block)).file for block in blocks]
+    assert names == sorted(set(names))  # in file order, one block per file
+    assert all(stmt.file == name for name, block in zip(names, blocks) for stmt in block)
+    assert triples(frozenset().union(*blocks)) == reference_triples(documents, source_root)
+    # a repeated run is all memo hits: the same block objects
+    again = parse_gcov_blocks(data, source_root, pool=pool, memo=memo)
+    assert len(again) == len(blocks) and all(map(operator.is_, again, blocks))

@@ -1,5 +1,6 @@
 import gc
 import json
+import operator
 import os
 import shutil
 import subprocess
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bugsteps import driver as driver_module
 from bugsteps.coverage import emit_gcov_json
 from bugsteps.driver import (
     COVERAGE_PARSERS,
@@ -320,6 +322,23 @@ class TestExecute:
         assert fresh.execute(result.baseline.subset) == result.baseline
         assert fresh.process_runs == 0
 
+    def test_build_failure_without_coverage_aborts(self, tmp_path):
+        # the empty subset exits 2 before any coverage is written, as an
+        # argument parser rejects an empty pass list.  Until a probe can be
+        # judged another failure than the baseline's, tail would take that
+        # run as the bug persisting and delete every step, so it aborts
+        (tmp_path / "cov.json").write_text(gcov_cov({StatementId("m.c", 1, "main")}))
+        cfg = write_config(
+            tmp_path,
+            run_command="p=,{passes},; [ $p = ,, ] && exit 2; cp cov.json {scratch}/cov.json;"
+                        " case $p in *,licm,*) echo bad;; *) echo ok;; esac",
+            expected_output="ok",
+            coverage_paths=["{scratch}/cov.json"],
+        )
+        driver = ProcessDriver(load_config(cfg))
+        with pytest.raises(CoverageMissing):
+            tail_prune(driver, driver.enumerate_steps())
+
     def test_crash_signal(self, tmp_path):
         cfg = write_config(tmp_path, run_command="echo {passes}; kill -SEGV $$")
         driver = ProcessDriver(load_config(cfg))
@@ -430,6 +449,20 @@ class TestExecute:
         driver = ProcessDriver(load_config(cfg))
         result = driver.execute(("instcombine",))
         assert result.coverage == {StatementId("src/x.c", 4)}
+
+    def test_documents_covering_one_file_are_merged(self, tmp_path):
+        (tmp_path / "a.json").write_text(gcov_cov({StatementId("m.c", 1, "foo"),
+                                                   StatementId("z.c", 1)}))
+        (tmp_path / "b.json").write_text(gcov_cov({StatementId("m.c", 1, "bar"),
+                                                   StatementId("m.c", 2), StatementId("a.c", 5)}))
+        cfg = write_config(tmp_path, coverage_paths=["a.json", "b.json"])
+        driver = ProcessDriver(load_config(cfg))
+        blocks = driver.execute(("licm",)).blocks
+        assert [sorted((s.file, s.line, s.function) for s in block) for block in blocks] == [
+            [("a.c", 5, None)], [("m.c", 1, "foo"), ("m.c", 2, None)], [("z.c", 1, None)]]
+        # every file, m.c of both documents too, keeps its block from run to run
+        again = driver.execute(("instcombine",)).blocks
+        assert len(again) == 3 and all(map(operator.is_, again, blocks))
 
     def test_native_json_is_an_older_spelling_of_gcov_json(self, tmp_path):
         assert COVERAGE_PARSERS["native_json"] is COVERAGE_PARSERS["gcov_json"]
@@ -829,6 +862,46 @@ class TestDiskCacheEntry:
         assert all(x is y for x, y in zip(a.blocks, b.blocks))  # the memo's objects
         assert all(x is y for x, y in zip(sorted(a.coverage, key=StatementId.sort_key),
                                           sorted(b.coverage, key=StatementId.sort_key)))
+
+    def two_coverages(self, tmp_path, licm, other):
+        """A driver whose runs with licm cover ``licm``, the others ``other``."""
+        (tmp_path / "licm.json").write_text(gcov_cov(licm))
+        (tmp_path / "other.json").write_text(gcov_cov(other))
+        cfg = write_config(tmp_path, coverage_paths=["{scratch}/cov.json"],
+                           run_command="p={passes}; case ,$p, in *,licm,*) f=licm.json;;"
+                                       " *) f=other.json;; esac;"
+                                       " cp $f {scratch}/cov.json; echo ran $p")
+        return lambda: ProcessDriver(load_config(cfg), cache_dir=tmp_path / "cache")
+
+    def test_equal_blocks_keep_their_own_functions(self, tmp_path):
+        # equal as statements, so only an identity-keyed store memo keeps
+        # the second run from being stored with the first run's function
+        make = self.two_coverages(tmp_path, {StatementId("f.c", 3, "foo")},
+                                  {StatementId("f.c", 3, "bar")})
+        driver = make()
+        for subset in [("licm",), ("instcombine",)]:
+            driver.execute(subset).coverage
+        fresh = make()
+        for subset, function in [(("licm",), "foo"), (("instcombine",), "bar")]:
+            (stmt,) = fresh.execute(subset).coverage
+            assert (stmt.file, stmt.line, stmt.function) == ("f.c", 3, function)
+        assert fresh.process_runs == 0
+
+    def test_repeated_file_parsed_and_encoded_once(self, tmp_path, monkeypatch):
+        encoded = []
+        encode = driver_module._encode_block
+        monkeypatch.setattr(driver_module, "_encode_block",
+                            lambda stmts: encoded.append(stmts[0].file) or encode(stmts))
+        shared = StatementId("m.c", 1, "main")
+        driver = self.two_coverages(tmp_path, {shared, StatementId("lib/u.c", 2, "helper")},
+                                    {shared, StatementId("lib/u.c", 5, "helper")})()
+        a = driver.execute(("licm",))
+        b = driver.execute(("instcombine",))
+        c = driver.execute(("licm", "simplifycfg"))
+        assert driver.process_runs == 3
+        assert a.blocks[1] is b.blocks[1] is c.blocks[1]  # m.c
+        assert a.blocks[0] is c.blocks[0] and a.blocks[0] != b.blocks[0]  # lib/u.c
+        assert sorted(encoded) == ["lib/u.c", "lib/u.c", "m.c"]
 
     def test_runs_share_statement_objects(self, tmp_path):
         driver = self.make_driver(tmp_path)
