@@ -88,16 +88,19 @@ def parse_gcov_blocks(documents: Iterable[bytes], source_root: Optional[str] = N
         if not isinstance(doc, dict) or not isinstance(doc.get("files"), list):
             raise MalformedCoverage("gcov document missing 'files' array")
         for frec in doc["files"]:
-            if not isinstance(frec, dict) or "file" not in frec:
-                raise MalformedCoverage("gcov file record missing 'file'")
-            fname = _statement_file(str(frec["file"]), root_prefix)
+            if not isinstance(frec, dict) or not isinstance(frec.get("file"), str):
+                raise MalformedCoverage("gcov file record needs a string 'file'")
+            lrecs = frec.get("lines", [])
+            if not isinstance(lrecs, list):
+                raise MalformedCoverage(f"gcov 'lines' of {frec['file']!r} is not an array")
+            fname = _statement_file(frec["file"], root_prefix)
             if fname is None:
                 continue
             lines = files.get(fname)
             if lines is None:
                 lines = files[fname] = {}
             first = lines.setdefault
-            for lrec in frec.get("lines", []):
+            for lrec in lrecs:
                 try:
                     line, count = lrec["line_number"], lrec.get("count", 0)
                 except (TypeError, KeyError):
@@ -121,7 +124,7 @@ def parse_gcov_blocks(documents: Iterable[bytes], source_root: Optional[str] = N
         key = (fname, tuple(sorted(files[fname].items())))
         block = memo.get(key)
         if block is None:
-            block = memo[key] = frozenset(
+            block = memo[key] = Block(
                 pool[fname, line, function] for line, function in key[1])
         blocks.append(block)
     return tuple(blocks)

@@ -17,23 +17,22 @@ names], "line,index,line,index,..."]`` record per file, in file order,
 the indices local to that file's names.
 
 The runs of one isolation differ in a few steps, so most files' coverage
-repeats from run to run, and memos keep a run's cost to the files that
-changed.  Every driver decodes each distinct disk record once, keyed by
-the record itself, and a loaded result holds the memo's block objects as
-they are.  A ``ProcessDriver`` also keeps two memos on its one parser
-thread, so no lock guards them.  The parser looks each file's block up
-by the file and its ``(line, function)`` pairs over all of the run's
-coverage documents, so a repeated file yields the block object of its
-first parse.  The store encodes each block object's record once; it is
-keyed by identity, not by value, because ``StatementId`` equality
-ignores the function name and equal blocks may differ in their records.
-An entry of another version is a miss; one that does not decode, or
-whose records are not in strictly increasing file order once normalized,
-is logged and a miss; either way the subset re-runs and the entry is
-overwritten.  Backends implement only step enumeration and one uncached
-run: ``ProcessDriver`` talks to a real compiler through configurable
-shell commands and coverage files, and the testbed's in-process driver
-lives in ``bugsteps.toy.driver``.
+repeats from run to run, and two memos keep a run's cost to the files
+that changed.  Every driver decodes each distinct disk record once,
+keyed by the record itself, and a loaded result holds the memo's block
+objects as they are.  A ``ProcessDriver``'s one parser thread looks each
+file's block up by the file and its ``(line, function)`` pairs over all
+of the run's coverage documents, so a repeated file yields the block
+object of its first parse.  A block keeps its record in
+``Block.record``, the one it was decoded from or encoded into on its
+first store, so no block object is encoded twice.  An entry of another
+version is a miss; one that does not decode, or whose records are not in
+strictly increasing file order once normalized, is logged and a miss;
+either way the subset re-runs and the entry is overwritten.  Backends
+implement only step enumeration and one uncached run: ``ProcessDriver``
+talks to a real compiler through configurable shell commands and
+coverage files, and the testbed's in-process driver lives in
+``bugsteps.toy.driver``.
 """
 
 from __future__ import annotations
@@ -71,7 +70,6 @@ from .model import (
     Block,
     ExecutionResult,
     Outcome,
-    StatementId,
     StatementPool,
     StepSequence,
 )
@@ -219,6 +217,11 @@ class Driver:
     def __init__(self, fingerprint: str, cache_dir: Optional[Path] = None):
         self.fingerprint = fingerprint
         self.cache_dir = cache_dir
+        if cache_dir:
+            try:
+                cache_dir.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise InvalidConfig(f"cannot create cache directory {cache_dir}: {exc}") from exc
         self._mem: Dict[Tuple[str, ...], ExecutionResult] = {}
         self._lock = threading.Lock()
         self._sequence: Optional[StepSequence] = None
@@ -302,13 +305,14 @@ class Driver:
         file, functions, text = record  # not a 3-list: fails here or on the types
         if not (isinstance(file, str) and isinstance(functions, list) and isinstance(text, str)):
             raise TypeError("a file record must be [str, list, str]")
-        memo_key = (file, tuple(functions), text)
-        block = self._blocks.get(memo_key)
+        record = (file, tuple(functions), text)
+        block = self._blocks.get(record)
         if block is None:
-            block = self._blocks[memo_key] = self._decode_block(*memo_key)
+            block = self._blocks[record] = self._decode_block(record)
         return block
 
-    def _decode_block(self, file: str, functions: Tuple, text: str) -> Block:
+    def _decode_block(self, record: Tuple[str, Tuple, str]) -> Block:
+        file, functions, text = record
         if not all(fn is None or isinstance(fn, str) for fn in functions):
             raise TypeError("function names must be strings or null")
         # digits and commas only, so the JSON array holds only non-negative
@@ -318,8 +322,8 @@ class Driver:
         numbers = json.loads(f"[{text}]")
         # zip takes a line, then a function index, from the one iterator
         pairs = iter(numbers)
-        block = frozenset(map(self.statements.__getitem__, zip(
-            repeat(file), pairs, map(functions.__getitem__, pairs))))
+        block = Block(map(self.statements.__getitem__, zip(
+            repeat(file), pairs, map(functions.__getitem__, pairs))), record)
         if 2 * len(block) != len(numbers):
             raise ValueError(f"odd token count or a line stored twice in {file!r}")
         return block
@@ -329,18 +333,13 @@ class Driver:
             "version": CACHE_VERSION,
             "subset": list(result.subset),
             "outcome": result.outcome.value,
-            "files": list(map(self._record, result.blocks)),
+            "files": [block.record or _encode_block(block) for block in result.blocks],
         }
         path = self._cache_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         # one name per writing thread: drivers of one fingerprint may share the directory
         tmp = path.with_name(f"{path.stem}.{os.getpid()}.{threading.get_ident()}.tmp")
         tmp.write_text(json.dumps(doc, separators=(",", ":")), "utf-8")
         os.replace(tmp, path)
-
-    def _record(self, block: Block) -> list:
-        """``block``'s ``[file, functions, text]`` record."""
-        return _encode_block(sorted(block, key=_LINE))
 
 
 def _parsed_blocks(driver_ref, key: Tuple[str, ...], parsed: Future) -> Tuple[Block, ...]:
@@ -362,13 +361,15 @@ _LINE = attrgetter("line")
 _FUNCTION = attrgetter("function")
 
 
-def _encode_block(stmts: List[StatementId]) -> list:
-    """``[file, functions, "line,index,..."]`` for one block's statements in line order."""
+def _encode_block(block: Block) -> tuple:
+    """``block``'s ``(file, functions, "line,index,...")`` record, kept on the block."""
+    stmts = sorted(block, key=_LINE)
     index = {fn: i for i, fn in enumerate(dict.fromkeys(map(_FUNCTION, stmts)))}
     numbers = [0] * (2 * len(stmts))
     numbers[::2] = map(_LINE, stmts)
     numbers[1::2] = map(index.__getitem__, map(_FUNCTION, stmts))
-    return [stmts[0].file, list(index), ",".join(map(str, numbers))]
+    block.record = record = (stmts[0].file, tuple(index), ",".join(map(str, numbers)))
+    return record
 
 
 class ProcessDriver(Driver):
@@ -389,10 +390,6 @@ class ProcessDriver(Driver):
         # the parser's block memo: (file, ((line, function), ...)) -> block;
         # only the parser thread reads or fills it
         self._parsed: Dict[tuple, Block] = {}
-        # id(block) -> (block, its file record), filled by the store on the
-        # parser thread: by identity, since equal blocks may differ in their
-        # statements' functions; the block is held so that its id is not reused
-        self._records: Dict[int, Tuple[Block, list]] = {}
 
     def _enumerate(self) -> StepSequence:
         proc = self._run_command(self.config.enumerate_command, scratch=None)
@@ -498,13 +495,6 @@ class ProcessDriver(Driver):
         """The coverage files' blocks, one per covered file in file order."""
         return COVERAGE_PARSERS[self.config.coverage_source](
             data, self.config.source_root, pool=self.statements, memo=self._parsed)
-
-    def _record(self, block: Block) -> list:
-        """``block``'s record, encoded once per block object."""
-        hit = self._records.get(id(block))
-        if hit is None:
-            hit = self._records[id(block)] = (block, super()._record(block))
-        return hit[1]
 
 
 # what the disk cache writes: <fingerprint[:16]>/<digest>.json entries and

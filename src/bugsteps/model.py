@@ -1,10 +1,10 @@
 """Core vocabulary: steps, sequences, outcomes, coverage blocks and removal probes.
 
 Everything here is an immutable value; instances can be shared freely
-between threads.  A run's coverage is kept as per-file blocks, one
-frozenset of statements per covered file: the runs of one isolation
+between threads.  A run's coverage exists only as per-file blocks, one
+``Block`` of statements per covered file: the runs of one isolation
 differ in a few steps, so most of their blocks are equal, and a consumer
-that counts blocks handles each distinct one once.
+that counts or diffs blocks handles each distinct one once.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import operator
 import posixpath
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 
@@ -146,7 +147,19 @@ class Outcome(enum.Enum):
         return self is not Outcome.PASS
 
 
-Block = FrozenSet[StatementId]
+class Block(frozenset):
+    """One covered file's statements; equality and hashing are the frozenset's.
+
+    ``record`` is this object's disk cache record once encoded or decoded,
+    else None: equal blocks may differ in their statements' functions.
+    """
+
+    __slots__ = ("record",)
+
+    def __new__(cls, statements: Iterable[StatementId] = (), record=None):
+        block = super().__new__(cls, statements)
+        block.record = record
+        return block
 
 
 def file_blocks(statements: Iterable[StatementId]) -> Tuple[Block, ...]:
@@ -158,7 +171,7 @@ def file_blocks(statements: Iterable[StatementId]) -> Tuple[Block, ...]:
             by_file[stmt.file] = [stmt]
         else:
             group.append(stmt)
-    return tuple(frozenset(by_file[file]) for file in sorted(by_file))
+    return tuple(Block(by_file[file]) for file in sorted(by_file))
 
 
 @dataclass(frozen=True)
@@ -192,22 +205,22 @@ class ExecutionResult:
         blocks = self.__dict__["blocks"] = settle()  # an error raises on every read
         return blocks
 
-    @cached_property
-    def coverage(self) -> Block:
-        """Every covered statement, for the readers that need one flat set."""
-        return frozenset().union(*self.blocks)
-
     def to_json_dict(self):
         return {
             "subset": list(self.subset),
             "outcome": self.outcome.value,
-            "coverage": statements_json(self.coverage),
+            "coverage": statements_json(chain.from_iterable(self.blocks)),
         }
 
 
-def symmetric_diff(a: Iterable[StatementId], b: Iterable[StatementId]) -> FrozenSet[StatementId]:
-    """Statements whose executed/not-executed status differs between two runs."""
-    return frozenset(a) ^ frozenset(b)
+def symmetric_diff(a: Iterable[Block], b: Iterable[Block]) -> FrozenSet[StatementId]:
+    """Statements whose executed/not-executed status differs between two runs.
+
+    ``a`` and ``b`` hold one block per file, so a block both hold cancels
+    unread, and the unions of the rest hold the difference.
+    """
+    a, b = frozenset(a), frozenset(b)
+    return frozenset().union(*(a - b)) ^ frozenset().union(*(b - a))
 
 
 @dataclass(frozen=True)
@@ -236,7 +249,7 @@ class RemovalProbe:
             removed_step=removed_step,
             baseline=baseline,
             probe=probe,
-            diff=symmetric_diff(baseline.coverage, probe.coverage),
+            diff=symmetric_diff(baseline.blocks, probe.blocks),
         )
 
     def to_json_dict(self):

@@ -19,7 +19,7 @@ from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from .errors import DegenerateSpectrum, UnmappedStatement
-from .model import ExecutionResult, RemovalProbe, StatementId
+from .model import Block, ExecutionResult, RemovalProbe, StatementId
 
 log = logging.getLogger(__name__)
 
@@ -192,14 +192,14 @@ def aggregate_ranksum(scores: Dict[StatementId, float], granularity: str) -> Ran
     return RankedReport(granularity=granularity, rows=_ranked_rows(unit_scores))
 
 
-def compute_fallback(coverage: Iterable[StatementId], granularity: str) -> RankedReport:
-    """Uniform report over the baseline coverage when nothing ever flipped.
+def compute_fallback(blocks: Iterable[Block], granularity: str) -> RankedReport:
+    """Uniform report over the baseline's blocks when nothing ever flipped.
 
     Every covered unit scores eps = 1/|coverage|, so all units form one tie
     group; at function granularity, statements without function metadata
     cannot form a unit and are skipped.
     """
-    stmts = set(coverage)
+    stmts = list(chain.from_iterable(blocks))  # one block per file: no repeats
     units = {u for u in (unit_of(s, granularity) for s in stmts) if u is not None}
     eps = 1.0 / len(stmts) if stmts else 0.0
     return RankedReport(
@@ -226,7 +226,7 @@ def report_for(isolation, scorer: str, granularity: str,
     if scores:
         report = aggregate_ranksum(scores, granularity)
     else:
-        report = compute_fallback(isolation.baseline.coverage, granularity)
+        report = compute_fallback(isolation.baseline.blocks, granularity)
     if provenance:
         report.provenance.update(provenance)
     return report

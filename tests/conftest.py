@@ -11,6 +11,11 @@ from bugsteps.model import (
 )
 
 
+def covered(result):
+    """Every statement a run covered, as one flat set."""
+    return frozenset().union(*result.blocks)
+
+
 class FakeDriver:
     """Predicate-driven in-memory driver for isolation-engine tests.
 

@@ -116,6 +116,34 @@ class TestIsolate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
 
+    @staticmethod
+    def process_config(tmp_path, coverage):
+        """A process config whose every run fails, writes ``coverage`` and
+        leaves a ``ran`` file behind."""
+        (tmp_path / "cov.json").write_text(json.dumps(coverage))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "enumerate_command": "printf 'a\\nb\\n'",
+            "run_command": "touch ran; echo {passes}",
+            "expected_output": "never", "coverage_paths": ["cov.json"]}))
+        return cfg
+
+    def test_malformed_gcov_record_exits_3(self, tmp_path, capsys):
+        cfg = self.process_config(tmp_path, {"files": [{"file": "a.c", "lines": None}]})
+        assert main(["isolate", str(cfg), "--cache-dir", str(tmp_path / "cache")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'lines'" in err and "Traceback" not in err
+
+    def test_cache_dir_that_is_a_file_exits_3_before_any_run(self, tmp_path, capsys):
+        cfg = self.process_config(tmp_path, {"files": []})
+        afile = tmp_path / "afile"
+        afile.write_text("mine\n")
+        assert main(["isolate", str(cfg), "--cache-dir", str(afile)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot create cache directory") and "Traceback" not in err
+        assert not (tmp_path / "ran").exists()  # no run: process_runs stayed 0
+        assert afile.read_text() == "mine\n"
+
     def test_fallback_report_exits_0_with_diagnostic(self, tmp_path, testbed_dir,
                                                      capsys):
         # failure independent of every skippable step (frontend-bug analog):

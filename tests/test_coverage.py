@@ -111,6 +111,18 @@ class TestGcovJson:
         with pytest.raises(MalformedCoverage):
             parse_statements(b"{}")
 
+    @pytest.mark.parametrize("frec", [
+        {"lines": []}, {"file": None, "lines": []}, {"file": ["a.c"], "lines": []},
+        {"file": 7}, {"file": "a.c", "lines": None}, {"file": "a.c", "lines": {"1": 1}},
+        {"file": "a.c", "lines": "1"},
+    ])
+    def test_unchecked_file_record_fields_rejected(self, frec):
+        with pytest.raises(MalformedCoverage):
+            parse_statements(gcov_doc([frec]))
+
+    def test_absent_lines_cover_nothing(self):
+        assert parse_statements(gcov_doc([{"file": "a.c"}])) == frozenset()
+
 
 @pytest.mark.parametrize("source_root", [None, "/src/llvm"])
 @pytest.mark.parametrize("path", ["", ".", "a/..", "/src/llvm", "/usr/x.c", "../x.c"])

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bugsteps import driver as driver_module
 from bugsteps.coverage import emit_gcov_json
 from bugsteps.driver import (
     COVERAGE_PARSERS,
@@ -36,6 +35,7 @@ from bugsteps.errors import (
 )
 from bugsteps.isolate import no_del, run_strategy, tail_prune
 from bugsteps.model import ExecutionResult, Outcome, StatementId, file_blocks
+from conftest import covered
 
 PY = sys.executable
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -253,7 +253,7 @@ class TestExecute:
         driver = ProcessDriver(load_config(write_config(tmp_path)))
         result = driver.execute(("instcombine", "licm", "simplifycfg"))
         assert result.outcome is Outcome.PASS
-        assert result.coverage == {StatementId("m.c", 1)}
+        assert covered(result) == {StatementId("m.c", 1)}
 
     def test_wrong_output(self, tmp_path):
         driver = ProcessDriver(load_config(write_config(tmp_path)))
@@ -373,7 +373,7 @@ class TestExecute:
         cfg_path = write_config(tmp_path)
         cache = tmp_path / "cache"
         d1 = ProcessDriver(load_config(cfg_path), cache_dir=cache)
-        d1.execute(("licm",)).coverage  # settles the run: its entry is on disk
+        covered(d1.execute(("licm",)))  # settles the run: its entry is on disk
         d2 = ProcessDriver(load_config(cfg_path), cache_dir=cache)
         r = d2.execute(("licm",))
         assert d2.process_runs == 0
@@ -418,7 +418,7 @@ class TestExecute:
         cache = tmp_path / "cache"
         driver = ProcessDriver(load_config(self.scratch_config(tmp_path)), cache_dir=cache)
         for subset in [("licm",), ("instcombine",)]:
-            assert driver.execute(subset).coverage == {StatementId("m.c", 1)}
+            assert covered(driver.execute(subset)) == {StatementId("m.c", 1)}
         seen = (tmp_path / "seen.txt").read_text().split()
         assert len(seen) == len(set(seen)) == 2
         assert not any(Path(s).exists() for s in seen)
@@ -448,7 +448,7 @@ class TestExecute:
         )
         driver = ProcessDriver(load_config(cfg))
         result = driver.execute(("instcombine",))
-        assert result.coverage == {StatementId("src/x.c", 4)}
+        assert covered(result) == {StatementId("src/x.c", 4)}
 
     def test_documents_covering_one_file_are_merged(self, tmp_path):
         (tmp_path / "a.json").write_text(gcov_cov({StatementId("m.c", 1, "foo"),
@@ -468,7 +468,7 @@ class TestExecute:
         assert COVERAGE_PARSERS["native_json"] is COVERAGE_PARSERS["gcov_json"]
         assert load_config(write_config(tmp_path)).coverage_source == "gcov_json"
         cfg = load_config(write_config(tmp_path, coverage_source="native_json"))
-        assert ProcessDriver(cfg).execute(("licm",)).coverage == {StatementId("m.c", 1)}
+        assert covered(ProcessDriver(cfg).execute(("licm",))) == {StatementId("m.c", 1)}
 
 
 def scratch_dirs():
@@ -513,7 +513,7 @@ class TestDeferredCoverage:
         assert (first.outcome, second.outcome) == (Outcome.FAIL_WRONG_OUTPUT, Outcome.PASS)
         assert not driver._cache_path(("licm",)).exists() and not scratch_dirs()
         release.set()
-        assert first.coverage == second.coverage == {StatementId("m.c", 1)}
+        assert covered(first) == covered(second) == {StatementId("m.c", 1)}
         assert driver._cache_path(("licm",)).exists()
 
     def test_each_run_reads_its_own_shared_coverage_files(self, tmp_path, monkeypatch):
@@ -531,7 +531,7 @@ class TestDeferredCoverage:
             coverage_paths=["a.json", "b.json"]))
         results = [driver.execute((step,)) for step in steps]
         for step, result in zip(steps, results):
-            assert result.coverage == {StatementId(f"{step}.a.c", 1), StatementId(f"{step}.b.c", 1)}
+            assert covered(result) == {StatementId(f"{step}.a.c", 1), StatementId(f"{step}.b.c", 1)}
 
     def test_malformed_coverage_raises_in_the_strategy(self, tmp_path):
         driver = ProcessDriver(self.config(tmp_path), cache_dir=tmp_path / "cache")
@@ -549,13 +549,13 @@ class TestDeferredCoverage:
         result = driver.execute(())
         assert result.outcome is Outcome.PASS
         with pytest.raises(MalformedCoverage) as first:
-            result.coverage
+            covered(result)
         with pytest.raises(MalformedCoverage) as again:
             result.blocks
         assert again.value is first.value
         assert not driver._cache_path(()).exists() and not scratch_dirs()
         with pytest.raises(MalformedCoverage):
-            driver.execute(()).coverage
+            covered(driver.execute(()))
         assert driver.process_runs == 2
 
     def test_slow_parse_is_not_a_timeout(self, tmp_path, monkeypatch):
@@ -570,7 +570,7 @@ class TestDeferredCoverage:
         first = driver.execute(("licm",))
         # the first run's parse outlasts the timeout; the quick command does not
         assert driver.execute(("simplifycfg",)).outcome is Outcome.PASS
-        assert first.coverage == {StatementId("m.c", 1)}
+        assert covered(first) == {StatementId("m.c", 1)}
 
     def test_concurrent_first_reads_parse_once(self, tmp_path, monkeypatch):
         parsed = []
@@ -618,8 +618,8 @@ class TestCacheClear:
     def test_clear_counts_entries(self, tmp_path):
         cache = tmp_path / "cache"
         driver = ProcessDriver(load_config(write_config(tmp_path)), cache_dir=cache)
-        driver.execute(("licm",)).coverage
-        driver.execute(("instcombine",)).coverage
+        covered(driver.execute(("licm",)))
+        covered(driver.execute(("instcombine",)))
         assert clear_cache_dir(cache) >= 2
         assert not cache.exists()
         assert clear_cache_dir(cache) == 0
@@ -629,7 +629,7 @@ class TestCacheClear:
         cache = tmp_path / "cache"
         driver = ProcessDriver(load_config(write_config(tmp_path)), cache_dir=cache)
         for subset in [("licm",), ("instcombine",), ("instcombine", "licm")]:
-            driver.execute(subset).coverage
+            covered(driver.execute(subset))
             leftover = driver.cache_dir / "runs" / "_".join(subset) / "cov.json"
             leftover.parent.mkdir(parents=True)
             leftover.write_text(gcov_cov({StatementId("m.c", 1)}))
@@ -638,8 +638,8 @@ class TestCacheClear:
     def test_only_what_the_cache_wrote_is_removed(self, tmp_path):
         cache = tmp_path / "cache"
         driver = ProcessDriver(load_config(write_config(tmp_path)), cache_dir=cache)
-        driver.execute(("licm",)).coverage
-        driver.execute(("instcombine",)).coverage
+        covered(driver.execute(("licm",)))
+        covered(driver.execute(("instcombine",)))
         entry = driver._cache_path(("licm",))
         leftovers = [entry.with_name(f"{entry.stem}.123.456.tmp"),
                      entry.with_name(f"{entry.stem}.tmp.123")]
@@ -678,12 +678,12 @@ class TestDiskCacheEntry:
 
     def test_fresh_driver_loads_equal_result(self, tmp_path):
         first = self.make_driver(tmp_path).execute(("licm",))
-        first.coverage  # settles the run: its entry is on disk
+        covered(first)  # settles the run: its entry is on disk
         fresh = self.make_driver(tmp_path)
         loaded = fresh.execute(("licm",))
         assert fresh.process_runs == 0
         assert loaded == first
-        functions = {(s.file, s.line, s.function) for s in loaded.coverage}
+        functions = {(s.file, s.line, s.function) for s in covered(loaded)}
         assert functions == {(s.file, s.line, s.function) for s in self.COVERAGE}
 
     def test_concurrent_stores_of_one_entry(self, tmp_path):
@@ -706,7 +706,7 @@ class TestDiskCacheEntry:
 
     def test_entry_is_version_3(self, tmp_path):
         driver = self.make_driver(tmp_path)
-        driver.execute(("licm",)).coverage
+        covered(driver.execute(("licm",)))
         text = self.entry(driver, ("licm",)).read_text()
         doc = json.loads(text)
         assert doc["version"] == 3
@@ -717,7 +717,7 @@ class TestDiskCacheEntry:
     def test_entry_with_wall_time_loads(self, tmp_path):
         # earlier versions also stored the run's duration, which is not read
         first = self.make_driver(tmp_path).execute(("licm",))
-        first.coverage
+        covered(first)
         path = self.entry(self.make_driver(tmp_path), ("licm",))
         doc = json.loads(path.read_text())
         path.write_text(json.dumps({**doc, "wall_time": 0.25}, separators=(",", ":")))
@@ -728,20 +728,20 @@ class TestDiskCacheEntry:
     def test_version_1_entry_is_rerun_and_rewritten(self, tmp_path):
         driver = self.make_driver(tmp_path)
         result = driver.execute(("licm",))
-        result.coverage
+        covered(result)
         path = self.entry(driver, ("licm",))
         path.write_text(json.dumps(result.to_json_dict(), sort_keys=True))
         fresh = self.make_driver(tmp_path)
         rerun = fresh.execute(("licm",))
-        rerun.coverage
+        covered(rerun)
         assert fresh.process_runs == 1
-        assert (rerun.outcome, rerun.coverage) == (result.outcome, result.coverage)
+        assert (rerun.outcome, covered(rerun)) == (result.outcome, covered(result))
         assert json.loads(path.read_text())["version"] == 3
 
     def test_version_2_entry_is_rerun_and_rewritten(self, tmp_path, caplog):
         driver = self.make_driver(tmp_path)
         result = driver.execute(("licm",))
-        result.coverage
+        covered(result)
         path = self.entry(driver, ("licm",))
         path.write_text(json.dumps({
             "version": 2, "subset": ["licm"], "outcome": result.outcome.value,
@@ -749,9 +749,9 @@ class TestDiskCacheEntry:
             "lines": [[2, 0], [1, 1, 7, 2]]}))
         fresh = self.make_driver(tmp_path)
         rerun = fresh.execute(("licm",))
-        rerun.coverage
+        covered(rerun)
         assert fresh.process_runs == 1
-        assert (rerun.outcome, rerun.coverage) == (result.outcome, result.coverage)
+        assert (rerun.outcome, covered(rerun)) == (result.outcome, covered(result))
         assert json.loads(path.read_text())["version"] == 3
         assert "corrupt" not in caplog.text  # another version is a miss, not a fault
 
@@ -772,10 +772,9 @@ class TestDiskCacheEntry:
     def test_malformed_entry_is_rerun_and_overwritten(self, tmp_path, text):
         driver = self.make_driver(tmp_path)
         path = self.entry(driver, ("licm",))
-        path.parent.mkdir(parents=True)
         path.write_text(text)
         result = driver.execute(("licm",))
-        result.coverage
+        covered(result)
         assert driver.process_runs == 1
         assert result.outcome is Outcome.FAIL_WRONG_OUTPUT
         assert json.loads(path.read_text())["version"] == 3
@@ -821,15 +820,14 @@ class TestDiskCacheEntry:
                                                                 files, primed):
         driver = self.make_driver(tmp_path)
         if primed:
-            driver.execute(("licm",)).coverage
+            covered(driver.execute(("licm",)))
             driver = self.make_driver(tmp_path)
             assert driver._cache_load(("licm",)) is not None and driver._blocks
         path = self.entry(driver, ("licm",))
-        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps({"version": 3, "subset": ["licm"], "outcome": "pass",
                                     "files": files}))
         result = driver.execute(("licm",))
-        result.coverage
+        covered(result)
         assert driver.process_runs == 1
         assert result.outcome is Outcome.FAIL_WRONG_OUTPUT
         assert "discarding corrupt cache entry" in caplog.text
@@ -841,7 +839,6 @@ class TestDiskCacheEntry:
     def test_malformed_v3_fields_are_logged_and_rerun(self, tmp_path, caplog, field, value):
         driver = self.make_driver(tmp_path)
         path = self.entry(driver, ("licm",))
-        path.parent.mkdir(parents=True)
         doc = {"version": 3, "subset": ["licm"], "outcome": "pass", "files": self.VALID}
         doc[field] = value
         path.write_text(json.dumps(doc))
@@ -851,17 +848,17 @@ class TestDiskCacheEntry:
 
     def test_repeated_block_decoded_once(self, tmp_path):
         driver = self.make_driver(tmp_path)
-        driver.execute(("licm",)).coverage
-        driver.execute(("instcombine",)).coverage
+        covered(driver.execute(("licm",)))
+        covered(driver.execute(("instcombine",)))
         fresh = self.make_driver(tmp_path)
         a = fresh.execute(("licm",))
         b = fresh.execute(("instcombine",))
         assert fresh.process_runs == 0
         assert len(fresh._blocks) == 2
-        assert a.coverage == b.coverage == self.COVERAGE
+        assert covered(a) == covered(b) == self.COVERAGE
         assert all(x is y for x, y in zip(a.blocks, b.blocks))  # the memo's objects
-        assert all(x is y for x, y in zip(sorted(a.coverage, key=StatementId.sort_key),
-                                          sorted(b.coverage, key=StatementId.sort_key)))
+        assert all(x is y for x, y in zip(sorted(covered(a), key=StatementId.sort_key),
+                                          sorted(covered(b), key=StatementId.sort_key)))
 
     def two_coverages(self, tmp_path, licm, other):
         """A driver whose runs with licm cover ``licm``, the others ``other``."""
@@ -874,43 +871,55 @@ class TestDiskCacheEntry:
         return lambda: ProcessDriver(load_config(cfg), cache_dir=tmp_path / "cache")
 
     def test_equal_blocks_keep_their_own_functions(self, tmp_path):
-        # equal as statements, so only an identity-keyed store memo keeps
+        # equal as statements, so only a record kept per block object keeps
         # the second run from being stored with the first run's function
         make = self.two_coverages(tmp_path, {StatementId("f.c", 3, "foo")},
                                   {StatementId("f.c", 3, "bar")})
         driver = make()
         for subset in [("licm",), ("instcombine",)]:
-            driver.execute(subset).coverage
+            covered(driver.execute(subset))
         fresh = make()
         for subset, function in [(("licm",), "foo"), (("instcombine",), "bar")]:
-            (stmt,) = fresh.execute(subset).coverage
+            (stmt,) = covered(fresh.execute(subset))
             assert (stmt.file, stmt.line, stmt.function) == ("f.c", 3, function)
         assert fresh.process_runs == 0
 
-    def test_repeated_file_parsed_and_encoded_once(self, tmp_path, monkeypatch):
-        encoded = []
-        encode = driver_module._encode_block
-        monkeypatch.setattr(driver_module, "_encode_block",
-                            lambda stmts: encoded.append(stmts[0].file) or encode(stmts))
+    def test_repeated_file_parsed_and_encoded_once(self, tmp_path):
         shared = StatementId("m.c", 1, "main")
         driver = self.two_coverages(tmp_path, {shared, StatementId("lib/u.c", 2, "helper")},
                                     {shared, StatementId("lib/u.c", 5, "helper")})()
         a = driver.execute(("licm",))
+        first = [block.record for block in a.blocks]  # settles: stored, so encoded
+        assert first == [("lib/u.c", ("helper",), "2,0"), ("m.c", ("main",), "1,0")]
         b = driver.execute(("instcombine",))
         c = driver.execute(("licm", "simplifycfg"))
+        covered(b), covered(c)
         assert driver.process_runs == 3
         assert a.blocks[1] is b.blocks[1] is c.blocks[1]  # m.c
         assert a.blocks[0] is c.blocks[0] and a.blocks[0] != b.blocks[0]  # lib/u.c
-        assert sorted(encoded) == ["lib/u.c", "lib/u.c", "m.c"]
+        # later stores reuse each block object's record, not an equal new one
+        assert all(block.record is record for block, record in zip(a.blocks, first))
+        assert b.blocks[0].record == ("lib/u.c", ("helper",), "5,0")
+
+    def test_loaded_block_keeps_the_record_it_was_read_from(self, tmp_path):
+        make = self.two_coverages(tmp_path, {StatementId("m.c", 7), StatementId("m.c", 1, "main")},
+                                  {StatementId("f.c", 3, "foo")})
+        covered(make().execute(("licm",)))
+        fresh = make()
+        loaded = fresh.execute(("licm",))
+        assert fresh.process_runs == 0
+        files = json.loads(fresh._cache_path(("licm",)).read_text())["files"]
+        assert files == [["m.c", ["main", None], "1,0,7,1"]]
+        assert [json.loads(json.dumps(block.record)) for block in loaded.blocks] == files
 
     def test_runs_share_statement_objects(self, tmp_path):
         driver = self.make_driver(tmp_path)
         a = driver.execute(("licm",))
         b = driver.execute(("instcombine",))
         assert driver.process_runs == 2
-        by_key = {s: s for s in b.coverage}
-        assert a.coverage == b.coverage
-        assert all(by_key[s] is s for s in a.coverage)
+        by_key = {s: s for s in covered(b)}
+        assert covered(a) == covered(b)
+        assert all(by_key[s] is s for s in covered(a))
 
 
 _NAMES = [None, "main", "helper", "f"]
@@ -938,7 +947,7 @@ def test_disk_entry_round_trip(functions):
         for subset, run in runs.items():
             loaded = fresh._cache_load(subset)
             assert loaded.subset == subset and loaded.outcome is Outcome.PASS
-            assert {(s.file, s.line, s.function) for s in loaded.coverage} == {
+            assert {(s.file, s.line, s.function) for s in covered(loaded)} == {
                 (f, line, fn) for (f, line), fn in run.items()}
 
 
@@ -985,7 +994,7 @@ class TestToyThroughSubprocess:
         assert len(seq) == len(scn.pipeline)
         result = driver.execute(seq.ids)
         assert result.outcome is Outcome.FAIL_WRONG_OUTPUT
-        assert any(s.file == "passes/const_fold.mini" for s in result.coverage)
+        assert any(s.file == "passes/const_fold.mini" for s in covered(result))
 
     def test_agrees_with_in_process_driver(self, tmp_path, scenario_file):
         from bugsteps.toy.driver import ToyDriver
@@ -998,7 +1007,7 @@ class TestToyThroughSubprocess:
             a = proc_driver.execute(subset)
             b = toy_driver.execute(subset)
             assert a.outcome == b.outcome, subset
-            assert a.coverage == b.coverage, subset
+            assert covered(a) == covered(b), subset
 
     def test_no_del_jobs_agree_and_parse_each_run_once(self, tmp_path, scenario_file,
                                                       monkeypatch):
@@ -1025,7 +1034,7 @@ class TestToyThroughSubprocess:
         driver = self.make_driver(tmp_path, scn_path, scn)
         result = driver.execute(driver.enumerate_steps().ids)
         assert result.outcome is Outcome.FAIL_CRASH
-        assert result.coverage  # coverage written before the abort
+        assert covered(result)  # coverage written before the abort
 
 
 # each argv word names a pass; pass_b is the seeded one: it alone changes the value
@@ -1093,13 +1102,13 @@ class TestRealGcov:
         driver = ProcessDriver(self.config(tmp_path), cache_dir=tmp_path / "cache")
         result = tail_prune(driver, driver.enumerate_steps())
         assert result.bug_causing_steps == ["b"]
-        seeded = {s for s in result.baseline.coverage if s.function == "pass_b"}
+        seeded = {s for s in covered(result.baseline) if s.function == "pass_b"}
         assert seeded and seeded <= result.probes[0].diff
 
     def test_no_coverage_leaks_into_the_next_run(self, tmp_path):
         driver = ProcessDriver(self.config(tmp_path))
         full = driver.execute(("a", "b", "c"))
         only_a = driver.execute(("a",))
-        others = {s for s in full.coverage if s.function in ("pass_b", "pass_c")}
-        assert others and not others & only_a.coverage
-        assert any(s.function == "pass_a" for s in only_a.coverage)
+        others = {s for s in covered(full) if s.function in ("pass_b", "pass_c")}
+        assert others and not others & covered(only_a)
+        assert any(s.function == "pass_a" for s in covered(only_a))

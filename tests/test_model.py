@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import threading
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bugsteps.model import (
+    Block,
     ExecutionResult,
     Outcome,
     StatementId,
@@ -35,25 +37,81 @@ def stmt_sets():
     return st.frozensets(stmts, max_size=25)
 
 
+@st.composite
+def run_pairs(draw):
+    """Two runs' blocks, one per file; per file the runs share one block
+    object, hold equal blocks under other function names, hold blocks of
+    any lines each, or only one of them covers it."""
+    functions = st.sampled_from(["f", "g", None])
+
+    def block(file, lines, function=functions):
+        return Block(StatementId(file, line, draw(function)) for line in lines)
+
+    a, b = [], []
+    for file in ["a.c", "b.c", "sub/c.c", "sub/d.c"]:
+        kind = draw(st.sampled_from(["shared", "equal", "any", "a", "b", "none"]))
+        lines = draw(st.frozensets(st.integers(1, 12), min_size=1, max_size=8))
+        if kind == "shared":
+            a.append(block(file, lines))
+            b.append(a[-1])
+        elif kind == "equal":
+            a.append(block(file, lines))
+            b.append(block(file, lines, st.sampled_from(["h", "k"])))
+        elif kind == "any":
+            a.append(block(file, lines))
+            other = draw(st.frozensets(st.integers(1, 12), min_size=1, max_size=8))
+            b.append(block(file, other))
+        elif kind != "none":
+            (a if kind == "a" else b).append(block(file, lines))
+    return tuple(a), tuple(b)
+
+
+def with_functions(stmts):
+    return sorted((s.file, s.line, s.function) for s in stmts)
+
+
 class TestSymmetricDiff:
     def test_basic(self):
-        assert symmetric_diff({s1, s2}, {s2, s3}) == {s1, s3}
+        assert symmetric_diff(file_blocks({s1, s2}), file_blocks({s2, s3})) == {s1, s3}
 
     def test_identical_sets(self):
-        assert symmetric_diff({s1, s2, s3}, {s1, s2, s3}) == frozenset()
+        blocks = file_blocks({s1, s2, s3})
+        assert symmetric_diff(blocks, blocks) == frozenset()
+        assert symmetric_diff(blocks, file_blocks({s1, s2, s3})) == frozenset()
 
     def test_empty_side(self):
-        assert symmetric_diff({s1, s2, s3}, set()) == {s1, s2, s3}
+        assert symmetric_diff(file_blocks({s1, s2, s3}), ()) == {s1, s2, s3}
 
     @given(stmt_sets(), stmt_sets())
     def test_cardinality_identity(self, a, b):
-        assert len(symmetric_diff(a, b)) == len(a) + len(b) - 2 * len(a & b)
+        d = symmetric_diff(file_blocks(a), file_blocks(b))
+        assert len(d) == len(a) + len(b) - 2 * len(a & b)
 
     @given(stmt_sets(), stmt_sets())
     def test_commutative_and_disjoint_from_intersection(self, a, b):
-        d = symmetric_diff(a, b)
-        assert d == symmetric_diff(b, a)
+        d = symmetric_diff(file_blocks(a), file_blocks(b))
+        assert d == symmetric_diff(file_blocks(b), file_blocks(a))
         assert not (d & (a & b))
+
+    @given(run_pairs())
+    def test_equals_flat_reference(self, runs):
+        a, b = runs
+        got = symmetric_diff(a, b)
+        want = frozenset(chain(*a)) ^ frozenset(chain(*b))
+        assert got == want
+        # each statement is the object of the one run that covers it
+        assert with_functions(got) == with_functions(want)
+
+
+class TestBlock:
+    def test_a_frozenset_by_value_with_its_own_record(self):
+        block = Block([s1, s2])
+        assert block.record is None
+        assert block == frozenset([s1, s2]) and hash(block) == hash(frozenset([s1, s2]))
+        assert Block([s1, s2], ("a.c", (None,), "1,0,2,0")).record == ("a.c", (None,), "1,0,2,0")
+        assert type(block | Block([s3])) is frozenset
+        with pytest.raises(AttributeError):
+            block.other = 1  # slotted: no __dict__
 
 
 class TestFileBlocks:
@@ -68,9 +126,10 @@ class TestFileBlocks:
 
     def test_result_coverage_is_the_union(self):
         result = ExecutionResult(("a",), Outcome.PASS, file_blocks([s3, s1, s2]))
+        assert all(type(b) is Block and b.record is None for b in result.blocks)
         assert [sorted(b, key=StatementId.sort_key) for b in result.blocks] == [[s1, s2], [s3]]
-        assert result.coverage == {s1, s2, s3}
-        assert ExecutionResult((), Outcome.PASS, ()).coverage == frozenset()
+        assert result.to_json_dict()["coverage"] == [s.to_json_dict() for s in (s1, s2, s3)]
+        assert ExecutionResult((), Outcome.PASS, ()).to_json_dict()["coverage"] == []
 
 
 class TestStatementId:

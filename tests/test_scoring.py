@@ -22,6 +22,7 @@ from bugsteps.scoring import (
     score_metallaxis,
     score_ochiai,
 )
+from conftest import covered
 
 TOL = 1e-9
 
@@ -147,8 +148,8 @@ class TestOchiaiScorer:
         passing = [r for r in runs if not r.outcome.is_fail]
         if not failing or not passing:
             return
-        ef = Counter(chain.from_iterable(r.coverage for r in failing))
-        ep = Counter(chain.from_iterable(r.coverage for r in passing))
+        ef = Counter(chain.from_iterable(covered(r) for r in failing))
+        ep = Counter(chain.from_iterable(covered(r) for r in passing))
         expected = {(s.file, s.line, s.function): f / math.sqrt(len(failing) * (f + ep[s]))
                     for s, f in ef.items()}
         got = {(s.file, s.line, s.function): v for s, v in score_ochiai(runs).items()}
@@ -231,18 +232,18 @@ class TestRankSum:
 class TestFallback:
     def test_uniform_scores_and_worst_rank(self):
         coverage = {stmt("x.c", 1), stmt("x.c", 2), stmt("y.c", 5)}
-        report = compute_fallback(coverage, "file")
+        report = compute_fallback(file_blocks(coverage), "file")
         assert NO_BUG_CAUSING_STEPS in report.diagnostics
         assert [r.unit for r in report.rows] == ["x.c", "y.c"]
         assert all(abs(r.score - 1 / 3) < TOL for r in report.rows)
         assert all(r.rank == 2 for r in report.rows)
 
     def test_empty_coverage(self):
-        report = compute_fallback(set(), "file")
+        report = compute_fallback((), "file")
         assert report.rows == []
         assert NO_BUG_CAUSING_STEPS in report.diagnostics
 
     def test_function_granularity_skips_metadata_free_statements(self):
         coverage = {stmt("x.c", 1, "f"), stmt("x.c", 2)}
-        report = compute_fallback(coverage, "function")
+        report = compute_fallback(file_blocks(coverage), "function")
         assert [r.unit for r in report.rows] == ["x.c::f"]

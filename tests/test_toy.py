@@ -8,6 +8,7 @@ from bugsteps.toy.bugs import SeededBug, _validate_scenario, generate_scenarios,
 from bugsteps.toy.driver import ToyDriver
 from bugsteps.toy.ir import Instr, MiniProgram, interpret, validate_program
 from bugsteps.toy.passes import CANONICAL_ORDER, CATALOGS, Tracer, run_pipeline
+from conftest import covered
 
 MASK = (1 << 64) - 1
 
@@ -258,7 +259,7 @@ class TestToyDriver:
         d = ToyDriver(s)
         r = d.execute(d.enumerate_steps().ids)
         assert r.outcome is Outcome.FAIL_CRASH
-        assert r.coverage  # partial coverage up to the crash
+        assert covered(r)  # partial coverage up to the crash
 
     def test_deterministic_result(self):
         s = generate_scenarios(42, 1)[0]
