@@ -21,16 +21,16 @@ from pathlib import Path
 
 from . import __version__
 from .coverage import emit_gcov_json
-from .driver import clear_cache_dir, load_driver
 from .errors import BugStepsError, InvalidConfig, NotReproducible
-from .evalharness import evaluate_manifest, render_metrics_table
 from .isolate import STRATEGIES, run_strategy
 from .model import Outcome
 from .scoring import GRANULARITIES, SCORERS, report_for
-from .toy.bugs import generate_scenarios, load_scenario, subset_outcome
-from .toy.driver import pipeline_steps
+from .toy.bugs import generate_scenarios, load_scenario, pipeline_steps, subset_outcome
 from .toy.passes import Tracer
 from .util import canonical_json
+
+# the drivers and the eval harness are imported by the verbs that use them,
+# so a testbed-run child, started once per run, does not load them
 
 EXIT_OK = 0
 EXIT_NOT_REPRODUCIBLE = 2
@@ -53,6 +53,8 @@ def _write_output(text: str, output):
 
 
 def cmd_isolate(args) -> int:
+    from .driver import load_driver
+
     driver = load_driver(args.config, cache_dir=args.cache_dir)
     sequence = driver.enumerate_steps()
     isolation = run_strategy(
@@ -87,6 +89,8 @@ def cmd_isolate(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .evalharness import evaluate_manifest, render_metrics_table
+
     strategies = [s.strip() for s in args.strategy.split(",") if s.strip()]
     scorers = [s.strip() for s in args.scorer.split(",") if s.strip()]
     for kind, names, known in (("strategy", strategies, STRATEGIES),
@@ -172,7 +176,7 @@ def cmd_testbed_run(args) -> int:
     tracer = Tracer()
     outcome, outputs = subset_outcome(bug, positions, tracer=tracer)
     if args.coverage_out:
-        Path(args.coverage_out).write_bytes(emit_gcov_json(tracer.covered))
+        Path(args.coverage_out).write_bytes(emit_gcov_json(tracer.blocks()))
     if outcome is Outcome.FAIL_CRASH:
         sys.stderr.write("compiler crashed\n")
         sys.stderr.flush()
@@ -183,6 +187,8 @@ def cmd_testbed_run(args) -> int:
 
 
 def cmd_cache_clear(args) -> int:
+    from .driver import clear_cache_dir
+
     removed = clear_cache_dir(args.cache_dir)
     print(f"removed {removed} cached result(s) from {args.cache_dir}")
     return EXIT_OK

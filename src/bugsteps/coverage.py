@@ -10,12 +10,11 @@ from __future__ import annotations
 import gzip
 import json
 import posixpath
-from itertools import groupby
 from operator import attrgetter
 from typing import Dict, Iterable, Optional, Tuple
 
 from .errors import MalformedCoverage
-from .model import Block, StatementId, StatementPool, normalize_path
+from .model import LINE_BITS, LINE_MASK, Block, file_id, normalize_path
 
 _GZIP_MAGIC = b"\x1f\x8b"
 _FILE = attrgetter("file")
@@ -63,22 +62,36 @@ def _statement_file(path: str, root_prefix: Optional[str]) -> Optional[str]:
     return None if path.startswith("/") else path
 
 
+def _integer(value, file: str) -> int:
+    """A line record's ``line_number`` or ``count`` that is not an int, as one.
+
+    An integral float and a decimal string are read; any other value,
+    a boolean too, is ``MalformedCoverage``.
+    """
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise MalformedCoverage(f"non-integral line record {value!r} in {file!r}")
+
+
 def parse_gcov_blocks(documents: Iterable[bytes], source_root: Optional[str] = None,
-                      pool: Optional[StatementPool] = None,
                       memo: Optional[Dict[tuple, Block]] = None) -> Tuple[Block, ...]:
     """Parse a run's gcov JSON-intermediate documents into one block per covered file.
 
     Only lines with a positive execution count are kept; duplicate records
     for the same line, also under another spelling of its file or in
     another document, are unioned, keeping the function of the first such
-    record in document order.  The blocks are in file order and none is
-    empty.  Statements come from ``pool`` (a fresh one when omitted).  A
-    block is looked up in ``memo`` by its file and its ``(line, function)``
-    pairs in line order, so a file whose covered lines and functions repeat
-    from run to run is built once and yields the same block object every
-    time.
+    record in document order.  A kept line must be below ``2**LINE_BITS``.
+    The blocks are in file order and none is empty.  A block is looked up
+    in ``memo`` (a fresh one when omitted) by its file and its ``(line,
+    function)`` pairs in line order, so a file whose covered lines and
+    functions repeat from run to run is built once and yields the same
+    block object every time.
     """
-    pool = StatementPool() if pool is None else pool
     memo = {} if memo is None else memo
     root_prefix = _root_prefix(source_root)
     # normalized file -> {line: function of the line's first positive record}
@@ -106,12 +119,12 @@ def parse_gcov_blocks(documents: Iterable[bytes], source_root: Optional[str] = N
                 except (TypeError, KeyError):
                     raise MalformedCoverage(
                         f"gcov line record malformed in {frec['file']!r}") from None
-                try:
-                    line, count = int(line), int(count)
-                except (TypeError, ValueError) as exc:
-                    raise MalformedCoverage(
-                        f"non-numeric line record in {frec['file']!r}") from exc
+                if type(line) is not int or type(count) is not int:
+                    line, count = _integer(line, frec["file"]), _integer(count, frec["file"])
                 if count > 0 and line > 0:
+                    if line > LINE_MASK:
+                        raise MalformedCoverage(
+                            f"line {line} of {frec['file']!r} is above {LINE_MASK}")
                     function = lrec.get("function_name") or None
                     if function is not None and not isinstance(function, str):
                         raise MalformedCoverage(
@@ -119,25 +132,27 @@ def parse_gcov_blocks(documents: Iterable[bytes], source_root: Optional[str] = N
                     first(line, function)
     blocks = []
     for fname in sorted(files):
-        if not files[fname]:
+        lines = files[fname]
+        if not lines:
             continue
-        key = (fname, tuple(sorted(files[fname].items())))
+        key = (fname, tuple(sorted(lines.items())))
         block = memo.get(key)
         if block is None:
-            block = memo[key] = Block(
-                pool[fname, line, function] for line, function in key[1])
+            base = file_id(fname) << LINE_BITS
+            block = memo[key] = Block(map(base.__or__, lines), fname, lines)
         blocks.append(block)
     return tuple(blocks)
 
 
-def emit_gcov_json(statements: Iterable[StatementId]) -> bytes:
-    """The gcov JSON document ``parse_gcov_blocks`` reads back as ``statements``.
+def emit_gcov_json(blocks: Iterable[Block]) -> bytes:
+    """The gcov JSON document ``parse_gcov_blocks`` reads back as ``blocks``.
 
     Files in order and lines in order within each file, each line run once.
     """
     files = [
-        {"file": file, "lines": [{"line_number": s.line, "count": 1, "function_name": s.function}
-                                 for s in stmts]}
-        for file, stmts in groupby(sorted(statements, key=StatementId.sort_key), _FILE)
+        {"file": block.file,
+         "lines": [{"line_number": line, "count": 1, "function_name": block.functions[line]}
+                   for line in sorted(map(LINE_MASK.__and__, block))]}
+        for block in sorted(blocks, key=_FILE)
     ]
     return json.dumps({"files": files}, separators=(",", ":")).encode("utf-8")

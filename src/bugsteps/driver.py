@@ -3,36 +3,37 @@
 A driver answers one question: given an ordered subset of step ids, what
 is the outcome and which compiler statements executed?  The ``Driver``
 base class owns everything the answers share: the ordered-subset check,
-the result cache (in memory, plus a disk tier when ``cache_dir`` is set),
-the ``execute_calls``/``process_runs`` counters and a ``StatementPool``,
-so every run a driver parses or loads shares one ``StatementId`` per
-statement.  A backend's run yields an outcome and per-file blocks of
-statements, and ``Driver._result`` stores them.  ``ProcessDriver``
-returns a run once its outcome is known and its coverage files are read;
-a thread of its own parses and stores them while the next run's command
-runs.  Cache entries are keyed by the driver fingerprint plus the ordered
-retained subset, so repeated identical subsets never re-run.  A disk
-entry is a compact version-3 document with one ``[file, [function
-names], "line,index,line,index,..."]`` record per file, in file order,
-the indices local to that file's names.
+the result cache (in memory, plus a disk tier when ``cache_dir`` is set)
+and the ``execute_calls``/``process_runs`` counters.  A backend's run
+yields an outcome and per-file blocks of int statements (``model``), and
+``Driver._result`` stores them.  ``ProcessDriver`` returns a run once its
+outcome is known and its coverage files are read; a thread of its own
+parses and stores them while the next run's command runs.  Cache entries
+are keyed by the driver fingerprint plus the ordered retained subset, so
+repeated identical subsets never re-run.  A disk entry is a compact
+version-3 document with one ``[file, [function names],
+"line,index,line,index,..."]`` record per file, in file order, the
+indices local to that file's names: paths and lines, never the
+process-local file ids.
 
 The runs of one isolation differ in a few steps, so most files' coverage
 repeats from run to run, and two memos keep a run's cost to the files
 that changed.  Every driver decodes each distinct disk record once,
 keyed by the record itself, and a loaded result holds the memo's block
-objects as they are.  A ``ProcessDriver``'s one parser thread looks each
-file's block up by the file and its ``(line, function)`` pairs over all
-of the run's coverage documents, so a repeated file yields the block
-object of its first parse.  A block keeps its record in
-``Block.record``, the one it was decoded from or encoded into on its
-first store, so no block object is encoded twice.  An entry of another
-version is a miss; one that does not decode, or whose records are not in
-strictly increasing file order once normalized, is logged and a miss;
-either way the subset re-runs and the entry is overwritten.  Backends
-implement only step enumeration and one uncached run: ``ProcessDriver``
-talks to a real compiler through configurable shell commands and
-coverage files, and the testbed's in-process driver lives in
-``bugsteps.toy.driver``.
+objects as they are; a decoded block reads its function names from its
+record only when they are asked for.  A ``ProcessDriver``'s one parser
+thread looks each file's block up by the file and its ``(line,
+function)`` pairs over all of the run's coverage documents, so a
+repeated file yields the block object of its first parse.  A block keeps
+its record in ``Block.record``, the one it was decoded from or encoded
+into on its first store, so no block object is encoded twice.  An entry
+of another version is a miss; one that does not decode, holds a line
+outside ``1..2**24-1``, or whose records are not in strictly increasing
+file order once normalized, is logged and a miss; either way the subset
+re-runs and the entry is overwritten.  Backends implement only step
+enumeration and one uncached run: ``ProcessDriver`` talks to a real
+compiler through configurable shell commands and coverage files, and
+the testbed's in-process driver lives in ``bugsteps.toy.driver``.
 """
 
 from __future__ import annotations
@@ -53,8 +54,7 @@ from contextlib import suppress
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from glob import glob
-from itertools import repeat
-from operator import attrgetter, lt
+from operator import lt
 from pathlib import Path
 from typing import (Dict, List, Optional, Sequence, Tuple, Union,
                     get_args, get_origin, get_type_hints)
@@ -67,11 +67,14 @@ from .errors import (
     InvalidConfig,
 )
 from .model import (
+    LINE_BITS,
+    LINE_MASK,
     Block,
     ExecutionResult,
     Outcome,
-    StatementPool,
     StepSequence,
+    file_id,
+    normalize_path,
 )
 from .util import fingerprint
 
@@ -225,7 +228,6 @@ class Driver:
         self._mem: Dict[Tuple[str, ...], ExecutionResult] = {}
         self._lock = threading.Lock()
         self._sequence: Optional[StepSequence] = None
-        self.statements = StatementPool()
         # a disk entry's file record -> its decoded block
         self._blocks: Dict[Tuple[str, Tuple, str], Block] = {}
         self.execute_calls = 0
@@ -286,7 +288,7 @@ class Driver:
             blocks = tuple(map(self._block, doc["files"]))
             # each block is non-empty and of one file; strictly increasing
             # files also reject a record repeated under another spelling
-            files = [next(iter(block)).file for block in blocks]
+            files = [block.file for block in blocks]
             if not all(map(lt, files, files[1:])):
                 raise ValueError("file records out of order or a file stored twice")
             if doc["subset"] != list(key):
@@ -299,33 +301,40 @@ class Driver:
     def _block(self, record) -> Block:
         """One file's ``[file, functions, text]`` record, decoded once per driver.
 
-        The memo key is the whole record, so a hit stands for a record that
-        passed every check of its first decode.
+        The memo key is the whole record, and only a record that passed
+        every check of its decode is in the memo: a key equal to one of
+        them is of the same types.
         """
         file, functions, text = record  # not a 3-list: fails here or on the types
-        if not (isinstance(file, str) and isinstance(functions, list) and isinstance(text, str)):
-            raise TypeError("a file record must be [str, list, str]")
-        record = (file, tuple(functions), text)
-        block = self._blocks.get(record)
+        if type(functions) is not list:
+            raise TypeError("a file record's function names must be a list")
+        key = (file, tuple(functions), text)
+        block = self._blocks.get(key)
         if block is None:
-            block = self._blocks[record] = self._decode_block(record)
+            block = self._blocks[key] = self._decode_block(key)
         return block
 
-    def _decode_block(self, record: Tuple[str, Tuple, str]) -> Block:
+    @staticmethod
+    def _decode_block(record: Tuple[str, Tuple, str]) -> Block:
         file, functions, text = record
-        if not all(fn is None or isinstance(fn, str) for fn in functions):
-            raise TypeError("function names must be strings or null")
+        if not (isinstance(file, str) and isinstance(text, str)
+                and all(fn is None or isinstance(fn, str) for fn in functions)):
+            raise TypeError("a file record must be [str, [str or null, ...], str]")
         # digits and commas only, so the JSON array holds only non-negative
         # integers; an empty token, a leading zero or a non-ASCII digit fails to parse
         if not text.replace(",", "").isdigit():
             raise ValueError(f"malformed block text in {file!r}")
         numbers = json.loads(f"[{text}]")
-        # zip takes a line, then a function index, from the one iterator
-        pairs = iter(numbers)
-        block = Block(map(self.statements.__getitem__, zip(
-            repeat(file), pairs, map(functions.__getitem__, pairs))), record)
-        if 2 * len(block) != len(numbers):
-            raise ValueError(f"odd token count or a line stored twice in {file!r}")
+        lines = numbers[::2]
+        if (len(numbers) % 2 or min(lines) < 1 or max(lines) > LINE_MASK
+                or max(numbers[1::2]) >= len(functions)):
+            raise ValueError(f"odd token count, a line out of range or an unknown "
+                             f"function index in {file!r}")
+        file = normalize_path(file)
+        base = file_id(file) << LINE_BITS
+        block = Block(map(base.__or__, lines), file, partial(_line_functions, record), record)
+        if len(block) != len(lines):
+            raise ValueError(f"a line stored twice in {file!r}")
         return block
 
     def _cache_store(self, key: Tuple[str, ...], result: ExecutionResult) -> None:
@@ -357,18 +366,23 @@ def _parsed_blocks(driver_ref, key: Tuple[str, ...], parsed: Future) -> Tuple[Bl
         raise
 
 
-_LINE = attrgetter("line")
-_FUNCTION = attrgetter("function")
+def _line_functions(record: Tuple[str, Tuple, str]) -> Dict[int, Optional[str]]:
+    """A decoded record's ``{line: function}``, read only when a block's
+    functions are first asked for."""
+    _, names, text = record
+    numbers = json.loads(f"[{text}]")
+    return dict(zip(numbers[::2], map(names.__getitem__, numbers[1::2])))
 
 
 def _encode_block(block: Block) -> tuple:
     """``block``'s ``(file, functions, "line,index,...")`` record, kept on the block."""
-    stmts = sorted(block, key=_LINE)
-    index = {fn: i for i, fn in enumerate(dict.fromkeys(map(_FUNCTION, stmts)))}
-    numbers = [0] * (2 * len(stmts))
-    numbers[::2] = map(_LINE, stmts)
-    numbers[1::2] = map(index.__getitem__, map(_FUNCTION, stmts))
-    block.record = record = (stmts[0].file, tuple(index), ",".join(map(str, numbers)))
+    lines = sorted(map(LINE_MASK.__and__, block))
+    names = list(map(block.functions.__getitem__, lines))
+    index = {fn: i for i, fn in enumerate(dict.fromkeys(names))}
+    numbers = [0] * (2 * len(lines))
+    numbers[::2] = lines
+    numbers[1::2] = map(index.__getitem__, names)
+    block.record = record = (block.file, tuple(index), ",".join(map(str, numbers)))
     return record
 
 
@@ -494,7 +508,7 @@ class ProcessDriver(Driver):
     def _parse_coverage(self, data: List[bytes]) -> Tuple[Block, ...]:
         """The coverage files' blocks, one per covered file in file order."""
         return COVERAGE_PARSERS[self.config.coverage_source](
-            data, self.config.source_root, pool=self.statements, memo=self._parsed)
+            data, self.config.source_root, memo=self._parsed)
 
 
 # what the disk cache writes: <fingerprint[:16]>/<digest>.json entries and

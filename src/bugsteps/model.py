@@ -1,10 +1,14 @@
 """Core vocabulary: steps, sequences, outcomes, coverage blocks and removal probes.
 
-Everything here is an immutable value; instances can be shared freely
-between threads.  A run's coverage exists only as per-file blocks, one
-``Block`` of statements per covered file: the runs of one isolation
-differ in a few steps, so most of their blocks are equal, and a consumer
-that counts or diffs blocks handles each distinct one once.
+Inside the engine a statement is the int ``file_id << LINE_BITS | line``.
+File ids come from one intern table per process: they never reach disk or
+any output, which name files by path and statements as ``StatementId``.
+A run's coverage exists only as per-file blocks, one ``Block`` of
+statements per covered file, carrying its file and its lines' functions:
+the runs of one isolation differ in a few steps, so most of their blocks
+are equal, and a consumer that counts or diffs blocks handles each
+distinct one once.  Everything here is immutable once built, and can be
+shared between threads.
 """
 
 from __future__ import annotations
@@ -12,10 +16,35 @@ from __future__ import annotations
 import enum
 import operator
 import posixpath
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+                    Union)
+
+LINE_BITS = 24
+LINE_MASK = (1 << LINE_BITS) - 1  # also the largest line a statement can hold
+
+_FILES: List[str] = []  # file id -> normalized path
+_FILE_IDS: Dict[str, int] = {}
+_INTERN = threading.Lock()
+
+
+def file_id(file: str) -> int:
+    """The process-local id of the normalized path ``file``, interned on first use."""
+    fid = _FILE_IDS.get(file)
+    if fid is None:
+        with _INTERN:
+            fid = _FILE_IDS.get(file)
+            if fid is None:
+                _FILES.append(file)  # before the id is published
+                fid = _FILE_IDS[file] = len(_FILES) - 1
+    return fid
+
+
+def file_of(stmt: int) -> str:
+    return _FILES[stmt >> LINE_BITS]
 
 
 # every statement of a file repeats its path: normalize each distinct path once
@@ -36,39 +65,22 @@ def normalize_path(path: str) -> str:
     return norm
 
 
-@dataclass(frozen=True, init=False, slots=True)
+@dataclass(frozen=True, slots=True)
 class StatementId:
-    """One compiler source element at line granularity.
+    """One compiler source element at line granularity, as outputs name it.
 
     Identity is structural on (file, line); the enclosing function name is
-    metadata used only by function-level aggregation.  Slotted: every
-    parsed or loaded statement is one instance, so none carries a ``__dict__``.
+    metadata used only by function-level aggregation.
     """
 
     file: str
     line: int
     function: Optional[str] = field(default=None, compare=False)
-    _hash: int = field(init=False, compare=False, repr=False)
 
-    def __init__(self, file: str, line: int, function: Optional[str] = None):
-        file = normalize_path(file)
-        if line < 1:
-            raise ValueError(f"statement line must be >= 1, got {line}")
-        # every parsed or loaded statement is built here, so each field is
-        # written once, past the frozen __setattr__; the hash is the value
-        # the dataclass would compute on every call, computed once
-        set_field = object.__setattr__
-        set_field(self, "file", file)
-        set_field(self, "line", line)
-        set_field(self, "function", function)
-        set_field(self, "_hash", hash((file, line)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        # rebuilt from the fields, so another process computes its own hash
-        return (StatementId, (self.file, self.line, self.function))
+    def __post_init__(self):
+        object.__setattr__(self, "file", normalize_path(self.file))
+        if self.line < 1:
+            raise ValueError(f"statement line must be >= 1, got {self.line}")
 
     def __str__(self):
         return f"{self.file}:{self.line}"
@@ -84,23 +96,15 @@ class StatementId:
         return cls(doc["file"], doc["line"], doc.get("function"))
 
 
+def statement_ids(statements: Iterable[int],
+                  function: Callable[[int], Optional[str]]) -> List[StatementId]:
+    """Int statements as ``StatementId``s, each under ``function(stmt)``."""
+    return [StatementId(_FILES[s >> LINE_BITS], s & LINE_MASK, function(s)) for s in statements]
+
+
 def statements_json(statements: Iterable[StatementId]) -> List[dict]:
     """The one JSON form of a statement list: each ``to_json_dict``, by file, then line."""
     return [s.to_json_dict() for s in sorted(statements, key=StatementId.sort_key)]
-
-
-class StatementPool(dict):
-    """One shared ``StatementId`` per ``(file, line, function)`` key.
-
-    ``pool[file, line, function]`` builds the statement on first use, so
-    equal statements of different runs are the same object: set and dict
-    lookups between runs then take the identity fast path.  Filling a pool from several threads
-    needs no lock: at worst a race builds two equal objects.
-    """
-
-    def __missing__(self, key):
-        stmt = self[key] = StatementId(*key)
-        return stmt
 
 
 @dataclass(frozen=True)
@@ -148,37 +152,42 @@ class Outcome(enum.Enum):
 
 
 class Block(frozenset):
-    """One covered file's statements; equality and hashing are the frozenset's.
+    """One covered file's int statements; equality and hashing are the frozenset's.
 
-    ``record`` is this object's disk cache record once encoded or decoded,
-    else None: equal blocks may differ in their statements' functions.
+    ``file`` is the normalized path.  ``functions`` maps each line to its
+    function (None for none); it is given as the mapping, or as a loader
+    called on first use.  ``record`` is this object's disk cache record
+    once encoded or decoded, else None: equal blocks may differ in their
+    lines' functions.
     """
 
-    __slots__ = ("record",)
+    __slots__ = ("file", "record", "_functions")
 
-    def __new__(cls, statements: Iterable[StatementId] = (), record=None):
+    def __new__(cls, statements: Iterable[int], file: str,
+                functions: Union[Mapping[int, Optional[str]],
+                                 Callable[[], Mapping[int, Optional[str]]]], record=None):
         block = super().__new__(cls, statements)
+        block.file = file
         block.record = record
+        block._functions = functions
         return block
 
+    @property
+    def functions(self) -> Mapping[int, Optional[str]]:
+        functions = self._functions
+        if callable(functions):
+            functions = self._functions = functions()
+        return functions
 
-def file_blocks(statements: Iterable[StatementId]) -> Tuple[Block, ...]:
-    """``statements`` as one non-empty block per file, in file order."""
-    by_file: Dict[str, List[StatementId]] = {}
-    for stmt in statements:
-        group = by_file.get(stmt.file)
-        if group is None:
-            by_file[stmt.file] = [stmt]
-        else:
-            group.append(stmt)
-    return tuple(Block(by_file[file]) for file in sorted(by_file))
+    def function(self, stmt: int) -> Optional[str]:
+        return self.functions[stmt & LINE_MASK]
 
 
 @dataclass(frozen=True)
 class ExecutionResult:
     """Outcome plus executed-statement coverage for one pipeline run.
 
-    ``blocks`` holds the coverage as ``file_blocks`` gives it.  Equal
+    ``blocks`` holds one non-empty block per covered file, in file order.  Equal
     blocks of different runs may be one object, as a disk cache load
     returns them.  A ``deferred`` result has its outcome at once and
     gets its blocks from ``settle()`` on their first read; from then on,
@@ -209,18 +218,38 @@ class ExecutionResult:
         return {
             "subset": list(self.subset),
             "outcome": self.outcome.value,
-            "coverage": statements_json(chain.from_iterable(self.blocks)),
+            "coverage": statements_json(chain.from_iterable(
+                statement_ids(block, block.function) for block in self.blocks)),
         }
 
 
-def symmetric_diff(a: Iterable[Block], b: Iterable[Block]) -> FrozenSet[StatementId]:
+class Diff(frozenset):
+    """The statements two runs differ in, with the blocks they came from.
+
+    Each statement is covered by one of the runs, so its function is the
+    one it has there.
+    """
+
+    __slots__ = ("blocks",)
+
+    def __new__(cls, statements: Iterable[int], blocks: Tuple[Block, ...]):
+        diff = super().__new__(cls, statements)
+        diff.blocks = blocks
+        return diff
+
+    def function(self, stmt: int) -> Optional[str]:
+        return next(block for block in self.blocks if stmt in block).function(stmt)
+
+
+def symmetric_diff(a: Iterable[Block], b: Iterable[Block]) -> Diff:
     """Statements whose executed/not-executed status differs between two runs.
 
     ``a`` and ``b`` hold one block per file, so a block both hold cancels
     unread, and the unions of the rest hold the difference.
     """
     a, b = frozenset(a), frozenset(b)
-    return frozenset().union(*(a - b)) ^ frozenset().union(*(b - a))
+    only_a, only_b = a - b, b - a
+    return Diff(frozenset().union(*only_a) ^ frozenset().union(*only_b), (*only_a, *only_b))
 
 
 @dataclass(frozen=True)
@@ -234,7 +263,7 @@ class RemovalProbe:
     removed_step: str
     baseline: ExecutionResult
     probe: ExecutionResult
-    diff: FrozenSet[StatementId]
+    diff: Diff
 
     @classmethod
     def from_runs(cls, removed_step: str, baseline: ExecutionResult,
@@ -257,5 +286,5 @@ class RemovalProbe:
             "removed_step": self.removed_step,
             "baseline_subset": list(self.baseline.subset),
             "probe_subset": list(self.probe.subset),
-            "diff": statements_json(self.diff),
+            "diff": statements_json(statement_ids(self.diff, self.diff.function)),
         }

@@ -13,13 +13,16 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence
+from operator import mul
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DegenerateSpectrum, UnmappedStatement
-from .model import Block, ExecutionResult, RemovalProbe, StatementId
+from .model import (LINE_BITS, LINE_MASK, Block, Diff, ExecutionResult, RemovalProbe,
+                    StatementId, file_of)
 
 log = logging.getLogger(__name__)
 
@@ -70,9 +73,21 @@ class RankedReport:
         return "\n".join(lines) + "\n"
 
 
-def score_flip_inverse(probes: Sequence[RemovalProbe]) -> Dict[StatementId, float]:
+class Scores(dict):
+    """Int statement -> suspiciousness, with ``function(stmt)`` for each
+    scored statement's function, as its scorer takes it."""
+
+    __slots__ = ("function",)
+
+
+def _first_diff(diffs: Sequence[Diff]):
+    """A statement's function from the first of ``diffs`` that holds it."""
+    return lambda stmt: next(diff for diff in diffs if stmt in diff).function(stmt)
+
+
+def score_flip_inverse(probes: Sequence[RemovalProbe]) -> Scores:
     """Primary scorer: max over flipped probes of the inverse diff size."""
-    scores: Dict[StatementId, float] = {}
+    scores = Scores()
     for probe in probes:
         if not probe.diff:
             log.warning(
@@ -86,10 +101,11 @@ def score_flip_inverse(probes: Sequence[RemovalProbe]) -> Dict[StatementId, floa
                 scores[stmt] = weight
     if not scores:
         log.warning("no flipped probes: returning an empty suspiciousness map")
+    scores.function = _first_diff([p.diff for p in probes])
     return scores
 
 
-def score_metallaxis(probes: Sequence[RemovalProbe]) -> Dict[StatementId, float]:
+def score_metallaxis(probes: Sequence[RemovalProbe]) -> Scores:
     """Mutation-based ablation: every statement in a flipped diff scores 1.
 
     With a single failing test, Metallaxis gives each flipped mutant
@@ -97,30 +113,36 @@ def score_metallaxis(probes: Sequence[RemovalProbe]) -> Dict[StatementId, float]
     involving mutants flattens all involved statements to the same score
     regardless of the diff size.
     """
-    scores = dict.fromkeys(chain.from_iterable(p.diff for p in probes), 1.0)
+    scores = Scores.fromkeys(chain.from_iterable(p.diff for p in probes), 1.0)
     if not scores:
         log.warning("no flipped probes: returning an empty suspiciousness map")
+    scores.function = _first_diff([p.diff for p in probes])
     return scores
 
 
-def _statement_counts(runs: Sequence[ExecutionResult]) -> Dict[StatementId, int]:
-    """How many of ``runs`` cover each statement.
+def _statement_counts(runs: Sequence[ExecutionResult]) -> Tuple[Dict[int, int], List[Block]]:
+    """How many of ``runs`` cover each statement, and their distinct blocks.
 
     Counts each distinct block once and adds its count to its statements,
-    so a block shared by many runs costs one pass.  A statement's key is
-    its object in the earliest run that covers it: that run holds the
-    first occurrence of the block it sits in.
+    so a block shared by many runs costs one pass.  The blocks are in
+    first-seen order, so the first that holds a statement is the one of
+    the earliest run that covers it.
     """
-    counts: Dict[StatementId, int] = {}
+    counts: Dict[int, int] = {}
     get = counts.get
-    for block, n in Counter(chain.from_iterable(r.blocks for r in runs)).items():
+    blocks = Counter(chain.from_iterable(r.blocks for r in runs))
+    for block, n in blocks.items():
         for stmt in block:
             counts[stmt] = get(stmt, 0) + n
-    return counts
+    return counts, list(blocks)
 
 
-def score_ochiai(runs: Sequence[ExecutionResult]) -> Dict[StatementId, float]:
-    """Spectrum-based ablation over every observed run, labeled by outcome."""
+def score_ochiai(runs: Sequence[ExecutionResult]) -> Scores:
+    """Spectrum-based ablation over every observed run, labeled by outcome.
+
+    A statement's function is the one of the earliest failing run that
+    covers it.
+    """
     failing = [r for r in runs if r.outcome.is_fail]
     passing = [r for r in runs if not r.outcome.is_fail]
     if not failing or not passing:
@@ -128,12 +150,18 @@ def score_ochiai(runs: Sequence[ExecutionResult]) -> Dict[StatementId, float]:
             f"need failing and passing runs, got {len(failing)} failing / "
             f"{len(passing)} passing"
         )
-    ef = _statement_counts(failing)
-    ep = _statement_counts(passing)
+    ef, blocks = _statement_counts(failing)
+    ep, _ = _statement_counts(passing)
     total_f = len(failing)
-    scores: Dict[StatementId, float] = {}
+    scores = Scores()
+    get = ep.get
     for stmt, f_count in ef.items():
-        scores[stmt] = f_count / math.sqrt(total_f * (f_count + ep.get(stmt, 0)))
+        scores[stmt] = f_count / math.sqrt(total_f * (f_count + get(stmt, 0)))
+    by_file: Dict[str, List[Block]] = {}
+    for block in blocks:
+        by_file.setdefault(block.file, []).append(block)
+    scores.function = lambda stmt: next(
+        block for block in by_file[file_of(stmt)] if stmt in block).function(stmt)
     return scores
 
 
@@ -163,7 +191,11 @@ def _ranked_rows(unit_scores: Dict[str, float]) -> List[ReportRow]:
     return rows
 
 
-def aggregate_ranksum(scores: Dict[StatementId, float], granularity: str) -> RankedReport:
+def _function_unit(stmt: int, function: Optional[str]) -> Optional[str]:
+    return None if function is None else f"{file_of(stmt)}::{function}"
+
+
+def aggregate_ranksum(scores: Scores, granularity: str) -> RankedReport:
     """Aggregate statement scores to units with linearly decaying weights.
 
     Within a unit, its n positively-scored statements are ranked by score
@@ -171,24 +203,39 @@ def aggregate_ranksum(scores: Dict[StatementId, float], granularity: str) -> Ran
     the unit score is the weighted sum.  A scored statement without a
     unit raises ``UnmappedStatement``.
     """
-    per_unit: Dict[str, List] = {}
-    orphans = []
-    for stmt, score in scores.items():
-        unit = unit_of(stmt, granularity)
-        if unit is None:
-            orphans.append(str(stmt))
-        elif score > 0:
-            per_unit.setdefault(unit, []).append((stmt, score))
-    if orphans:
-        raise UnmappedStatement(orphans)
+    per_unit: Dict[str, Iterable[float]] = {}
+    if granularity == "file":
+        # a file's statements are one stretch of int order
+        stmts = sorted(scores)
+        lo = 0
+        while lo < len(stmts):
+            hi = bisect_left(stmts, ((stmts[lo] >> LINE_BITS) + 1) << LINE_BITS, lo)
+            per_unit[file_of(stmts[lo])] = map(scores.__getitem__, stmts[lo:hi])
+            lo = hi
+    elif granularity == "function":
+        orphans = []
+        for stmt, score in scores.items():
+            unit = _function_unit(stmt, scores.function(stmt))
+            if unit is None:
+                orphans.append(f"{file_of(stmt)}:{stmt & LINE_MASK}")
+            else:
+                per_unit.setdefault(unit, []).append(score)
+        if orphans:
+            raise UnmappedStatement(orphans)
+    else:
+        raise ValueError(f"unknown granularity {granularity!r}")
     unit_scores: Dict[str, float] = {}
-    for unit, pairs in per_unit.items():
-        pairs.sort(key=lambda p: (-p[1], p[0].file, p[0].line))
-        n = len(pairs)
-        weighted = sum((n - i) * score for i, (_, score) in enumerate(pairs))
-        # single division, then rounding well below any stated tolerance,
-        # so units with identical score profiles tie exactly
-        unit_scores[unit] = round(weighted / (n * (n + 1) / 2), 12)
+    for unit, values in per_unit.items():
+        # tied statements swap places but not weights: the sum needs only the scores
+        ranked = sorted(values, reverse=True)
+        while ranked and not ranked[-1] > 0:
+            ranked.pop()
+        n = len(ranked)
+        if n:
+            weighted = sum(map(mul, range(n, 0, -1), ranked))
+            # single division, then rounding well below any stated tolerance,
+            # so units with identical score profiles tie exactly
+            unit_scores[unit] = round(weighted / (n * (n + 1) / 2), 12)
     return RankedReport(granularity=granularity, rows=_ranked_rows(unit_scores))
 
 
@@ -199,9 +246,16 @@ def compute_fallback(blocks: Iterable[Block], granularity: str) -> RankedReport:
     group; at function granularity, statements without function metadata
     cannot form a unit and are skipped.
     """
-    stmts = list(chain.from_iterable(blocks))  # one block per file: no repeats
-    units = {u for u in (unit_of(s, granularity) for s in stmts) if u is not None}
-    eps = 1.0 / len(stmts) if stmts else 0.0
+    blocks = list(blocks)  # one block per file: no statement repeats
+    if granularity == "file":
+        units = {block.file for block in blocks}
+    elif granularity == "function":
+        units = {_function_unit(stmt, block.function(stmt)) for block in blocks for stmt in block}
+        units.discard(None)
+    else:
+        raise ValueError(f"unknown granularity {granularity!r}")
+    total = sum(map(len, blocks))
+    eps = 1.0 / total if total else 0.0
     return RankedReport(
         granularity=granularity,
         rows=_ranked_rows(dict.fromkeys(units, eps)),
@@ -209,7 +263,7 @@ def compute_fallback(blocks: Iterable[Block], granularity: str) -> RankedReport:
     )
 
 
-def score_with(scorer: str, isolation) -> Dict[StatementId, float]:
+def score_with(scorer: str, isolation) -> Scores:
     if scorer == "compscan":
         return score_flip_inverse(isolation.probes)
     if scorer == "mbfl":

@@ -12,16 +12,18 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..errors import GenerationFailed, InvalidConfig
-from ..model import Outcome, StatementId, statements_json
+from ..model import (LINE_MASK, Outcome, StatementId, StepSequence, file_of, statement_ids,
+                     statements_json)
 from ..scoring import unit_of
 from ..util import derive_seed
 from .ir import Instr, MiniProgram, interpret, validate_program
-from .passes import CANONICAL_ORDER, CATALOGS, CrashSignal, run_pipeline
+from .passes import CANONICAL_ORDER, CATALOGS, FUNCTIONS, CrashSignal, run_pipeline
 
 # archetype -> (scenario id tag, kind, trigger passes, (gt pass, gt events))
 _ARCHETYPE_INFO = {
@@ -89,6 +91,25 @@ class SeededBug:
         )
 
 
+def step_ids_for_pipeline(pipeline: Sequence[str]) -> Tuple[str, ...]:
+    """Unique step ids: plain pass name, or name#k for repeated occurrences."""
+    totals = Counter(pipeline)
+    seen: Dict[str, int] = {}
+    ids = []
+    for name in pipeline:
+        if totals[name] == 1:
+            ids.append(name)
+        else:
+            seen[name] = seen.get(name, 0) + 1
+            ids.append(f"{name}#{seen[name]}")
+    return tuple(ids)
+
+
+def pipeline_steps(pipeline: Sequence[str]) -> StepSequence:
+    """The step sequence of a scenario's pipeline, one step per pass occurrence."""
+    return StepSequence(step_ids_for_pipeline(pipeline))
+
+
 def load_scenario(path) -> SeededBug:
     """Read a scenario file; an unreadable or malformed one is ``InvalidConfig``."""
     try:
@@ -119,7 +140,8 @@ class _ProgBuilder:
 def _ground_truth(archetype: str) -> FrozenSet[StatementId]:
     *_, (pass_name, events) = _ARCHETYPE_INFO[archetype]
     cat = CATALOGS[pass_name]
-    return frozenset(cat[e] for e in events)
+    return frozenset(statement_ids((cat[e] for e in events),
+                                   lambda s: FUNCTIONS[file_of(s)][s & LINE_MASK]))
 
 
 # Each motif returns (values usable by filler, filler op menu).

@@ -9,33 +9,14 @@ compiler.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
 
 from ..driver import Driver
-from ..model import ExecutionResult, StepSequence, file_blocks
+from ..model import ExecutionResult, StepSequence
 from ..util import fingerprint
-from .bugs import SeededBug, subset_outcome
+# step_ids_for_pipeline and subset_outcome are looked up here by name, too
+from .bugs import SeededBug, pipeline_steps, step_ids_for_pipeline, subset_outcome  # noqa: F401
 from .passes import Tracer
-
-
-def step_ids_for_pipeline(pipeline: Sequence[str]) -> Tuple[str, ...]:
-    """Unique step ids: plain pass name, or name#k for repeated occurrences."""
-    totals = Counter(pipeline)
-    seen: Dict[str, int] = {}
-    ids = []
-    for name in pipeline:
-        if totals[name] == 1:
-            ids.append(name)
-        else:
-            seen[name] = seen.get(name, 0) + 1
-            ids.append(f"{name}#{seen[name]}")
-    return tuple(ids)
-
-
-def pipeline_steps(pipeline: Sequence[str]) -> StepSequence:
-    """The step sequence of a scenario's pipeline, one step per pass occurrence."""
-    return StepSequence(step_ids_for_pipeline(pipeline))
 
 
 class ToyDriver(Driver):
@@ -49,4 +30,4 @@ class ToyDriver(Driver):
     def _run(self, key: Tuple[str, ...], positions: List[int]) -> ExecutionResult:
         tracer = Tracer()
         outcome, _ = subset_outcome(self.bug, positions, tracer=tracer)
-        return self._result(key, outcome, file_blocks(tracer.covered))
+        return self._result(key, outcome, tracer.blocks())

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..model import StatementId
+from ..model import LINE_BITS, Block, file_id
 from .ir import MASK, OPS, Instr, MiniProgram, interpret
 
 CANONICAL_ORDER = (
@@ -36,12 +36,20 @@ class CrashSignal(Exception):
 
 
 class Tracer:
-    """Collects executed pseudo-statements for one pipeline run."""
+    """Collects executed pseudo-statements for one pipeline run, per file.
+
+    A file's list may repeat a statement; its block holds each once.
+    """
 
     __slots__ = ("covered",)
 
     def __init__(self):
-        self.covered = set()
+        self.covered: Dict[str, List[int]] = {}
+
+    def blocks(self) -> Tuple[Block, ...]:
+        """The run's coverage, one block per covered file in file order."""
+        return tuple(Block(self.covered[file], file, FUNCTIONS[file])
+                     for file in sorted(self.covered))
 
 
 @dataclass
@@ -54,10 +62,10 @@ class PipelineState:
         if self.tracer is None:
             return _noop
         catalog = CATALOGS[pass_name]
-        covered = self.tracer.covered
+        covered = self.tracer.covered.setdefault(PATHS[pass_name], [])
 
         def emit(event: str) -> None:
-            covered.add(catalog[event])
+            covered.append(catalog[event])
 
         return emit
 
@@ -113,9 +121,18 @@ _SPECIFIC_EVENTS = {
 }
 
 
-def _build_catalog(name: str) -> Dict[str, StatementId]:
-    path = f"passes/{name}.mini"
-    catalog: Dict[str, StatementId] = {}
+# pass -> its virtual file; one string per file, which every block of it shares
+PATHS: Dict[str, str] = {name: f"passes/{name}.mini" for name in CANONICAL_ORDER}
+
+# virtual file -> {line: function}, for every catalog statement
+FUNCTIONS: Dict[str, Dict[int, str]] = {}
+
+
+def _build_catalog(name: str) -> Dict[str, int]:
+    path = PATHS[name]
+    base = file_id(path) << LINE_BITS
+    catalog: Dict[str, int] = {}
+    functions = FUNCTIONS[path] = {}
     line = 2
     groups = [("run", _RUN_EVENTS), ("scan", _SHAPE_EVENTS)] + _SPECIFIC_EVENTS[name]
     for fn, events in groups:
@@ -123,12 +140,14 @@ def _build_catalog(name: str) -> Dict[str, StatementId]:
         for ev in events:
             if ev in catalog:
                 raise ValueError(f"duplicate event {ev!r} in {name}")
-            catalog[ev] = StatementId(path, line, fn)
+            catalog[ev] = base | line
+            functions[line] = fn
             line += 2
     return catalog
 
 
-CATALOGS: Dict[str, Dict[str, StatementId]] = {n: _build_catalog(n) for n in CANONICAL_ORDER}
+# pass -> {event: int statement}
+CATALOGS: Dict[str, Dict[str, int]] = {n: _build_catalog(n) for n in CANONICAL_ORDER}
 
 
 # Passes inspect their input to different depths: a surgical value-numbering

@@ -3,17 +3,48 @@ import tempfile
 import pytest
 
 from bugsteps.model import (
+    LINE_BITS,
+    Block,
     ExecutionResult,
     Outcome,
     StatementId,
     StepSequence,
-    file_blocks,
+    file_id,
+    statement_ids,
 )
+from bugsteps.scoring import Scores
+
+
+def file_blocks(statements):
+    """``StatementId``s as a run's blocks: one int block per file, in file order."""
+    by_file = {}
+    for s in statements:
+        by_file.setdefault(s.file, {})[s.line] = s.function
+    return tuple(Block((file_id(file) << LINE_BITS | line for line in lines), file, lines)
+                 for file, lines in sorted(by_file.items()))
+
+
+def ids(statements):
+    """An int statement set with its ``function`` (a block or a diff) as ``StatementId``s."""
+    return frozenset(statement_ids(statements, statements.function))
 
 
 def covered(result):
-    """Every statement a run covered, as one flat set."""
-    return frozenset().union(*result.blocks)
+    """Every statement a run covered, as one flat set of ``StatementId``s."""
+    return frozenset().union(*map(ids, result.blocks))
+
+
+def by_id(scores):
+    """A scorer's ``Scores`` keyed by ``StatementId``s."""
+    return dict(zip(statement_ids(scores, scores.function), scores.values()))
+
+
+def scores_of(mapping):
+    """``{StatementId: score}`` as the ``Scores`` a scorer returns."""
+    functions = {file_id(s.file) << LINE_BITS | s.line: s.function for s in mapping}
+    scores = Scores((file_id(s.file) << LINE_BITS | s.line, v) for s, v in mapping.items())
+    scores.function = functions.__getitem__
+    return scores
 
 
 class FakeDriver:

@@ -21,7 +21,6 @@ from bugsteps.model import (
     Outcome,
     RemovalProbe,
     StatementId,
-    file_blocks,
 )
 from bugsteps.scoring import (
     aggregate_ranksum,
@@ -33,13 +32,14 @@ from bugsteps.scoring import (
 from bugsteps.toy.bugs import generate_scenarios, subset_outcome
 from bugsteps.toy.driver import ToyDriver
 from bugsteps.util import canonical_json, derive_seed
+from conftest import by_id, file_blocks, ids, scores_of
 
 TOL = 1e-9
 
 
 def parse_statements(data):
-    """The statements of one gcov document, as one flat set."""
-    return frozenset().union(*parse_gcov_blocks([data]))
+    """The statements of one gcov document, as one flat set of ``StatementId``s."""
+    return frozenset().union(*map(ids, parse_gcov_blocks([data])))
 
 
 def ok(criterion, detail):
@@ -155,7 +155,7 @@ class TestCriterion3:
 
         m1 = mk_probe("x", {a, b, c, d}, ("x", "y"))
         m2 = mk_probe("y", {a, e}, ("x", "y"))
-        scores = score_flip_inverse([m1, m2])
+        scores = by_id(score_flip_inverse([m1, m2]))
         assert abs(scores[a] - 0.5) < TOL
         assert abs(scores[b] - 0.25) < TOL
         assert abs(scores[e] - 0.5) < TOL
@@ -167,13 +167,13 @@ class TestCriterion3:
             ExecutionResult(("s",), Outcome.FAIL_WRONG_OUTPUT, file_blocks({a, b})),
             ExecutionResult((), Outcome.PASS, file_blocks({b})),
         ]
-        ochiai = score_ochiai(runs)
+        ochiai = by_id(score_ochiai(runs))
         assert abs(ochiai[a] - 1.0) < TOL
         assert abs(ochiai[b] - 0.7071067811865475) < TOL
 
         f1, f2 = StatementId("f.c", 1), StatementId("f.c", 2)
         rank_scores = {f1: 0.5, f2: 0.25}
-        report = aggregate_ranksum(rank_scores, "file")
+        report = aggregate_ranksum(scores_of(rank_scores), "file")
         assert abs(report.rows[0].score - 0.41666666666666663) < TOL
 
         n = 3
@@ -196,7 +196,7 @@ class TestCriterion4:
             scn = entry["scn"]
             gt = scn.ground_truth_files[0]
             candidate_files = {
-                s.file for p in entry["tail"].probes for s in p.diff
+                s.file for p in entry["tail"].probes for s in ids(p.diff)
             }
             if gt in candidate_files:
                 in_candidates += 1
@@ -319,7 +319,7 @@ class TestCriterion9:
         stmts = frozenset(
             StatementId(f"src/f{i % 7}.c", i + 1, f"fn{i % 3}") for i in range(200)
         )
-        roundtrip = parse_statements(emit_gcov_json(stmts))
+        roundtrip = parse_statements(emit_gcov_json(file_blocks(stmts)))
         assert {(s.file, s.line, s.function) for s in roundtrip} \
             == {(s.file, s.line, s.function) for s in stmts}
 
@@ -344,7 +344,7 @@ class TestCriterion9:
         raw = json.dumps(gcov_doc).encode()
         assert parse_statements(raw) == expected
         assert parse_statements(gzip.compress(raw)) == expected
-        assert parse_statements(emit_gcov_json(parse_statements(raw))) == expected
+        assert parse_statements(emit_gcov_json(parse_gcov_blocks([raw]))) == expected
         ok(9, "gcov parse and emit round-trips exact, incl. gzip and duplicate lines")
 
 
@@ -380,7 +380,7 @@ class TestBayesDirectionProperty:
         for entry in suite100["entries"]:
             gt = entry["scn"].ground_truth
             for probe in entry["tail"].probes:
-                density = len(probe.diff & gt) / len(probe.diff)
+                density = len(ids(probe.diff) & gt) / len(probe.diff)
                 samples.append((len(probe.diff), density))
         sizes = sorted(s for s, _ in samples)
         median_size = sizes[len(sizes) // 2]

@@ -77,11 +77,11 @@ class TestIsolate:
         assert "config_fingerprint" in prov and "tool_version" in prov
 
     def test_full_sequence_executed_once(self, tmp_path, monkeypatch, capsys):
-        from bugsteps import cli
+        from bugsteps import driver as drivers
         from conftest import FakeDriver
 
         driver = FakeDriver(["a", "b", "c"], lambda subset: "b" in subset)
-        monkeypatch.setattr(cli, "load_driver", lambda config, cache_dir=None: driver)
+        monkeypatch.setattr(drivers, "load_driver", lambda config, cache_dir=None: driver)
         assert main(["isolate", str(tmp_path / "unused.json")]) == 0
         assert json.loads(capsys.readouterr().out)["provenance"]["bug_causing_steps"] == ["b"]
         assert driver.trace.count(("a", "b", "c")) == 1

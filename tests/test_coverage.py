@@ -9,16 +9,17 @@ from hypothesis import strategies as st
 
 from bugsteps.coverage import emit_gcov_json, parse_gcov_blocks
 from bugsteps.errors import MalformedCoverage
-from bugsteps.model import StatementId, StatementPool, normalize_path
+from bugsteps.model import StatementId, normalize_path
+from conftest import file_blocks, ids
 
 
 def gcov_doc(files):
     return json.dumps({"format_version": "1", "files": files}).encode()
 
 
-def parse_statements(data, source_root=None, pool=None):
-    """The statements of one gcov document, as one flat set."""
-    return frozenset().union(*parse_gcov_blocks([data], source_root, pool))
+def parse_statements(data, source_root=None):
+    """The statements of one gcov document, as one flat set of ``StatementId``s."""
+    return frozenset().union(*map(ids, parse_gcov_blocks([data], source_root)))
 
 
 class TestGcovJson:
@@ -81,14 +82,14 @@ class TestGcovJson:
         with pytest.raises(MalformedCoverage):
             parse_statements(gcov_doc([{"file": "f.c", "lines": lines}]))
 
-    def test_pool_shared_between_parses(self):
-        pool = StatementPool()
+    def test_memo_shared_between_parses(self):
+        memo = {}
         doc = gcov_doc([{"file": "./f.c", "lines": [{"line_number": 3, "count": 1}]}])
-        (a,) = parse_statements(doc, pool=pool)
-        (b,) = parse_statements(doc, pool=pool)
-        (c,) = parse_statements(emit_gcov_json({a}), pool=pool)
+        (a,) = parse_gcov_blocks([doc], memo=memo)
+        (b,) = parse_gcov_blocks([doc], memo=memo)
+        (c,) = parse_gcov_blocks([emit_gcov_json([a])], memo=memo)
         assert a is b is c
-        assert a.file == "f.c"
+        assert a.file == "f.c" and ids(a) == {StatementId("f.c", 3)}
 
     def test_source_root_normalization(self):
         doc = gcov_doc([
@@ -115,10 +116,28 @@ class TestGcovJson:
         {"lines": []}, {"file": None, "lines": []}, {"file": ["a.c"], "lines": []},
         {"file": 7}, {"file": "a.c", "lines": None}, {"file": "a.c", "lines": {"1": 1}},
         {"file": "a.c", "lines": "1"},
+        # a line record whose line or count is no integer, or a line no
+        # int statement holds
+        {"file": "a.c", "lines": [{"line_number": 2.7, "count": 1}]},
+        {"file": "a.c", "lines": [{"line_number": True, "count": 1}]},
+        {"file": "a.c", "lines": [{"line_number": "2.7", "count": 1}]},
+        {"file": "a.c", "lines": [{"line_number": None, "count": 1}]},
+        {"file": "a.c", "lines": [{"line_number": [3], "count": 1}]},
+        {"file": "a.c", "lines": [{"line_number": 3, "count": 0.5}]},
+        {"file": "a.c", "lines": [{"line_number": 3, "count": False}]},
+        {"file": "a.c", "lines": [{"line_number": 3, "count": "many"}]},
+        {"file": "a.c", "lines": [{"line_number": 2 ** 24, "count": 1}]},
+        {"file": "a.c", "lines": [{"line_number": "16777216", "count": 1}]},
     ])
     def test_unchecked_file_record_fields_rejected(self, frec):
         with pytest.raises(MalformedCoverage):
             parse_statements(gcov_doc([frec]))
+
+    def test_integral_numbers_accepted(self):
+        lines = [{"line_number": 2.0, "count": 1}, {"line_number": "3", "count": "2"},
+                 {"line_number": 2 ** 24 - 1, "count": 1.0}, {"line_number": 5, "count": 0.0}]
+        assert parse_statements(gcov_doc([{"file": "a.c", "lines": lines}])) == {
+            StatementId("a.c", 2), StatementId("a.c", 3), StatementId("a.c", 2 ** 24 - 1)}
 
     def test_absent_lines_cover_nothing(self):
         assert parse_statements(gcov_doc([{"file": "a.c"}])) == frozenset()
@@ -147,7 +166,7 @@ def triples(stmts):
 class TestEmitGcovJson:
     def test_layout(self):
         stmts = {StatementId("b.c", 2), StatementId("a.c", 9, "g"), StatementId("a.c", 1, "f")}
-        assert json.loads(emit_gcov_json(stmts)) == {"files": [
+        assert json.loads(emit_gcov_json(file_blocks(stmts))) == {"files": [
             {"file": "a.c", "lines": [
                 {"line_number": 1, "count": 1, "function_name": "f"},
                 {"line_number": 9, "count": 1, "function_name": "g"},
@@ -161,13 +180,13 @@ class TestEmitGcovJson:
             StatementId("a.c", 9),
             StatementId("sub/b.c", 4, "g"),
         }
-        assert triples(parse_statements(emit_gcov_json(stmts))) == triples(stmts)
+        assert triples(parse_statements(emit_gcov_json(file_blocks(stmts)))) == triples(stmts)
 
     def test_emit_is_canonical(self):
         stmts = {StatementId("a.c", 2), StatementId("a.c", 1)}
-        blob = emit_gcov_json(stmts)
+        blob = emit_gcov_json(file_blocks(stmts))
         assert parse_statements(blob) == stmts
-        assert emit_gcov_json(parse_statements(blob)) == blob
+        assert emit_gcov_json(parse_gcov_blocks([blob])) == blob
 
     def test_empty_statements(self):
         assert emit_gcov_json(()) == b'{"files":[]}'
@@ -176,7 +195,7 @@ class TestEmitGcovJson:
     def test_large_fixture_exact_count(self):
         stmts = {StatementId(f"d/f{i % 97}.c", i + 1) for i in range(10000)}
         assert len(stmts) == 10000
-        assert len(parse_statements(emit_gcov_json(stmts))) == 10000
+        assert len(parse_statements(emit_gcov_json(file_blocks(stmts)))) == 10000
 
     @given(
         st.frozensets(
@@ -190,7 +209,7 @@ class TestEmitGcovJson:
         )
     )
     def test_roundtrip_property(self, stmts):
-        assert triples(parse_statements(emit_gcov_json(stmts))) == triples(stmts)
+        assert triples(parse_statements(emit_gcov_json(file_blocks(stmts)))) == triples(stmts)
 
 
 def reference_triples(documents, source_root):
@@ -242,13 +261,14 @@ _DOCUMENT = st.lists(st.fixed_dictionaries({"file": st.sampled_from(_FILES),
                                        {"line_number": 5, "count": 1}]}]], None)
 def test_blocks_agree_with_per_statement_parse(documents, source_root):
     data = [json.dumps({"files": files}).encode() for files in documents]
-    pool, memo = StatementPool(), {}
-    blocks = parse_gcov_blocks(data, source_root, pool=pool, memo=memo)
+    memo = {}
+    blocks = parse_gcov_blocks(data, source_root, memo=memo)
     assert all(blocks)
-    names = [next(iter(block)).file for block in blocks]
+    names = [block.file for block in blocks]
     assert names == sorted(set(names))  # in file order, one block per file
-    assert all(stmt.file == name for name, block in zip(names, blocks) for stmt in block)
-    assert triples(frozenset().union(*blocks)) == reference_triples(documents, source_root)
+    assert all(stmt.file == name for name, block in zip(names, blocks) for stmt in ids(block))
+    assert triples(frozenset().union(*map(ids, blocks))) == reference_triples(documents,
+                                                                             source_root)
     # a repeated run is all memo hits: the same block objects
-    again = parse_gcov_blocks(data, source_root, pool=pool, memo=memo)
+    again = parse_gcov_blocks(data, source_root, memo=memo)
     assert len(again) == len(blocks) and all(map(operator.is_, again, blocks))

@@ -34,15 +34,15 @@ from bugsteps.errors import (
     MalformedCoverage,
 )
 from bugsteps.isolate import no_del, run_strategy, tail_prune
-from bugsteps.model import ExecutionResult, Outcome, StatementId, file_blocks
-from conftest import covered
+from bugsteps.model import ExecutionResult, Outcome, StatementId
+from conftest import covered, file_blocks, ids
 
 PY = sys.executable
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def gcov_cov(statements):
-    return emit_gcov_json(statements).decode()
+    return emit_gcov_json(file_blocks(statements)).decode()
 
 
 def exits(pid, within=5.0):
@@ -317,7 +317,7 @@ class TestExecute:
         result = tail_prune(driver, driver.enumerate_steps())
         assert result.bug_causing_steps == ["licm"]
         assert (result.baseline.outcome, result.baseline.blocks) == (Outcome.FAIL_CRASH, ())
-        assert result.probes[0].diff == {StatementId("m.c", 1)}
+        assert ids(result.probes[0].diff) == {StatementId("m.c", 1)}
         fresh = ProcessDriver(cfg, cache_dir=tmp_path / "cache")
         assert fresh.execute(result.baseline.subset) == result.baseline
         assert fresh.process_runs == 0
@@ -458,7 +458,7 @@ class TestExecute:
         cfg = write_config(tmp_path, coverage_paths=["a.json", "b.json"])
         driver = ProcessDriver(load_config(cfg))
         blocks = driver.execute(("licm",)).blocks
-        assert [sorted((s.file, s.line, s.function) for s in block) for block in blocks] == [
+        assert [sorted((s.file, s.line, s.function) for s in ids(block)) for block in blocks] == [
             [("a.c", 5, None)], [("m.c", 1, "foo"), ("m.c", 2, None)], [("z.c", 1, None)]]
         # every file, m.c of both documents too, keeps its block from run to run
         again = driver.execute(("instcombine",)).blocks
@@ -799,6 +799,8 @@ class TestDiskCacheEntry:
         [["m.c", [None], "1,,0"]],
         [["m.c", [None], "1,0,7"]],  # odd token count
         [["m.c", [None], "0,0"]],  # line 0
+        [["m.c", [None], "16777216,0"]],  # line 2**24: above what a statement holds
+        [["m.c", [None], "1,0,99999999999999999999,0"]],
         [["m.c", [None], "1,0,1,0"]],  # a line twice
         [["m.c", [True], "1,0"]],  # a function that is not a string
         [["m.c", [["main"]], "1,0"]],
@@ -857,8 +859,6 @@ class TestDiskCacheEntry:
         assert len(fresh._blocks) == 2
         assert covered(a) == covered(b) == self.COVERAGE
         assert all(x is y for x, y in zip(a.blocks, b.blocks))  # the memo's objects
-        assert all(x is y for x, y in zip(sorted(covered(a), key=StatementId.sort_key),
-                                          sorted(covered(b), key=StatementId.sort_key)))
 
     def two_coverages(self, tmp_path, licm, other):
         """A driver whose runs with licm cover ``licm``, the others ``other``."""
@@ -912,14 +912,13 @@ class TestDiskCacheEntry:
         assert files == [["m.c", ["main", None], "1,0,7,1"]]
         assert [json.loads(json.dumps(block.record)) for block in loaded.blocks] == files
 
-    def test_runs_share_statement_objects(self, tmp_path):
+    def test_runs_share_block_objects(self, tmp_path):
         driver = self.make_driver(tmp_path)
         a = driver.execute(("licm",))
         b = driver.execute(("instcombine",))
         assert driver.process_runs == 2
-        by_key = {s: s for s in covered(b)}
         assert covered(a) == covered(b)
-        assert all(by_key[s] is s for s in covered(a))
+        assert all(x is y for x, y in zip(a.blocks, b.blocks))
 
 
 _NAMES = [None, "main", "helper", "f"]
@@ -1103,7 +1102,7 @@ class TestRealGcov:
         result = tail_prune(driver, driver.enumerate_steps())
         assert result.bug_causing_steps == ["b"]
         seeded = {s for s in covered(result.baseline) if s.function == "pass_b"}
-        assert seeded and seeded <= result.probes[0].diff
+        assert seeded and seeded <= ids(result.probes[0].diff)
 
     def test_no_coverage_leaks_into_the_next_run(self, tmp_path):
         driver = ProcessDriver(self.config(tmp_path))

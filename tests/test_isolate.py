@@ -11,7 +11,7 @@ from bugsteps.isolate import (STRATEGIES, no_del, rand_order, run_strategy, tail
                               verify_baseline)
 from bugsteps.model import Outcome
 
-from conftest import FakeDriver
+from conftest import FakeDriver, ids
 
 
 def driver_for(n, triggers, **kw):
@@ -113,7 +113,7 @@ class TestTailPrune:
         d = driver_for(6, {2})
         iso = tail_prune(d, d.enumerate_steps())
         (probe,) = iso.probes
-        files = {s.file for s in probe.diff}
+        files = {s.file for s in ids(probe.diff)}
         assert files == {"steps/2.c"}
 
     def test_inconsistent_oracle_detected(self):

@@ -10,16 +10,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bugsteps.model import (
+    LINE_BITS,
     Block,
     ExecutionResult,
     Outcome,
     StatementId,
-    StatementPool,
     StepSequence,
-    file_blocks,
+    file_id,
+    file_of,
     normalize_path,
     symmetric_diff,
 )
+from conftest import file_blocks, ids
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -45,7 +47,8 @@ def run_pairs(draw):
     functions = st.sampled_from(["f", "g", None])
 
     def block(file, lines, function=functions):
-        return Block(StatementId(file, line, draw(function)) for line in lines)
+        (made,) = file_blocks({StatementId(file, line, draw(function)) for line in lines})
+        return made
 
     a, b = [], []
     for file in ["a.c", "b.c", "sub/c.c", "sub/d.c"]:
@@ -72,7 +75,7 @@ def with_functions(stmts):
 
 class TestSymmetricDiff:
     def test_basic(self):
-        assert symmetric_diff(file_blocks({s1, s2}), file_blocks({s2, s3})) == {s1, s3}
+        assert ids(symmetric_diff(file_blocks({s1, s2}), file_blocks({s2, s3}))) == {s1, s3}
 
     def test_identical_sets(self):
         blocks = file_blocks({s1, s2, s3})
@@ -80,7 +83,7 @@ class TestSymmetricDiff:
         assert symmetric_diff(blocks, file_blocks({s1, s2, s3})) == frozenset()
 
     def test_empty_side(self):
-        assert symmetric_diff(file_blocks({s1, s2, s3}), ()) == {s1, s2, s3}
+        assert ids(symmetric_diff(file_blocks({s1, s2, s3}), ())) == {s1, s2, s3}
 
     @given(stmt_sets(), stmt_sets())
     def test_cardinality_identity(self, a, b):
@@ -89,45 +92,92 @@ class TestSymmetricDiff:
 
     @given(stmt_sets(), stmt_sets())
     def test_commutative_and_disjoint_from_intersection(self, a, b):
-        d = symmetric_diff(file_blocks(a), file_blocks(b))
-        assert d == symmetric_diff(file_blocks(b), file_blocks(a))
+        d = ids(symmetric_diff(file_blocks(a), file_blocks(b)))
+        assert d == ids(symmetric_diff(file_blocks(b), file_blocks(a)))
         assert not (d & (a & b))
 
     @given(run_pairs())
     def test_equals_flat_reference(self, runs):
         a, b = runs
-        got = symmetric_diff(a, b)
-        want = frozenset(chain(*a)) ^ frozenset(chain(*b))
+        got = ids(symmetric_diff(a, b))
+        want = frozenset(chain(*map(ids, a))) ^ frozenset(chain(*map(ids, b)))
         assert got == want
-        # each statement is the object of the one run that covers it
+        # each statement has its function in the one run that covers it
         assert with_functions(got) == with_functions(want)
+
+
+class TestIntStatements:
+    def test_one_id_per_path_for_the_process(self):
+        fid = file_id("int/x.c")
+        assert file_id("int/x.c") == fid and file_id("int/y.c") != fid
+        assert file_of(fid << LINE_BITS | 7) == "int/x.c"
+
+    def test_interned_from_threads(self):
+        names = [f"int/threads/{i % 97}.c" for i in range(600)]
+        seen = [[] for _ in range(8)]
+
+        def intern(out):
+            out.extend(map(file_id, names))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=intern, args=(out,)) for out in seen]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        # one id per name, the same in every thread, naming that file
+        assert all(out == seen[0] for out in seen)
+        assert len(set(seen[0])) == 97
+        assert all(file_of(fid << LINE_BITS) == name for fid, name in zip(seen[0], names))
+
+    def test_ids_are_not_name_order(self):
+        late, early = file_id("int/zz-first.c"), file_id("int/aa-second.c")
+        assert late < early  # interned first, though its name sorts last
+        blocks = file_blocks({StatementId("int/zz-first.c", 1), StatementId("int/aa-second.c", 2)})
+        assert [block.file for block in blocks] == ["int/aa-second.c", "int/zz-first.c"]
+        result = ExecutionResult((), Outcome.PASS, blocks)
+        assert [s["file"] for s in result.to_json_dict()["coverage"]] == [
+            "int/aa-second.c", "int/zz-first.c"]
 
 
 class TestBlock:
     def test_a_frozenset_by_value_with_its_own_record(self):
-        block = Block([s1, s2])
-        assert block.record is None
-        assert block == frozenset([s1, s2]) and hash(block) == hash(frozenset([s1, s2]))
-        assert Block([s1, s2], ("a.c", (None,), "1,0,2,0")).record == ("a.c", (None,), "1,0,2,0")
-        assert type(block | Block([s3])) is frozenset
+        block, = file_blocks([s1, s2])
+        assert block.record is None and block.file == "a.c"
+        assert block == frozenset(block) and hash(block) == hash(frozenset(block))
+        assert type(block | file_blocks([s3])[0]) is frozenset
         with pytest.raises(AttributeError):
             block.other = 1  # slotted: no __dict__
+
+    def test_functions_loaded_once_on_first_use(self):
+        base = file_id("a.c") << LINE_BITS
+        calls = []
+        block = Block([base | 1, base | 4], "a.c",
+                      lambda: calls.append(1) or {1: "f", 4: None})
+        assert not calls
+        assert [block.function(s) for s in sorted(block)] == ["f", None]
+        assert block.functions == {1: "f", 4: None} and calls == [1]
 
 
 class TestFileBlocks:
     @given(stmt_sets())
     def test_one_block_per_file_in_file_order(self, stmts):
         blocks = file_blocks(stmts)
-        files = [next(iter(block)).file for block in blocks]
+        files = [block.file for block in blocks]
         assert files == sorted(set(files))
-        assert all(block and {s.file for s in block} == {file}
+        assert all(block and {s.file for s in ids(block)} == {file}
                    for block, file in zip(blocks, files))
-        assert frozenset().union(*blocks) == stmts
+        assert frozenset().union(*map(ids, blocks)) == stmts
 
     def test_result_coverage_is_the_union(self):
         result = ExecutionResult(("a",), Outcome.PASS, file_blocks([s3, s1, s2]))
         assert all(type(b) is Block and b.record is None for b in result.blocks)
-        assert [sorted(b, key=StatementId.sort_key) for b in result.blocks] == [[s1, s2], [s3]]
+        assert [sorted(ids(b), key=StatementId.sort_key) for b in result.blocks] == [[s1, s2], [s3]]
         assert result.to_json_dict()["coverage"] == [s.to_json_dict() for s in (s1, s2, s3)]
         assert ExecutionResult((), Outcome.PASS, ()).to_json_dict()["coverage"] == []
 
@@ -181,50 +231,6 @@ class TestStatementId:
                        env={**env, "PYTHONHASHSEED": "2"})
 
 
-class TestStatementPool:
-    def test_one_object_per_key(self):
-        pool = StatementPool()
-        a = pool["a/./x.c", 3, "f"]
-        assert a is pool["a/./x.c", 3, "f"]
-        assert a == StatementId("a/x.c", 3) and a.function == "f"
-        assert len(pool) == 1
-
-    def test_function_is_part_of_the_key(self):
-        pool = StatementPool()
-        a, b = pool["x.c", 3, "f"], pool["x.c", 3, None]
-        assert a == b and a is not b
-        assert (a.function, b.function) == ("f", None)
-
-    def test_filled_from_threads(self):
-        pool = StatementPool()
-        keys = [(f"f{i % 7}.c", i + 1, f"fn{i % 3}") for i in range(500)]
-        seen = [[] for _ in range(8)]
-
-        def fill(out):
-            out.extend(pool[key] for key in keys)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=fill, args=(out,)) for out in seen]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert len(pool) == len(keys)
-        for out in seen:
-            assert [(s.file, s.line, s.function) for s in out] == keys
-
-    def test_invalid_statement_not_pooled(self):
-        pool = StatementPool()
-        with pytest.raises(ValueError):
-            pool["x.c", 0, None]
-        assert not pool
-
-
 class TestRemovalProbe:
     def _run(self, subset, outcome, coverage):
         return ExecutionResult(tuple(subset), outcome, file_blocks(coverage))
@@ -235,7 +241,7 @@ class TestRemovalProbe:
         baseline = self._run(("a", "b"), Outcome.FAIL_CRASH, {s1, s2})
         probe = self._run(("a",), Outcome.PASS, {s2, s3})
         rp = RemovalProbe.from_runs("b", baseline, probe)
-        assert rp.diff == {s1, s3}
+        assert ids(rp.diff) == {s1, s3}
         assert rp.baseline is baseline and rp.probe is probe
 
     def test_empty_diff_iff_same_coverage(self):
@@ -267,7 +273,7 @@ class TestRemovalProbe:
         baseline = self._run(("a", "b"), base_outcome, {s1})
         probe = self._run(("a",), probe_outcome, {s2})
         if base_outcome.is_fail and not probe_outcome.is_fail:
-            assert RemovalProbe.from_runs("b", baseline, probe).diff == {s1, s2}
+            assert ids(RemovalProbe.from_runs("b", baseline, probe).diff) == {s1, s2}
         else:
             with pytest.raises(ValueError):
                 RemovalProbe.from_runs("b", baseline, probe)

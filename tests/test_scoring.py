@@ -12,7 +12,6 @@ from bugsteps.model import (
     Outcome,
     RemovalProbe,
     StatementId,
-    file_blocks,
 )
 from bugsteps.scoring import (
     NO_BUG_CAUSING_STEPS,
@@ -22,7 +21,7 @@ from bugsteps.scoring import (
     score_metallaxis,
     score_ochiai,
 )
-from conftest import covered
+from conftest import by_id, covered, file_blocks, scores_of
 
 TOL = 1e-9
 
@@ -49,14 +48,14 @@ class TestFlipInverseScorer:
     def test_two_probe_worked_example(self):
         m1 = probe("x", {a, b, c, d})
         m2 = probe("y", {a, e})
-        scores = score_flip_inverse([m1, m2])
+        scores = by_id(score_flip_inverse([m1, m2]))
         assert abs(scores[a] - 0.5) < TOL
         for s in (b, c, d):
             assert abs(scores[s] - 0.25) < TOL
         assert abs(scores[e] - 0.5) < TOL
 
     def test_singleton_diff_scores_one(self):
-        scores = score_flip_inverse([probe("x", {a})])
+        scores = by_id(score_flip_inverse([probe("x", {a})]))
         assert abs(scores[a] - 1.0) < TOL
 
     def test_no_probes_empty(self):
@@ -68,7 +67,7 @@ class TestFlipInverseScorer:
     @given(st.integers(min_value=1, max_value=30))
     def test_score_bounds(self, size):
         diff = {stmt("f.c", i + 1) for i in range(size)}
-        scores = score_flip_inverse([probe("x", diff)])
+        scores = by_id(score_flip_inverse([probe("x", diff)]))
         for v in scores.values():
             assert 0 < v <= 1.0
             assert abs(v - 1.0 / size) < TOL
@@ -76,13 +75,13 @@ class TestFlipInverseScorer:
     def test_diff_size_monotonicity(self):
         small = probe("x", {a, b})
         large = probe("y", {c, d, e})
-        scores = score_flip_inverse([small, large])
+        scores = by_id(score_flip_inverse([small, large]))
         assert scores[a] > scores[c]
 
 
 class TestMetallaxisScorer:
     def test_all_statements_equal_score(self):
-        scores = score_metallaxis([probe("x", {a, b, c, d})])
+        scores = by_id(score_metallaxis([probe("x", {a, b, c, d})]))
         assert all(abs(v - 1.0) < TOL for v in scores.values())
         assert set(scores) == {a, b, c, d}
 
@@ -90,7 +89,7 @@ class TestMetallaxisScorer:
         assert score_metallaxis([]) == {}
 
     def test_max_semantics_with_overlapping_probes(self):
-        scores = score_metallaxis([probe("x", {a}), probe("y", {a, b})])
+        scores = by_id(score_metallaxis([probe("x", {a}), probe("y", {a, b})]))
         assert scores == {a: 1.0, b: 1.0}
 
     def test_orthogonal_support_with_primary(self):
@@ -98,8 +97,8 @@ class TestMetallaxisScorer:
             probe("x", {a, b, c}),
             probe("y", {d}),
         ]
-        primary = score_flip_inverse(probes)
-        mbfl = score_metallaxis(probes)
+        primary = by_id(score_flip_inverse(probes))
+        mbfl = by_id(score_metallaxis(probes))
         assert set(primary) == set(mbfl)
 
 
@@ -109,7 +108,7 @@ class TestOchiaiScorer:
             run(("s1",), Outcome.FAIL_WRONG_OUTPUT, {a, b}),
             run((), Outcome.PASS, {b}),
         ]
-        scores = score_ochiai(runs)
+        scores = by_id(score_ochiai(runs))
         assert abs(scores[a] - 1.0) < TOL
         assert abs(scores[b] - 0.7071067811865475) < TOL
 
@@ -118,7 +117,7 @@ class TestOchiaiScorer:
             run(("s1",), Outcome.FAIL_CRASH, {a}),
             run((), Outcome.PASS, {b}),
         ]
-        scores = score_ochiai(runs)
+        scores = by_id(score_ochiai(runs))
         assert b not in scores
 
     def test_two_failing_two_passing(self):
@@ -128,7 +127,7 @@ class TestOchiaiScorer:
             run(("s3",), Outcome.PASS, {a}),
             run(("s4",), Outcome.PASS, {b}),
         ]
-        scores = score_ochiai(runs)
+        scores = by_id(score_ochiai(runs))
         assert abs(scores[a] - 2 / math.sqrt(2 * 3)) < TOL
 
     def test_degenerate_spectrum(self):
@@ -152,7 +151,7 @@ class TestOchiaiScorer:
         ep = Counter(chain.from_iterable(covered(r) for r in passing))
         expected = {(s.file, s.line, s.function): f / math.sqrt(len(failing) * (f + ep[s]))
                     for s, f in ef.items()}
-        got = {(s.file, s.line, s.function): v for s, v in score_ochiai(runs).items()}
+        got = {(s.file, s.line, s.function): v for s, v in by_id(score_ochiai(runs)).items()}
         assert got == expected
 
 
@@ -160,12 +159,12 @@ class TestRankSum:
     def test_weights_closed_form(self):
         # n = 3 -> weights [3/6, 2/6, 1/6]
         scores = {stmt("f.c", 1): 0.5, stmt("f.c", 2): 0.5, stmt("f.c", 3): 0.5}
-        report = aggregate_ranksum(scores, "file")
+        report = aggregate_ranksum(scores_of(scores), "file")
         assert abs(report.rows[0].score - 0.5) < TOL  # convex combination of equals
 
     def test_weighted_sum_worked_example(self):
         scores = {stmt("f.c", 1): 0.5, stmt("f.c", 2): 0.25}
-        report = aggregate_ranksum(scores, "file")
+        report = aggregate_ranksum(scores_of(scores), "file")
         assert abs(report.rows[0].score - (2 / 3 * 0.5 + 1 / 3 * 0.25)) < TOL
         assert abs(report.rows[0].score - 0.41666666666666663) < 1e-6
 
@@ -176,14 +175,14 @@ class TestRankSum:
             stmt("B.c", 2): 0.5,
             stmt("B.c", 3): 0.5,
         }
-        report = aggregate_ranksum(scores, "file")
+        report = aggregate_ranksum(scores_of(scores), "file")
         assert [(r.unit, r.rank) for r in report.rows] == [("A.c", 1), ("B.c", 2)]
         assert abs(report.rows[0].score - 1.0) < TOL
         assert abs(report.rows[1].score - 0.5) < TOL
 
     def test_zero_score_statements_excluded(self):
         scores = {stmt("f.c", 1): 0.5, stmt("f.c", 2): 0.0}
-        report = aggregate_ranksum(scores, "file")
+        report = aggregate_ranksum(scores_of(scores), "file")
         assert abs(report.rows[0].score - 0.5) < TOL
 
     def test_function_granularity(self):
@@ -191,17 +190,17 @@ class TestRankSum:
             stmt("f.c", 1, "alpha"): 1.0,
             stmt("f.c", 9, "beta"): 0.25,
         }
-        report = aggregate_ranksum(scores, "function")
+        report = aggregate_ranksum(scores_of(scores), "function")
         assert [r.unit for r in report.rows] == ["f.c::alpha", "f.c::beta"]
 
     def test_function_orphans_raise(self):
         with pytest.raises(UnmappedStatement) as err:
-            aggregate_ranksum({stmt("f.c", 1): 1.0}, "function")
+            aggregate_ranksum(scores_of({stmt("f.c", 1): 1.0}), "function")
         assert err.value.orphans == ["f.c:1"]
 
     def test_worst_rank_ties(self):
         scores = {stmt("A.c", 1): 0.5, stmt("B.c", 1): 0.5, stmt("C.c", 1): 0.2}
-        report = aggregate_ranksum(scores, "file")
+        report = aggregate_ranksum(scores_of(scores), "file")
         by_unit = {r.unit: r.rank for r in report.rows}
         assert by_unit == {"A.c": 2, "B.c": 2, "C.c": 3}
 
@@ -219,8 +218,8 @@ class TestRankSum:
     )
     def test_scaling_invariance_and_convexity(self, raw, scale):
         scores = {stmt(f, line): v for (f, line), v in raw.items()}
-        base = aggregate_ranksum(scores, "file")
-        scaled = aggregate_ranksum({k: v * scale for k, v in scores.items()}, "file")
+        base = aggregate_ranksum(scores_of(scores), "file")
+        scaled = aggregate_ranksum(scores_of({k: v * scale for k, v in scores.items()}), "file")
         assert [r.unit for r in base.rows] == [r.unit for r in scaled.rows]
         assert [r.rank for r in base.rows] == [r.rank for r in scaled.rows]
         # convexity: unit score never exceeds its max statement score

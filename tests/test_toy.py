@@ -3,11 +3,11 @@ import random
 
 import pytest
 
-from bugsteps.model import Outcome
+from bugsteps.model import LINE_MASK, Outcome, file_of, statement_ids
 from bugsteps.toy.bugs import SeededBug, _validate_scenario, generate_scenarios, subset_outcome
 from bugsteps.toy.driver import ToyDriver
 from bugsteps.toy.ir import Instr, MiniProgram, interpret, validate_program
-from bugsteps.toy.passes import CANONICAL_ORDER, CATALOGS, Tracer, run_pipeline
+from bugsteps.toy.passes import CANONICAL_ORDER, CATALOGS, FUNCTIONS, Tracer, run_pipeline
 from conftest import covered
 
 MASK = (1 << 64) - 1
@@ -97,14 +97,15 @@ class TestRunPipeline:
         tracer = Tracer()
         outputs = run_pipeline(p, CANONICAL_ORDER, tracer=tracer)
         assert outputs == [5]
-        cf_lines = {s for s in tracer.covered if s.file == "passes/const_fold.mini"}
+        cf_lines = tracer.covered.get("passes/const_fold.mini")
         assert cf_lines  # the folding paths must appear in coverage
 
 
 class TestInstrumentation:
     def test_catalog_sizes(self):
         for name in CANONICAL_ORDER:
-            statements = CATALOGS[name].values()
+            statements = statement_ids(CATALOGS[name].values(),
+                                       lambda s: FUNCTIONS[file_of(s)][s & LINE_MASK])
             assert 30 <= len(statements) <= 80, name
             assert {s.file for s in statements} == {f"passes/{name}.mini"}
             lines = [s.line for s in statements]
@@ -116,7 +117,7 @@ class TestInstrumentation:
         for subset in [("const_fold",), ("cse", "dce"), CANONICAL_ORDER, ()]:
             tracer = Tracer()
             run_pipeline(p, subset, tracer=tracer)
-            files = {s.file for s in tracer.covered}
+            files = {block.file for block in tracer.blocks()}
             expected = {f"passes/{name}.mini" for name in subset}
             assert files == expected
 
