@@ -10,6 +10,7 @@ from __future__ import annotations
 import gzip
 import json
 import posixpath
+import re
 from operator import attrgetter
 from typing import Dict, Iterable, Optional, Tuple
 
@@ -18,6 +19,7 @@ from .model import LINE_BITS, LINE_MASK, Block, file_id, normalize_path
 
 _GZIP_MAGIC = b"\x1f\x8b"
 _FILE = attrgetter("file")
+_DECIMAL = re.compile("-?[0-9]+")  # ASCII digits only, no sign but "-", no "_"
 
 
 def _decode(data: bytes) -> bytes:
@@ -65,16 +67,14 @@ def _statement_file(path: str, root_prefix: Optional[str]) -> Optional[str]:
 def _integer(value, file: str) -> int:
     """A line record's ``line_number`` or ``count`` that is not an int, as one.
 
-    An integral float and a decimal string are read; any other value,
-    a boolean too, is ``MalformedCoverage``.
+    An integral float and a decimal string (``-?[0-9]+``) are read; any
+    other value, a boolean too, is ``MalformedCoverage``.
     """
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
-        try:
-            return int(value)
-        except ValueError:
-            pass
+    if (isinstance(value, int) and not isinstance(value, bool)
+            or isinstance(value, str) and _DECIMAL.fullmatch(value)):
+        return int(value)
     raise MalformedCoverage(f"non-integral line record {value!r} in {file!r}")
 
 

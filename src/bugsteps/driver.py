@@ -20,8 +20,7 @@ The runs of one isolation differ in a few steps, so most files' coverage
 repeats from run to run, and two memos keep a run's cost to the files
 that changed.  Every driver decodes each distinct disk record once,
 keyed by the record itself, and a loaded result holds the memo's block
-objects as they are; a decoded block reads its function names from its
-record only when they are asked for.  A ``ProcessDriver``'s one parser
+objects as they are.  A ``ProcessDriver``'s one parser
 thread looks each file's block up by the file and its ``(line,
 function)`` pairs over all of the run's coverage documents, so a
 repeated file yields the block object of its first parse.  A block keeps
@@ -332,7 +331,8 @@ class Driver:
                              f"function index in {file!r}")
         file = normalize_path(file)
         base = file_id(file) << LINE_BITS
-        block = Block(map(base.__or__, lines), file, partial(_line_functions, record), record)
+        block = Block(map(base.__or__, lines), file,
+                      dict(zip(lines, map(functions.__getitem__, numbers[1::2]))), record)
         if len(block) != len(lines):
             raise ValueError(f"a line stored twice in {file!r}")
         return block
@@ -364,14 +364,6 @@ def _parsed_blocks(driver_ref, key: Tuple[str, ...], parsed: Future) -> Tuple[Bl
             with driver._lock:
                 driver._mem.pop(key, None)
         raise
-
-
-def _line_functions(record: Tuple[str, Tuple, str]) -> Dict[int, Optional[str]]:
-    """A decoded record's ``{line: function}``, read only when a block's
-    functions are first asked for."""
-    _, names, text = record
-    numbers = json.loads(f"[{text}]")
-    return dict(zip(numbers[::2], map(names.__getitem__, numbers[1::2])))
 
 
 def _encode_block(block: Block) -> tuple:

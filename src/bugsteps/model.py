@@ -20,8 +20,7 @@ import threading
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain
-from typing import (Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
-                    Union)
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 LINE_BITS = 24
 LINE_MASK = (1 << LINE_BITS) - 1  # also the largest line a statement can hold
@@ -155,29 +154,20 @@ class Block(frozenset):
     """One covered file's int statements; equality and hashing are the frozenset's.
 
     ``file`` is the normalized path.  ``functions`` maps each line to its
-    function (None for none); it is given as the mapping, or as a loader
-    called on first use.  ``record`` is this object's disk cache record
+    function (None for none).  ``record`` is this object's disk cache record
     once encoded or decoded, else None: equal blocks may differ in their
     lines' functions.
     """
 
-    __slots__ = ("file", "record", "_functions")
+    __slots__ = ("file", "functions", "record")
 
     def __new__(cls, statements: Iterable[int], file: str,
-                functions: Union[Mapping[int, Optional[str]],
-                                 Callable[[], Mapping[int, Optional[str]]]], record=None):
+                functions: Mapping[int, Optional[str]], record=None):
         block = super().__new__(cls, statements)
         block.file = file
+        block.functions = functions
         block.record = record
-        block._functions = functions
         return block
-
-    @property
-    def functions(self) -> Mapping[int, Optional[str]]:
-        functions = self._functions
-        if callable(functions):
-            functions = self._functions = functions()
-        return functions
 
     def function(self, stmt: int) -> Optional[str]:
         return self.functions[stmt & LINE_MASK]
@@ -223,22 +213,25 @@ class ExecutionResult:
         }
 
 
+def first_holder_function(holders: Sequence) -> Callable[[int], Optional[str]]:
+    """A statement's function in the first of ``holders`` (blocks or diffs) that holds it."""
+    return lambda stmt: next(holder for holder in holders if stmt in holder).function(stmt)
+
+
 class Diff(frozenset):
     """The statements two runs differ in, with the blocks they came from.
 
-    Each statement is covered by one of the runs, so its function is the
-    one it has there.
+    Each statement is covered by one of the runs, so ``function(stmt)`` is
+    the function it has there.
     """
 
-    __slots__ = ("blocks",)
+    __slots__ = ("blocks", "function")
 
     def __new__(cls, statements: Iterable[int], blocks: Tuple[Block, ...]):
         diff = super().__new__(cls, statements)
         diff.blocks = blocks
+        diff.function = first_holder_function(blocks)
         return diff
-
-    def function(self, stmt: int) -> Optional[str]:
-        return next(block for block in self.blocks if stmt in block).function(stmt)
 
 
 def symmetric_diff(a: Iterable[Block], b: Iterable[Block]) -> Diff:

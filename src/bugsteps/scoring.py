@@ -21,8 +21,8 @@ from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DegenerateSpectrum, UnmappedStatement
-from .model import (LINE_BITS, LINE_MASK, Block, Diff, ExecutionResult, RemovalProbe,
-                    StatementId, file_of)
+from .model import (LINE_BITS, LINE_MASK, Block, ExecutionResult, RemovalProbe, StatementId,
+                    file_of, first_holder_function)
 
 log = logging.getLogger(__name__)
 
@@ -80,11 +80,6 @@ class Scores(dict):
     __slots__ = ("function",)
 
 
-def _first_diff(diffs: Sequence[Diff]):
-    """A statement's function from the first of ``diffs`` that holds it."""
-    return lambda stmt: next(diff for diff in diffs if stmt in diff).function(stmt)
-
-
 def score_flip_inverse(probes: Sequence[RemovalProbe]) -> Scores:
     """Primary scorer: max over flipped probes of the inverse diff size."""
     scores = Scores()
@@ -101,7 +96,7 @@ def score_flip_inverse(probes: Sequence[RemovalProbe]) -> Scores:
                 scores[stmt] = weight
     if not scores:
         log.warning("no flipped probes: returning an empty suspiciousness map")
-    scores.function = _first_diff([p.diff for p in probes])
+    scores.function = first_holder_function([p.diff for p in probes])
     return scores
 
 
@@ -116,7 +111,7 @@ def score_metallaxis(probes: Sequence[RemovalProbe]) -> Scores:
     scores = Scores.fromkeys(chain.from_iterable(p.diff for p in probes), 1.0)
     if not scores:
         log.warning("no flipped probes: returning an empty suspiciousness map")
-    scores.function = _first_diff([p.diff for p in probes])
+    scores.function = first_holder_function([p.diff for p in probes])
     return scores
 
 
@@ -157,22 +152,28 @@ def score_ochiai(runs: Sequence[ExecutionResult]) -> Scores:
     get = ep.get
     for stmt, f_count in ef.items():
         scores[stmt] = f_count / math.sqrt(total_f * (f_count + get(stmt, 0)))
+    # failing runs cover thousands of statements in many blocks: look a
+    # statement up only in its own file's blocks
     by_file: Dict[str, List[Block]] = {}
     for block in blocks:
         by_file.setdefault(block.file, []).append(block)
-    scores.function = lambda stmt: next(
-        block for block in by_file[file_of(stmt)] if stmt in block).function(stmt)
+    in_file = {file: first_holder_function(held) for file, held in by_file.items()}
+    scores.function = lambda stmt: in_file[file_of(stmt)](stmt)
     return scores
 
 
-def unit_of(stmt: StatementId, granularity: str) -> Optional[str]:
+def _unit(file: str, function: Optional[str], granularity: str) -> Optional[str]:
+    """The unit of a statement of ``file`` in ``function``; None for a
+    function unit without a function."""
     if granularity == "file":
-        return stmt.file
+        return file
     if granularity == "function":
-        if stmt.function is None:
-            return None
-        return f"{stmt.file}::{stmt.function}"
+        return None if function is None else f"{file}::{function}"
     raise ValueError(f"unknown granularity {granularity!r}")
+
+
+def unit_of(stmt: StatementId, granularity: str) -> Optional[str]:
+    return _unit(stmt.file, stmt.function, granularity)
 
 
 def _ranked_rows(unit_scores: Dict[str, float]) -> List[ReportRow]:
@@ -191,42 +192,35 @@ def _ranked_rows(unit_scores: Dict[str, float]) -> List[ReportRow]:
     return rows
 
 
-def _function_unit(stmt: int, function: Optional[str]) -> Optional[str]:
-    return None if function is None else f"{file_of(stmt)}::{function}"
-
-
 def aggregate_ranksum(scores: Scores, granularity: str) -> RankedReport:
     """Aggregate statement scores to units with linearly decaying weights.
 
     Within a unit, its n positively-scored statements are ranked by score
-    (ties by file then line) and the i-th gets weight (n+1-i)/sum(1..n);
-    the unit score is the weighted sum.  A scored statement without a
-    unit raises ``UnmappedStatement``.
+    and the i-th gets weight (n+1-i)/sum(1..n); the unit score is the
+    weighted sum, which tied statements do not change by their order.  A
+    scored statement without a unit raises ``UnmappedStatement``.
     """
     per_unit: Dict[str, Iterable[float]] = {}
     if granularity == "file":
-        # a file's statements are one stretch of int order
+        # a file's statements are one stretch of int order: name each file once
         stmts = sorted(scores)
         lo = 0
         while lo < len(stmts):
             hi = bisect_left(stmts, ((stmts[lo] >> LINE_BITS) + 1) << LINE_BITS, lo)
             per_unit[file_of(stmts[lo])] = map(scores.__getitem__, stmts[lo:hi])
             lo = hi
-    elif granularity == "function":
+    else:
         orphans = []
         for stmt, score in scores.items():
-            unit = _function_unit(stmt, scores.function(stmt))
+            unit = _unit(file_of(stmt), scores.function(stmt), granularity)
             if unit is None:
                 orphans.append(f"{file_of(stmt)}:{stmt & LINE_MASK}")
             else:
                 per_unit.setdefault(unit, []).append(score)
         if orphans:
             raise UnmappedStatement(orphans)
-    else:
-        raise ValueError(f"unknown granularity {granularity!r}")
     unit_scores: Dict[str, float] = {}
     for unit, values in per_unit.items():
-        # tied statements swap places but not weights: the sum needs only the scores
         ranked = sorted(values, reverse=True)
         while ranked and not ranked[-1] > 0:
             ranked.pop()
@@ -247,13 +241,9 @@ def compute_fallback(blocks: Iterable[Block], granularity: str) -> RankedReport:
     cannot form a unit and are skipped.
     """
     blocks = list(blocks)  # one block per file: no statement repeats
-    if granularity == "file":
-        units = {block.file for block in blocks}
-    elif granularity == "function":
-        units = {_function_unit(stmt, block.function(stmt)) for block in blocks for stmt in block}
-        units.discard(None)
-    else:
-        raise ValueError(f"unknown granularity {granularity!r}")
+    units = {_unit(block.file, block.function(stmt), granularity)
+             for block in blocks for stmt in block}
+    units.discard(None)
     total = sum(map(len, blocks))
     eps = 1.0 / total if total else 0.0
     return RankedReport(

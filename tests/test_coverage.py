@@ -121,6 +121,11 @@ class TestGcovJson:
         {"file": "a.c", "lines": [{"line_number": 2.7, "count": 1}]},
         {"file": "a.c", "lines": [{"line_number": True, "count": 1}]},
         {"file": "a.c", "lines": [{"line_number": "2.7", "count": 1}]},
+        {"file": "a.c", "lines": [{"line_number": " 3", "count": 1}]},
+        {"file": "a.c", "lines": [{"line_number": "+3", "count": 1}]},
+        {"file": "a.c", "lines": [{"line_number": "3_0", "count": 1}]},
+        {"file": "a.c", "lines": [{"line_number": "\u0663", "count": 1}]},
+        {"file": "a.c", "lines": [{"line_number": 3, "count": "1 "}]},
         {"file": "a.c", "lines": [{"line_number": None, "count": 1}]},
         {"file": "a.c", "lines": [{"line_number": [3], "count": 1}]},
         {"file": "a.c", "lines": [{"line_number": 3, "count": 0.5}]},

@@ -154,15 +154,6 @@ class TestBlock:
         with pytest.raises(AttributeError):
             block.other = 1  # slotted: no __dict__
 
-    def test_functions_loaded_once_on_first_use(self):
-        base = file_id("a.c") << LINE_BITS
-        calls = []
-        block = Block([base | 1, base | 4], "a.c",
-                      lambda: calls.append(1) or {1: "f", 4: None})
-        assert not calls
-        assert [block.function(s) for s in sorted(block)] == ["f", None]
-        assert block.functions == {1: "f", 4: None} and calls == [1]
-
 
 class TestFileBlocks:
     @given(stmt_sets())

@@ -198,6 +198,12 @@ class TestRankSum:
             aggregate_ranksum(scores_of({stmt("f.c", 1): 1.0}), "function")
         assert err.value.orphans == ["f.c:1"]
 
+    def test_unknown_granularity_raises(self):
+        with pytest.raises(ValueError, match="unknown granularity"):
+            aggregate_ranksum(scores_of({stmt("f.c", 1, "alpha"): 1.0}), "line")
+        with pytest.raises(ValueError, match="unknown granularity"):
+            compute_fallback(file_blocks({stmt("f.c", 1, "alpha")}), "line")
+
     def test_worst_rank_ties(self):
         scores = {stmt("A.c", 1): 0.5, stmt("B.c", 1): 0.5, stmt("C.c", 1): 0.2}
         report = aggregate_ranksum(scores_of(scores), "file")
