@@ -10,23 +10,25 @@ yields an outcome and per-file blocks of int statements (``model``), and
 outcome is known and its coverage files are read; a thread of its own
 parses and stores them while the next run's command runs.  Cache entries
 are keyed by the driver fingerprint plus the ordered retained subset, so
-repeated identical subsets never re-run.  A disk entry is a compact
-version-3 document with one ``[file, [function names],
-"line,index,line,index,..."]`` record per file, in file order, the
-indices local to that file's names: paths and lines, never the
-process-local file ids.
+repeated identical subsets never re-run.  A disk entry is a version-4
+text file of lines: a ``{"version":4,"outcome":...}`` header, the
+subset's ids joined by ``\x1f`` (the string its name is hashed from),
+then one compact JSON ``[file, [function names], "line,index,..."]``
+record per covered file, in file order, the indices local to that file's
+names: paths and lines, never the process-local file ids.
 
 The runs of one isolation differ in a few steps, so most files' coverage
 repeats from run to run, and two memos keep a run's cost to the files
-that changed.  Every driver decodes each distinct disk record once,
-keyed by the record itself, and a loaded result holds the memo's block
+that changed.  Every driver decodes each distinct record line once,
+keyed by the line's text, and a loaded result holds the memo's block
 objects as they are.  A ``ProcessDriver``'s one parser
 thread looks each file's block up by the file and its ``(line,
 function)`` pairs over all of the run's coverage documents, so a
 repeated file yields the block object of its first parse.  A block keeps
-its record in ``Block.record``, the one it was decoded from or encoded
-into on its first store, so no block object is encoded twice.  An entry
-of another version is a miss; one that does not decode, holds a line
+its record line in ``Block.record``, the one it was decoded from or
+encoded into on its first store, so no block object is encoded twice.
+An entry of versions 1-3 is a miss; a version-4 entry whose header or
+subset line is wrong, whose record does not decode or holds a line
 outside ``1..2**24-1``, or whose records are not in strictly increasing
 file order once normalized, is logged and a miss; either way the subset
 re-runs and the entry is overwritten.  Backends implement only step
@@ -79,7 +81,13 @@ from .util import fingerprint
 
 log = logging.getLogger(__name__)
 
-CACHE_VERSION = 3
+CACHE_VERSION = 4
+# an entry's first line, by outcome; any other line starting with the
+# prefix is a corrupt version-4 header
+_HEADER_PREFIX = f'{{"version":{CACHE_VERSION},'
+_HEADERS = {outcome: f'{_HEADER_PREFIX}"outcome":"{outcome.value}"}}' for outcome in Outcome}
+_OUTCOMES = {header: outcome for outcome, header in _HEADERS.items()}
+_NAME_TYPES = {str, type(None)}  # of a record's function names, as json.loads makes them
 
 COVERAGE_PARSERS = {
     "gcov_json": covmod.parse_gcov_blocks,
@@ -227,8 +235,8 @@ class Driver:
         self._mem: Dict[Tuple[str, ...], ExecutionResult] = {}
         self._lock = threading.Lock()
         self._sequence: Optional[StepSequence] = None
-        # a disk entry's file record -> its decoded block
-        self._blocks: Dict[Tuple[str, Tuple, str], Block] = {}
+        # a disk entry's record line -> its decoded block
+        self._blocks: Dict[str, Block] = {}
         self.execute_calls = 0
         self.process_runs = 0
 
@@ -252,14 +260,14 @@ class Driver:
 
     def execute(self, subset: Sequence[str]) -> ExecutionResult:
         key = tuple(subset)
-        # the cached sequence, once there, so execute never re-enters enumerate_steps
-        sequence = self._sequence if self._sequence is not None else self.enumerate_steps()
-        positions = sequence.positions(key)
         with self._lock:
             self.execute_calls += 1
             cached = self._mem.get(key)
         if cached is not None:
-            return cached
+            return cached  # its order was checked when it first ran
+        # the cached sequence, once there, so execute never re-enters enumerate_steps
+        sequence = self._sequence if self._sequence is not None else self.enumerate_steps()
+        positions = sequence.positions(key)
         result = self._cache_load(key) if self.cache_dir else None
         if result is None:
             result = self._run(key, positions)
@@ -272,52 +280,63 @@ class Driver:
     # -- disk tier -------------------------------------------------------
 
     def _cache_path(self, key: Tuple[str, ...]) -> Path:
-        digest = hashlib.sha256("\x1f".join(key).encode("utf-8")).hexdigest()
+        return self._entry_path("\x1f".join(key))
+
+    def _entry_path(self, line: str) -> Path:
+        """The entry of the subset whose ids, joined by ``\x1f``, are ``line``."""
+        digest = hashlib.sha256(line.encode("utf-8")).hexdigest()
         return self.cache_dir / f"{digest}.json"
 
     def _cache_load(self, key: Tuple[str, ...]) -> Optional[ExecutionResult]:
-        path = self._cache_path(key)
+        line = "\x1f".join(key)
+        path = self._entry_path(line)
         try:
-            doc = json.loads(path.read_bytes())
+            header, subset, *records = path.read_bytes().decode("utf-8").split("\n")
         except (OSError, ValueError):
-            return None
-        if isinstance(doc, dict) and doc.get("version") != CACHE_VERSION:
+            return None  # no entry, or not a text of two lines: a miss
+        outcome = _OUTCOMES.get(header)
+        if outcome is None and not header.startswith(_HEADER_PREFIX):
             return None  # an older format: a miss, re-run and overwritten
         try:
-            blocks = tuple(map(self._block, doc["files"]))
+            if outcome is None:
+                raise ValueError("unknown header")
+            if subset != line:
+                raise ValueError("entry stored for another subset")
+            # every line ends in a newline, so a whole entry ends in an empty string
+            if records.pop() != "":
+                raise ValueError("truncated entry")
+            blocks = tuple(map(self._blocks.get, records))
+            if None in blocks:  # a record line this driver has not decoded yet
+                blocks = tuple(map(self._block, records))
             # each block is non-empty and of one file; strictly increasing
             # files also reject a record repeated under another spelling
             files = [block.file for block in blocks]
             if not all(map(lt, files, files[1:])):
                 raise ValueError("file records out of order or a file stored twice")
-            if doc["subset"] != list(key):
-                raise ValueError("entry stored for another subset")
-            return ExecutionResult(key, Outcome(doc["outcome"]), blocks)
-        except (KeyError, ValueError, TypeError, IndexError):
+            return ExecutionResult(key, outcome, blocks)
+        except (ValueError, TypeError, IndexError, RecursionError):
             log.warning("discarding corrupt cache entry %s", path)
             return None
 
-    def _block(self, record) -> Block:
-        """One file's ``[file, functions, text]`` record, decoded once per driver.
+    def _block(self, line: str) -> Block:
+        """One file's record line, decoded once per driver.
 
-        The memo key is the whole record, and only a record that passed
-        every check of its decode is in the memo: a key equal to one of
-        them is of the same types.
+        The memo key is the line's text, and only a line that passed every
+        check of its decode is in the memo.
         """
-        file, functions, text = record  # not a 3-list: fails here or on the types
-        if type(functions) is not list:
-            raise TypeError("a file record's function names must be a list")
-        key = (file, tuple(functions), text)
-        block = self._blocks.get(key)
+        block = self._blocks.get(line)
         if block is None:
-            block = self._blocks[key] = self._decode_block(key)
+            block = self._blocks[line] = self._decode_block(line)
         return block
 
     @staticmethod
-    def _decode_block(record: Tuple[str, Tuple, str]) -> Block:
+    def _decode_block(line: str) -> Block:
+        record = json.loads(line)
+        if type(record) is not list or len(record) != 3:
+            raise TypeError("a file record must be a 3-list")
         file, functions, text = record
-        if not (isinstance(file, str) and isinstance(text, str)
-                and all(fn is None or isinstance(fn, str) for fn in functions)):
+        if not (type(file) is str and type(text) is str and type(functions) is list
+                and {*map(type, functions)} <= _NAME_TYPES):
             raise TypeError("a file record must be [str, [str or null, ...], str]")
         # digits and commas only, so the JSON array holds only non-negative
         # integers; an empty token, a leading zero or a non-ASCII digit fails to parse
@@ -332,22 +351,20 @@ class Driver:
         file = normalize_path(file)
         base = file_id(file) << LINE_BITS
         block = Block(map(base.__or__, lines), file,
-                      dict(zip(lines, map(functions.__getitem__, numbers[1::2]))), record)
+                      dict(zip(lines, map(functions.__getitem__, numbers[1::2]))), line)
         if len(block) != len(lines):
             raise ValueError(f"a line stored twice in {file!r}")
         return block
 
     def _cache_store(self, key: Tuple[str, ...], result: ExecutionResult) -> None:
-        doc = {
-            "version": CACHE_VERSION,
-            "subset": list(result.subset),
-            "outcome": result.outcome.value,
-            "files": [block.record or _encode_block(block) for block in result.blocks],
-        }
-        path = self._cache_path(key)
+        line = "\x1f".join(key)
+        text = "\n".join([_HEADERS[result.outcome], line,
+                          *[block.record or _encode_block(block) for block in result.blocks],
+                          ""])
+        path = self._entry_path(line)
         # one name per writing thread: drivers of one fingerprint may share the directory
         tmp = path.with_name(f"{path.stem}.{os.getpid()}.{threading.get_ident()}.tmp")
-        tmp.write_text(json.dumps(doc, separators=(",", ":")), "utf-8")
+        tmp.write_bytes(text.encode("utf-8"))
         os.replace(tmp, path)
 
 
@@ -366,15 +383,16 @@ def _parsed_blocks(driver_ref, key: Tuple[str, ...], parsed: Future) -> Tuple[Bl
         raise
 
 
-def _encode_block(block: Block) -> tuple:
-    """``block``'s ``(file, functions, "line,index,...")`` record, kept on the block."""
+def _encode_block(block: Block) -> str:
+    """``block``'s ``[file, functions, "line,index,..."]`` record line, kept on the block."""
     lines = sorted(map(LINE_MASK.__and__, block))
     names = list(map(block.functions.__getitem__, lines))
     index = {fn: i for i, fn in enumerate(dict.fromkeys(names))}
     numbers = [0] * (2 * len(lines))
     numbers[::2] = lines
     numbers[1::2] = map(index.__getitem__, names)
-    block.record = record = (block.file, tuple(index), ",".join(map(str, numbers)))
+    block.record = record = json.dumps([block.file, list(index), ",".join(map(str, numbers))],
+                                       separators=(",", ":"))
     return record
 
 
@@ -409,7 +427,10 @@ class ProcessDriver(Driver):
         lines = [ln for ln in lines if ln]
         if not lines:
             raise EmptySequence("step enumeration produced no steps")
-        return StepSequence(tuple(lines))
+        try:
+            return StepSequence(tuple(lines))
+        except ValueError as exc:  # a repeated id, or one holding \x1f
+            raise CommandFailed(self.config.enumerate_command, exc.args[0]) from exc
 
     def _run(self, key: Tuple[str, ...], positions: List[int]) -> ExecutionResult:
         joined = self.config.step_separator.join(

@@ -129,14 +129,21 @@ def _prune(session: _Session, chunks: List[List[str]]) -> Tuple[List[RemovalProb
     chunk is split and both halves pushed, back half last, so the back
     half is classified before the front half.  Returns the probes of
     pinned steps and the retained ids.
+
+    A chunk on the stack is a stretch of the retained sequence: the
+    whole sequence, a half of a retained chunk, or one step.  Deleting
+    other steps keeps it one, so it is removed by slicing.
     """
     retained = list(session.base.subset)
     retained_run = session.base
     probes: List[RemovalProbe] = []
     while chunks:
         chunk = chunks.pop()
-        removed = set(chunk)
-        subset = [s for s in retained if s not in removed]
+        start = retained.index(chunk[0])
+        end = start + len(chunk)
+        if retained[start:end] != chunk:
+            raise ValueError(f"chunk {chunk!r} is not a stretch of the retained steps")
+        subset = retained[:start] + retained[end:]
         run = session.probe(subset)
         if run.outcome.is_fail:
             retained, retained_run = subset, run

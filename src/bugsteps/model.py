@@ -108,13 +108,19 @@ def statements_json(statements: Iterable[StatementId]) -> List[dict]:
 
 @dataclass(frozen=True)
 class StepSequence:
-    """The ids of the individually skippable compilation steps, in execution order."""
+    """The ids of the individually skippable compilation steps, in execution order.
+
+    An id is non-empty and holds no ``\x1f`` or newline: a subset's ids
+    joined by ``\x1f`` name its disk cache entry and are one of its lines.
+    """
 
     ids: Tuple[str, ...]
 
     def __post_init__(self):
         if len(self._ordinals) != len(self.ids):
             raise ValueError("step ids must be pairwise distinct")
+        if not all(self.ids) or any("\x1f" in s or "\n" in s for s in self.ids):
+            raise ValueError("a step id must be non-empty and hold no \\x1f or newline")
 
     def __len__(self):
         return len(self.ids)
@@ -155,8 +161,9 @@ class Block(frozenset):
 
     ``file`` is the normalized path.  ``functions`` maps each line to its
     function (None for none).  ``record`` is this object's disk cache record
+    line, the compact JSON ``[file, [function names], "line,index,..."]``,
     once encoded or decoded, else None: equal blocks may differ in their
-    lines' functions.
+    lines' functions.  A decoded block keeps the line it was read from.
     """
 
     __slots__ = ("file", "functions", "record")

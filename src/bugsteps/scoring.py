@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import mul
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from .errors import DegenerateSpectrum, UnmappedStatement
 from .model import (LINE_BITS, LINE_MASK, Block, ExecutionResult, RemovalProbe, StatementId,
@@ -115,28 +115,21 @@ def score_metallaxis(probes: Sequence[RemovalProbe]) -> Scores:
     return scores
 
 
-def _statement_counts(runs: Sequence[ExecutionResult]) -> Tuple[Dict[int, int], List[Block]]:
-    """How many of ``runs`` cover each statement, and their distinct blocks.
-
-    Counts each distinct block once and adds its count to its statements,
-    so a block shared by many runs costs one pass.  The blocks are in
-    first-seen order, so the first that holds a statement is the one of
-    the earliest run that covers it.
-    """
-    counts: Dict[int, int] = {}
-    get = counts.get
-    blocks = Counter(chain.from_iterable(r.blocks for r in runs))
-    for block, n in blocks.items():
-        for stmt in block:
-            counts[stmt] = get(stmt, 0) + n
-    return counts, list(blocks)
+def _by_file(blocks: Iterable[Block]) -> Dict[str, List[Block]]:
+    grouped: Dict[str, List[Block]] = {}
+    for block in blocks:
+        grouped.setdefault(block.file, []).append(block)
+    return grouped
 
 
 def score_ochiai(runs: Sequence[ExecutionResult]) -> Scores:
     """Spectrum-based ablation over every observed run, labeled by outcome.
 
     A statement's function is the one of the earliest failing run that
-    covers it.
+    covers it.  Runs share most blocks, so each distinct block is counted
+    once, with the number of runs that hold it, and a file's statements
+    that every distinct block of that file holds share one count pair and
+    one score; only the others are counted one by one.
     """
     failing = [r for r in runs if r.outcome.is_fail]
     passing = [r for r in runs if not r.outcome.is_fail]
@@ -145,18 +138,34 @@ def score_ochiai(runs: Sequence[ExecutionResult]) -> Scores:
             f"need failing and passing runs, got {len(failing)} failing / "
             f"{len(passing)} passing"
         )
-    ef, blocks = _statement_counts(failing)
-    ep, _ = _statement_counts(passing)
+    # distinct blocks in first-seen order, so the first that holds a
+    # statement is the one of the earliest run that covers it
+    failed = Counter(chain.from_iterable(r.blocks for r in failing))
+    passed = Counter(chain.from_iterable(r.blocks for r in passing))
+    by_file, passed_by_file = _by_file(failed), _by_file(passed)
     total_f = len(failing)
     scores = Scores()
-    get = ep.get
-    for stmt, f_count in ef.items():
-        scores[stmt] = f_count / math.sqrt(total_f * (f_count + get(stmt, 0)))
+    for file, held in by_file.items():
+        also = passed_by_file.get(file, [])
+        common = frozenset.intersection(*held, *also)
+        ef = sum(map(failed.__getitem__, held))
+        ep = sum(map(passed.__getitem__, also))
+        scores.update(dict.fromkeys(common, ef / math.sqrt(total_f * (ef + ep))))
+        counts: Dict[int, int] = {}
+        get = counts.get
+        for block in held:
+            n = failed[block]
+            for stmt in block.difference(common):
+                counts[stmt] = get(stmt, 0) + n
+        passes = dict.fromkeys(counts, 0)
+        for block in also:
+            n = passed[block]
+            for stmt in block.intersection(passes):
+                passes[stmt] += n
+        for stmt, f in counts.items():
+            scores[stmt] = f / math.sqrt(total_f * (f + passes[stmt]))
     # failing runs cover thousands of statements in many blocks: look a
     # statement up only in its own file's blocks
-    by_file: Dict[str, List[Block]] = {}
-    for block in blocks:
-        by_file.setdefault(block.file, []).append(block)
     in_file = {file: first_holder_function(held) for file, held in by_file.items()}
     scores.function = lambda stmt: in_file[file_of(stmt)](stmt)
     return scores

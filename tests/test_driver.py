@@ -34,7 +34,7 @@ from bugsteps.errors import (
     MalformedCoverage,
 )
 from bugsteps.isolate import no_del, run_strategy, tail_prune
-from bugsteps.model import ExecutionResult, Outcome, StatementId
+from bugsteps.model import ExecutionResult, Outcome, StatementId, StepSequence
 from conftest import covered, file_blocks, ids
 
 PY = sys.executable
@@ -247,6 +247,13 @@ class TestEnumerate:
         driver = ProcessDriver(load_config(write_config(tmp_path)))
         assert driver.enumerate_steps() == driver.enumerate_steps()
 
+    @pytest.mark.parametrize("listing", ["licm\\nlicm\\n", "licm\\ngvn\\037dce\\n"])
+    def test_ids_that_cannot_be_steps_fail_the_command(self, tmp_path, listing):
+        # a repeated id, or one whose \x1f would make two subsets one cache entry
+        cfg = write_config(tmp_path, enumerate_command=f"printf '{listing}'")
+        with pytest.raises(CommandFailed):
+            ProcessDriver(load_config(cfg)).enumerate_steps()
+
 
 class TestExecute:
     def test_pass_outcome_and_coverage(self, tmp_path):
@@ -390,6 +397,19 @@ class TestExecute:
         for subset in [("licm", "instcombine"), ("licm", "licm")]:
             with pytest.raises(ValueError):
                 driver.execute(subset)
+
+    def test_order_checked_on_a_memory_miss_only(self, tmp_path, monkeypatch):
+        checked = []
+        positions = StepSequence.positions
+        monkeypatch.setattr(StepSequence, "positions",
+                            lambda seq, subset: checked.append(subset) or positions(seq, subset))
+        driver = ProcessDriver(load_config(write_config(tmp_path)))
+        for _ in range(3):
+            covered(driver.execute(("instcombine", "licm")))
+        assert (driver.execute_calls, driver.process_runs) == (3, 1)
+        assert checked == [("instcombine", "licm")]
+        with pytest.raises(ValueError):
+            driver.execute(("licm", "instcombine"))
 
     def test_passes_expand_each_retained_step(self, tmp_path):
         marker = tmp_path / "ran.txt"
@@ -608,10 +628,9 @@ class TestDeferredCoverage:
         result = tail_prune(driver, driver.enumerate_steps())
         assert result.bug_causing_steps == ["licm"]
         for run in result.all_runs:
-            doc = json.loads(driver._cache_path(run.subset).read_text())
-            assert (doc["version"], doc["subset"]) == (3, list(run.subset))
-            assert doc["outcome"] == run.outcome.value
-            assert doc["files"] == [["m.c", [None], "1,0"]]
+            assert driver._cache_path(run.subset).read_text() == (
+                f'{{"version":4,"outcome":"{run.outcome.value}"}}\n'
+                + "\x1f".join(run.subset) + '\n["m.c",[null],"1,0"]\n')
 
 
 class TestCacheClear:
@@ -704,26 +723,36 @@ class TestDiskCacheEntry:
         assert Driver("fp", tmp_path / "cache")._cache_load(key) == result
         assert [p.name for p in (tmp_path / "cache").iterdir()] == [self.entry(drivers[0], key).name]
 
-    def test_entry_is_version_3(self, tmp_path):
+    def test_entry_is_version_4(self, tmp_path):
         driver = self.make_driver(tmp_path)
-        covered(driver.execute(("licm",)))
-        text = self.entry(driver, ("licm",)).read_text()
-        doc = json.loads(text)
-        assert doc["version"] == 3
-        assert doc["files"] == [["lib/u.c", ["helper"], "2,0"], ["m.c", ["main", None], "1,0,7,1"]]
-        assert set(doc) == {"version", "subset", "outcome", "files"}
-        assert " " not in text and "\n" not in text
+        covered(driver.execute(("instcombine", "licm")))
+        assert self.entry(driver, ("instcombine", "licm")).read_bytes() == (
+            b'{"version":4,"outcome":"fail-wrong-output"}\n'
+            b'instcombine\x1flicm\n'
+            b'["lib/u.c",["helper"],"2,0"]\n'
+            b'["m.c",["main",null],"1,0,7,1"]\n')
 
-    def test_entry_with_wall_time_loads(self, tmp_path):
-        # earlier versions also stored the run's duration, which is not read
-        first = self.make_driver(tmp_path).execute(("licm",))
-        covered(first)
-        path = self.entry(self.make_driver(tmp_path), ("licm",))
-        doc = json.loads(path.read_text())
-        path.write_text(json.dumps({**doc, "wall_time": 0.25}, separators=(",", ":")))
+    @staticmethod
+    def version(path):
+        """The version of the entry at ``path``, from its first line."""
+        return json.loads(path.read_text().split("\n")[0]).get("version")
+
+    def test_version_3_entry_is_rerun_and_rewritten(self, tmp_path, caplog):
+        # what the previous version stored for this run
+        driver = self.make_driver(tmp_path)
+        result = driver.execute(("licm",))
+        covered(result)
+        path = self.entry(driver, ("licm",))
+        path.write_text(json.dumps({
+            "version": 3, "subset": ["licm"], "outcome": result.outcome.value,
+            "files": [json.loads(line) for line in self.VALID]}, separators=(",", ":")))
         fresh = self.make_driver(tmp_path)
-        assert fresh.execute(("licm",)) == first
-        assert fresh.process_runs == 0
+        rerun = fresh.execute(("licm",))
+        covered(rerun)
+        assert fresh.process_runs == 1
+        assert (rerun.outcome, covered(rerun)) == (result.outcome, covered(result))
+        assert self.version(path) == 4
+        assert "corrupt" not in caplog.text  # another version is a miss, not a fault
 
     def test_version_1_entry_is_rerun_and_rewritten(self, tmp_path):
         driver = self.make_driver(tmp_path)
@@ -736,7 +765,7 @@ class TestDiskCacheEntry:
         covered(rerun)
         assert fresh.process_runs == 1
         assert (rerun.outcome, covered(rerun)) == (result.outcome, covered(result))
-        assert json.loads(path.read_text())["version"] == 3
+        assert self.version(path) == 4
 
     def test_version_2_entry_is_rerun_and_rewritten(self, tmp_path, caplog):
         driver = self.make_driver(tmp_path)
@@ -752,12 +781,14 @@ class TestDiskCacheEntry:
         covered(rerun)
         assert fresh.process_runs == 1
         assert (rerun.outcome, covered(rerun)) == (result.outcome, covered(result))
-        assert json.loads(path.read_text())["version"] == 3
+        assert self.version(path) == 4
         assert "corrupt" not in caplog.text  # another version is a miss, not a fault
 
     @pytest.mark.parametrize("text", [
         "[]",
         "null",
+        "",
+        "\n\n",
         '{"subset": [], "outcome": "pass", "coverage": 5, "wall_time": 0}',
         '{"version": 2, "subset": ["licm"], "outcome": "pass", "wall_time": 0,'
         ' "files": ["m.c"], "functions": [null], "lines": 5}',
@@ -768,6 +799,7 @@ class TestDiskCacheEntry:
         '{"version": 2, "subset": ["licm"], "outcome": "no-such", "wall_time": 0,'
         ' "files": [], "functions": [], "lines": []}',
         '{"version": 2',
+        '{"version":3,"subset":["licm"],"outcome":"pass","files":5}',
     ])
     def test_malformed_entry_is_rerun_and_overwritten(self, tmp_path, text):
         driver = self.make_driver(tmp_path)
@@ -777,13 +809,14 @@ class TestDiskCacheEntry:
         covered(result)
         assert driver.process_runs == 1
         assert result.outcome is Outcome.FAIL_WRONG_OUTPUT
-        assert json.loads(path.read_text())["version"] == 3
+        assert self.version(path) == 4
 
-    # most blocks that are valid on their own are also in VALID, so a
-    # driver that loaded VALID first meets them again as memo hits
-    VALID = [["lib/u.c", ["helper"], "2,0"], ["m.c", ["main", None], "1,0,7,1"]]
+    # the record lines of the ("licm",) entry; most records that are valid
+    # on their own are also here, so a driver that loaded these first meets
+    # them again as memo hits
+    VALID = ['["lib/u.c",["helper"],"2,0"]', '["m.c",["main",null],"1,0,7,1"]']
 
-    @pytest.mark.parametrize("files", [
+    @pytest.mark.parametrize("records", [
         [["m.c", ["main", None], "1,0,7,-1"]],  # negative function index
         [["m.c", ["main", None], "1,0,7,2"]],  # function index out of range
         [["m.c", [None], "1,x"]],  # non-integer token
@@ -807,55 +840,75 @@ class TestDiskCacheEntry:
         [["m.c", ["main", None]]],  # a record that is not a 3-list
         [["m.c", ["main", None], "1,0,7,1", "x"]],
         [{"file": "m.c", "functions": ["main", None], "text": "1,0,7,1"}],
-        "m.c",
+        ["m.c"],
         [[5, [None], "1,0"]],
         [["m.c", "main", "1,0"]],
         [["m.c", ["main", None], [1, 0, 7, 1]]],
-        [VALID[0], VALID[0]],  # a file twice: both blocks are memo hits
-        [VALID[1], ["./m.c", [None], "1,0"]],  # the same statement under two spellings
+        [json.loads(VALID[0])] * 2,  # a record line twice: both blocks are memo hits
+        [json.loads(VALID[1]), ["./m.c", [None], "1,0"]],  # one statement, two spellings
         [["m.c", ["main"], "1,0"], ["./m.c", [None], "7,0"]],  # one file, two spellings
-        [VALID[1], VALID[0]],  # records out of file order
-        5,
+        [json.loads(VALID[1]), json.loads(VALID[0])],  # records out of file order
+        [5],
     ])
     @pytest.mark.parametrize("primed", [False, True])
-    def test_malformed_v3_entry_is_logged_rerun_and_overwritten(self, tmp_path, caplog,
-                                                                files, primed):
+    def test_malformed_v4_record_is_logged_rerun_and_overwritten(self, tmp_path, caplog,
+                                                                 records, primed):
+        lines = [json.dumps(record, separators=(",", ":")) for record in records]
+        self.check_logged_and_rerun(tmp_path, caplog, primed, "\n".join(
+            ['{"version":4,"outcome":"pass"}', "licm", *lines, ""]))
+
+    HEADER = '{"version":4,"outcome":"pass"}\n'
+    ENTRIES = {
+        "unknown outcome": '{"version":4,"outcome":"no-such"}\nlicm\n' + "\n".join(VALID) + "\n",
+        "header with a subset": ('{"version":4,"outcome":"pass","subset":"licm"}\nlicm\n'
+                                 + "\n".join(VALID) + "\n"),
+        "truncated header": '{"version":4,\nlicm\n' + "\n".join(VALID) + "\n",
+        "another subset": HEADER + "instcombine\n" + "\n".join(VALID) + "\n",
+        "subset with an empty id": HEADER + "licm\x1f\n" + "\n".join(VALID) + "\n",
+        "subset as JSON": HEADER + '["licm"]\n' + "\n".join(VALID) + "\n",
+        "repeated record line": HEADER + "licm\n" + "\n".join(VALID + VALID[1:]) + "\n",
+        "cut within a record": HEADER + "licm\n" + VALID[0] + "\n" + VALID[1][:20],
+        "cut before the last newline": HEADER + "licm\n" + "\n".join(VALID),
+        "cut after the subset": HEADER + "licm",
+        "cut after the header": HEADER,
+        "empty line among the records": HEADER + "licm\n" + "\n\n".join(VALID) + "\n",
+        "record nested too deep to parse": HEADER + "licm\n" + "[" * 100000 + "\n",
+    }
+
+    @pytest.mark.parametrize("name", list(ENTRIES))
+    @pytest.mark.parametrize("primed", [False, True])
+    def test_malformed_v4_entry_is_logged_rerun_and_overwritten(self, tmp_path, caplog,
+                                                                name, primed):
+        self.check_logged_and_rerun(tmp_path, caplog, primed, self.ENTRIES[name])
+
+    def check_logged_and_rerun(self, tmp_path, caplog, primed, text):
         driver = self.make_driver(tmp_path)
         if primed:
             covered(driver.execute(("licm",)))
             driver = self.make_driver(tmp_path)
             assert driver._cache_load(("licm",)) is not None and driver._blocks
         path = self.entry(driver, ("licm",))
-        path.write_text(json.dumps({"version": 3, "subset": ["licm"], "outcome": "pass",
-                                    "files": files}))
+        path.write_text(text)
         result = driver.execute(("licm",))
         covered(result)
         assert driver.process_runs == 1
         assert result.outcome is Outcome.FAIL_WRONG_OUTPUT
         assert "discarding corrupt cache entry" in caplog.text
-        assert json.loads(path.read_text())["files"] == self.VALID
+        assert path.read_text().split("\n")[2:] == [*self.VALID, ""]
 
-    @pytest.mark.parametrize("field, value", [
-        ("subset", ["instcombine"]), ("subset", "licm"), ("outcome", "no-such"),
-    ])
-    def test_malformed_v3_fields_are_logged_and_rerun(self, tmp_path, caplog, field, value):
-        driver = self.make_driver(tmp_path)
-        path = self.entry(driver, ("licm",))
-        doc = {"version": 3, "subset": ["licm"], "outcome": "pass", "files": self.VALID}
-        doc[field] = value
-        path.write_text(json.dumps(doc))
-        driver.execute(("licm",))
-        assert driver.process_runs == 1
-        assert "discarding corrupt cache entry" in caplog.text
-
-    def test_repeated_block_decoded_once(self, tmp_path):
+    def test_repeated_block_decoded_once(self, tmp_path, monkeypatch):
         driver = self.make_driver(tmp_path)
         covered(driver.execute(("licm",)))
         covered(driver.execute(("instcombine",)))
+        decoded = []
+        decode = Driver._decode_block
+        monkeypatch.setattr(Driver, "_decode_block",
+                            staticmethod(lambda line: decoded.append(line) or decode(line)))
         fresh = self.make_driver(tmp_path)
         a = fresh.execute(("licm",))
         b = fresh.execute(("instcombine",))
         assert fresh.process_runs == 0
+        assert decoded == self.VALID  # each record line once, though both entries hold it
         assert len(fresh._blocks) == 2
         assert covered(a) == covered(b) == self.COVERAGE
         assert all(x is y for x, y in zip(a.blocks, b.blocks))  # the memo's objects
@@ -890,7 +943,7 @@ class TestDiskCacheEntry:
                                     {shared, StatementId("lib/u.c", 5, "helper")})()
         a = driver.execute(("licm",))
         first = [block.record for block in a.blocks]  # settles: stored, so encoded
-        assert first == [("lib/u.c", ("helper",), "2,0"), ("m.c", ("main",), "1,0")]
+        assert first == ['["lib/u.c",["helper"],"2,0"]', '["m.c",["main"],"1,0"]']
         b = driver.execute(("instcombine",))
         c = driver.execute(("licm", "simplifycfg"))
         covered(b), covered(c)
@@ -899,7 +952,7 @@ class TestDiskCacheEntry:
         assert a.blocks[0] is c.blocks[0] and a.blocks[0] != b.blocks[0]  # lib/u.c
         # later stores reuse each block object's record, not an equal new one
         assert all(block.record is record for block, record in zip(a.blocks, first))
-        assert b.blocks[0].record == ("lib/u.c", ("helper",), "5,0")
+        assert b.blocks[0].record == '["lib/u.c",["helper"],"5,0"]'
 
     def test_loaded_block_keeps_the_record_it_was_read_from(self, tmp_path):
         make = self.two_coverages(tmp_path, {StatementId("m.c", 7), StatementId("m.c", 1, "main")},
@@ -908,9 +961,9 @@ class TestDiskCacheEntry:
         fresh = make()
         loaded = fresh.execute(("licm",))
         assert fresh.process_runs == 0
-        files = json.loads(fresh._cache_path(("licm",)).read_text())["files"]
-        assert files == [["m.c", ["main", None], "1,0,7,1"]]
-        assert [json.loads(json.dumps(block.record)) for block in loaded.blocks] == files
+        records = fresh._cache_path(("licm",)).read_text().split("\n")[2:-1]
+        assert records == ['["m.c",["main",null],"1,0,7,1"]']
+        assert [block.record for block in loaded.blocks] == records
 
     def test_runs_share_block_objects(self, tmp_path):
         driver = self.make_driver(tmp_path)

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import random
 import weakref
 
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bugsteps.errors import InconsistentOracle, NotReproducible
-from bugsteps.isolate import (STRATEGIES, no_del, rand_order, run_strategy, tail_prune,
-                              verify_baseline)
+from bugsteps.isolate import (STRATEGIES, _prune, _Session, no_del, rand_order, run_strategy,
+                              tail_prune, verify_baseline)
 from bugsteps.model import Outcome
 
 from conftest import FakeDriver, ids
@@ -253,6 +254,53 @@ class TestStrategyAgreement:
         for drop in final:
             rest = tuple(s for s in final if s != drop)
             assert d.execute(rest).outcome is Outcome.PASS
+
+
+def filtered_subsets(ids, fails, chunks):
+    """The subsets the delete-or-pin loop probes, each built by filtering
+    the retained steps, as ``_prune`` built them before it sliced."""
+    retained, subsets = list(ids), []
+    while chunks:
+        chunk = chunks.pop()
+        removed = set(chunk)
+        subset = [s for s in retained if s not in removed]
+        subsets.append(tuple(subset))
+        if fails(subset):
+            retained = subset
+        elif len(chunk) > 1:
+            mid = len(chunk) // 2
+            chunks += [chunk[:mid], chunk[mid:]]
+    return subsets
+
+
+class TestPruneSlicing:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=1, max_value=12), st.integers(0, 3), st.data())
+    def test_probed_subsets_equal_the_filtered_ones(self, n, seed, data):
+        """Any oracle whose full sequence fails, monotone or not."""
+        ids = [str(i) for i in range(1, n + 1)]
+        verdicts = {frozenset(ids): True}
+
+        def fails(subset):
+            key = frozenset(subset)
+            if key not in verdicts:
+                verdicts[key] = data.draw(st.booleans())
+            return verdicts[key]
+
+        order = list(ids)
+        random.Random(seed).shuffle(order)
+        for strategy, chunks in (("tail", [list(ids)]),
+                                 ("rand", [[s] for s in reversed(order)])):
+            d = FakeDriver(ids, fails)
+            run_strategy(strategy, d, d.enumerate_steps(), seed=seed)
+            assert d.trace[1:] == filtered_subsets(ids, fails, chunks), strategy
+
+    def test_chunk_that_is_no_stretch_raises_before_a_probe(self):
+        d = driver_for(4, {3})
+        session = _Session(d, d.enumerate_steps())
+        with pytest.raises(ValueError, match="not a stretch"):
+            _prune(session, [["1", "3"]])
+        assert d.trace == [("1", "2", "3", "4")]  # the baseline only
 
 
 class TestIsolationSerialization:

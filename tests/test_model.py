@@ -285,6 +285,12 @@ class TestStepSequence:
         with pytest.raises(ValueError):
             StepSequence(("a", "a"))
 
+    @pytest.mark.parametrize("step", ["", "a\x1fb", "a\nb"])
+    def test_id_that_cannot_name_a_cache_entry_rejected(self, step):
+        # ("a\x1fb",) and ("a", "b") would join to one subset line
+        with pytest.raises(ValueError, match="non-empty"):
+            StepSequence(("a", step))
+
     def test_ids_in_order(self):
         seq = StepSequence(("a", "b"))
         assert seq.ids == ("a", "b")

@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 
 from bugsteps.errors import DegenerateSpectrum, UnmappedStatement
 from bugsteps.model import (
+    LINE_BITS,
+    Block,
     ExecutionResult,
     Outcome,
     RemovalProbe,
     StatementId,
+    file_id,
 )
 from bugsteps.scoring import (
     NO_BUG_CAUSING_STEPS,
@@ -153,6 +156,59 @@ class TestOchiaiScorer:
                     for s, f in ef.items()}
         got = {(s.file, s.line, s.function): v for s, v in by_id(score_ochiai(runs)).items()}
         assert got == expected
+
+
+OCHIAI_FILES = ("a.c", "b.c", "sub/c.c")
+
+
+@st.composite
+def block_runs(draw):
+    """Runs over a few files whose blocks are drawn from a small pool per
+    file: one line set in every run (blocks agree), several (blocks
+    differ), and for each line set up to two function assignments, so
+    that equal blocks may be one shared object or distinct objects with
+    other function names."""
+    pools = {}
+    for file in OCHIAI_FILES:
+        sets = draw(st.lists(st.frozensets(st.integers(1, 6), min_size=1),
+                             min_size=1, max_size=3))
+        pools[file] = [[Block((file_id(file) << LINE_BITS | line for line in lines), file,
+                              {line: draw(st.sampled_from([None, "f", "g"])) for line in lines})
+                        for _ in range(draw(st.integers(1, 2)))]
+                       for lines in sets]
+    runs = []
+    for i in range(draw(st.integers(2, 8))):
+        blocks = []
+        for file in OCHIAI_FILES:
+            if draw(st.booleans()):
+                variants = draw(st.sampled_from(pools[file]))
+                blocks.append(draw(st.sampled_from(variants)))
+        outcome = Outcome.FAIL_CRASH if draw(st.booleans()) else Outcome.PASS
+        runs.append(ExecutionResult((str(i),), outcome, tuple(blocks)))
+    return runs
+
+
+@given(block_runs())
+@settings(max_examples=300, deadline=None)
+def test_ochiai_equals_per_statement_reference(runs):
+    """Each statement counted one by one over every run, its function from
+    the earliest failing run that covers it."""
+    failing = [r for r in runs if r.outcome.is_fail]
+    passing = [r for r in runs if not r.outcome.is_fail]
+    if not failing or not passing:
+        return
+    ef, ep, function = Counter(), Counter(), {}
+    for r in runs:
+        for block in r.blocks:
+            for s in block:
+                if r.outcome.is_fail:
+                    ef[s] += 1
+                    function.setdefault(s, block.function(s))
+                else:
+                    ep[s] += 1
+    scores = score_ochiai(runs)
+    assert scores == {s: f / math.sqrt(len(failing) * (f + ep[s])) for s, f in ef.items()}
+    assert {s: scores.function(s) for s in scores} == function
 
 
 class TestRankSum:
