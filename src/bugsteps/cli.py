@@ -10,6 +10,13 @@ Verbs:
 Exit codes: 0 success (including fallback reports), 2 baseline not
 reproducible, 3 driver/config error, 4 eval produced no rows.  Argparse
 usage errors exit 2 as usual for Python CLIs.
+
+Import rule: at module level this file imports only ``argparse``, ``os``,
+``sys``, ``Path``, ``__version__`` and ``errors``; each ``cmd_*`` imports
+what its verb runs.  So a ``testbed-run`` child, started once per run of a
+process driver, loads only the testbed compiler, ``model`` and
+``coverage``: none of the engine, the drivers, the eval harness or what
+they import (``logging``, ``concurrent.futures``, ``hashlib``, ``gzip``).
 """
 
 from __future__ import annotations
@@ -20,17 +27,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .coverage import emit_gcov_json
 from .errors import BugStepsError, InvalidConfig, NotReproducible
-from .isolate import STRATEGIES, run_strategy
-from .model import Outcome
-from .scoring import GRANULARITIES, SCORERS, report_for
-from .toy.bugs import generate_scenarios, load_scenario, pipeline_steps, subset_outcome
-from .toy.passes import Tracer
-from .util import canonical_json
-
-# the drivers and the eval harness are imported by the verbs that use them,
-# so a testbed-run child, started once per run, does not load them
 
 EXIT_OK = 0
 EXIT_NOT_REPRODUCIBLE = 2
@@ -54,6 +51,9 @@ def _write_output(text: str, output):
 
 def cmd_isolate(args) -> int:
     from .driver import load_driver
+    from .isolate import run_strategy
+    from .scoring import report_for
+    from .util import canonical_json
 
     driver = load_driver(args.config, cache_dir=args.cache_dir)
     sequence = driver.enumerate_steps()
@@ -90,6 +90,8 @@ def cmd_isolate(args) -> int:
 
 def cmd_eval(args) -> int:
     from .evalharness import evaluate_manifest, render_metrics_table
+    from .model import SCORERS, STRATEGIES
+    from .util import canonical_json
 
     strategies = [s.strip() for s in args.strategy.split(",") if s.strip()]
     scorers = [s.strip() for s in args.scorer.split(",") if s.strip()]
@@ -128,6 +130,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_testbed_gen(args) -> int:
+    from .toy.bugs import generate_scenarios
+    from .util import canonical_json
+
     scenarios = generate_scenarios(args.seed, args.count)
     out = Path(args.out)
     scen_dir = out / "scenarios"
@@ -162,6 +167,11 @@ def cmd_testbed_gen(args) -> int:
 
 
 def cmd_testbed_run(args) -> int:
+    from .coverage import emit_gcov_json
+    from .model import Outcome
+    from .toy.bugs import load_scenario, pipeline_steps, subset_outcome
+    from .toy.passes import Tracer
+
     bug = load_scenario(args.scenario)
     sequence = pipeline_steps(bug.pipeline)
     if args.list_steps:
@@ -195,6 +205,8 @@ def cmd_cache_clear(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .model import GRANULARITIES, SCORERS, STRATEGIES
+
     parser = argparse.ArgumentParser(
         prog="bugsteps",
         description="Compiler bug isolation via causal analysis of compilation steps",

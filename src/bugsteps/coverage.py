@@ -7,7 +7,6 @@ layout, so the testbed's coverage takes the path of real gcov output.
 
 from __future__ import annotations
 
-import gzip
 import json
 import posixpath
 import re
@@ -24,6 +23,8 @@ _DECIMAL = re.compile("-?[0-9]+")  # ASCII digits only, no sign but "-", no "_"
 
 def _decode(data: bytes) -> bytes:
     if data[:2] == _GZIP_MAGIC:
+        import gzip  # here, so a testbed-run child, which only writes coverage, never loads it
+
         try:
             return gzip.decompress(data)
         except OSError as exc:

@@ -23,7 +23,8 @@ from .errors import BugStepsError, GranularityMismatch, InvalidConfig, UnevenCov
 # verify_baseline is unused here, since each strategy's session checks the
 # baseline; perfbench/spans.py patches evalharness.verify_baseline by name
 from .isolate import run_strategy, verify_baseline
-from .scoring import GRANULARITIES, RankedReport, report_for
+from .model import GRANULARITIES
+from .scoring import RankedReport, report_for
 from .util import derive_seed, fingerprint
 
 TOP_NS = (1, 3, 5, 10)

@@ -25,8 +25,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import InconsistentOracle, NotReproducible
 from .model import ExecutionResult, RemovalProbe, StepSequence
-
-STRATEGIES = ("tail", "nodel", "rand")
+# the names of the strategies live in model; they are imported from here, too
+from .model import STRATEGIES  # noqa: F401
 
 
 @dataclass

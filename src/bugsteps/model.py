@@ -1,4 +1,5 @@
-"""Core vocabulary: steps, sequences, outcomes, coverage blocks and removal probes.
+"""Core vocabulary: steps, sequences, outcomes, coverage blocks, removal probes
+and the names of the strategies, scorers and units.
 
 Inside the engine a statement is the int ``file_id << LINE_BITS | line``.
 File ids come from one intern table per process: they never reach disk or
@@ -21,6 +22,12 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+
+STRATEGIES = ("tail", "nodel", "rand")
+
+SCORERS = ("compscan", "mbfl", "sbfl")
+
+GRANULARITIES = ("file", "function")
 
 LINE_BITS = 24
 LINE_MASK = (1 << LINE_BITS) - 1  # also the largest line a statement can hold
@@ -93,6 +100,20 @@ class StatementId:
     @classmethod
     def from_json_dict(cls, doc) -> "StatementId":
         return cls(doc["file"], doc["line"], doc.get("function"))
+
+
+def unit_for(file: str, function: Optional[str], granularity: str) -> Optional[str]:
+    """The unit of a statement of ``file`` in ``function``; None for a
+    function unit without a function."""
+    if granularity == "file":
+        return file
+    if granularity == "function":
+        return None if function is None else f"{file}::{function}"
+    raise ValueError(f"unknown granularity {granularity!r}")
+
+
+def unit_of(stmt: StatementId, granularity: str) -> Optional[str]:
+    return unit_for(stmt.file, stmt.function, granularity)
 
 
 def statement_ids(statements: Iterable[int],

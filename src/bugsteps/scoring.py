@@ -21,14 +21,12 @@ from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from .errors import DegenerateSpectrum, UnmappedStatement
-from .model import (LINE_BITS, LINE_MASK, Block, ExecutionResult, RemovalProbe, StatementId,
-                    file_of, first_holder_function)
+from .model import (LINE_BITS, LINE_MASK, Block, ExecutionResult, RemovalProbe, file_of,
+                    first_holder_function, unit_for)
+# the names of the scorers and units live in model; they are imported from here, too
+from .model import GRANULARITIES, SCORERS, unit_of  # noqa: F401
 
 log = logging.getLogger(__name__)
-
-SCORERS = ("compscan", "mbfl", "sbfl")
-
-GRANULARITIES = ("file", "function")
 
 NO_BUG_CAUSING_STEPS = "no_bug_causing_steps"
 
@@ -171,20 +169,6 @@ def score_ochiai(runs: Sequence[ExecutionResult]) -> Scores:
     return scores
 
 
-def _unit(file: str, function: Optional[str], granularity: str) -> Optional[str]:
-    """The unit of a statement of ``file`` in ``function``; None for a
-    function unit without a function."""
-    if granularity == "file":
-        return file
-    if granularity == "function":
-        return None if function is None else f"{file}::{function}"
-    raise ValueError(f"unknown granularity {granularity!r}")
-
-
-def unit_of(stmt: StatementId, granularity: str) -> Optional[str]:
-    return _unit(stmt.file, stmt.function, granularity)
-
-
 def _ranked_rows(unit_scores: Dict[str, float]) -> List[ReportRow]:
     """Rank units by score, ties by name; see ``TIE_POLICY``."""
     ordered = sorted(unit_scores.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -221,7 +205,7 @@ def aggregate_ranksum(scores: Scores, granularity: str) -> RankedReport:
     else:
         orphans = []
         for stmt, score in scores.items():
-            unit = _unit(file_of(stmt), scores.function(stmt), granularity)
+            unit = unit_for(file_of(stmt), scores.function(stmt), granularity)
             if unit is None:
                 orphans.append(f"{file_of(stmt)}:{stmt & LINE_MASK}")
             else:
@@ -250,7 +234,7 @@ def compute_fallback(blocks: Iterable[Block], granularity: str) -> RankedReport:
     cannot form a unit and are skipped.
     """
     blocks = list(blocks)  # one block per file: no statement repeats
-    units = {_unit(block.file, block.function(stmt), granularity)
+    units = {unit_for(block.file, block.function(stmt), granularity)
              for block in blocks for stmt in block}
     units.discard(None)
     total = sum(map(len, blocks))

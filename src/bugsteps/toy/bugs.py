@@ -19,9 +19,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..errors import GenerationFailed, InvalidConfig
 from ..model import (LINE_MASK, Outcome, StatementId, StepSequence, file_of, statement_ids,
-                     statements_json)
-from ..scoring import unit_of
-from ..util import derive_seed
+                     statements_json, unit_of)
 from .ir import Instr, MiniProgram, interpret, validate_program
 from .passes import CANONICAL_ORDER, CATALOGS, FUNCTIONS, CrashSignal, run_pipeline
 
@@ -338,6 +336,8 @@ def _build_scenario(archetype: str, rng: random.Random, scenario_id: str) -> See
 
 def generate_scenarios(seed: int, count: int) -> List[SeededBug]:
     """Deterministically generate ``count`` validated scenarios."""
+    from ..util import derive_seed  # util loads hashlib, which a testbed-run child never needs
+
     if count < 1:
         raise ValueError("count must be >= 1")
     out = []

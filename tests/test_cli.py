@@ -1,8 +1,23 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from bugsteps.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# runs the CLI as `python -m bugsteps.cli` does, then names every module loaded
+RUN_CLI = """
+import runpy, sys
+try:
+    runpy.run_module("bugsteps.cli", run_name="__main__", alter_sys=True)
+finally:
+    sys.stderr.write(" ".join(sys.modules))
+"""
 
 
 @pytest.fixture(scope="module")
@@ -338,6 +353,39 @@ class TestTestbedRun:
             assert main(["testbed-run", "--scenario", str(scn),
                          "--passes", passes]) == 3, passes
             assert capsys.readouterr().out == "", passes
+
+
+class TestTestbedRunChildImports:
+    """A process driver starts one testbed-run child per run: it loads only what a run needs."""
+
+    UNNEEDED = {"bugsteps.isolate", "bugsteps.scoring", "bugsteps.util", "bugsteps.driver",
+                "bugsteps.evalharness", "logging", "concurrent.futures", "hashlib", "gzip"}
+
+    @staticmethod
+    def child(code, *args):
+        """The child's standard output and the modules it had loaded when it ended."""
+        proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout, set(proc.stderr.split())
+
+    def test_enumerate_and_run_load_no_engine(self, testbed_dir, tmp_path):
+        config, _ = config_for(testbed_dir, "cf_neg_fold")
+        scn = str((config.parent / json.loads(config.read_text())["scenario"]).resolve())
+        steps, modules = self.child(RUN_CLI, "testbed-run", "--scenario", scn, "--list-steps")
+        assert "bugsteps.toy.bugs" in modules
+        assert modules.isdisjoint(self.UNNEEDED), sorted(modules & self.UNNEEDED)
+        cov = tmp_path / "cov.json"
+        _, modules = self.child(RUN_CLI, "testbed-run", "--scenario", scn,
+                                "--passes", ",".join(steps.split()), "--coverage-out", str(cov))
+        assert {"bugsteps.toy.passes", "bugsteps.coverage"} <= modules
+        assert modules.isdisjoint(self.UNNEEDED), sorted(modules & self.UNNEEDED)
+        assert json.loads(cov.read_text())["files"]
+
+    def test_cli_import_loads_no_testbed(self):
+        _, modules = self.child("import sys, bugsteps.cli; sys.stderr.write(' '.join(sys.modules))")
+        assert "bugsteps.cli" in modules
+        assert not {m for m in modules if m.startswith("bugsteps.toy")}
 
 
 class TestCacheClear:
