@@ -6,9 +6,10 @@ base class owns everything the answers share: the ordered-subset check,
 the result cache (in memory, plus a disk tier when ``cache_dir`` is set)
 and the ``execute_calls``/``process_runs`` counters.  A backend's run
 yields an outcome and per-file blocks of int statements (``model``), and
-``Driver._result`` stores them.  ``ProcessDriver`` returns a run once its
-outcome is known and its coverage files are read; a thread of its own
-parses and stores them while the next run's command runs.  Cache entries
+stores them when ``cache_dir`` is set.  A ``ProcessDriver`` run returns
+once its outcome is known and its coverage files are read, its blocks a
+future that a parser thread of its own fulfils and stores while the next
+run's command runs; a run whose parse failed is a memory miss.  Cache entries
 are keyed by the driver fingerprint plus the ordered retained subset, so
 repeated identical subsets never re-run.  A disk entry is a version-4
 text file of lines: a ``{"version":4,"outcome":...}`` header, the
@@ -49,11 +50,9 @@ import signal
 import subprocess
 import tempfile
 import threading
-import weakref
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import suppress
 from dataclasses import asdict, dataclass, field, fields
-from functools import partial
 from glob import glob
 from operator import lt
 from pathlib import Path
@@ -221,7 +220,7 @@ class Driver:
     answers from the memory cache, then from the disk tier when
     ``cache_dir`` is set, and only then calls ``_run``.  Subclasses
     implement ``_enumerate()`` and ``_run(key, positions)``, which returns
-    the run's result, most simply ``_result`` of its outcome and blocks.
+    the run's result, stored with ``_cache_store`` when ``cache_dir`` is set.
     """
 
     def __init__(self, fingerprint: str, cache_dir: Optional[Path] = None):
@@ -246,13 +245,6 @@ class Driver:
     def _run(self, key: Tuple[str, ...], positions: List[int]) -> ExecutionResult:
         raise NotImplementedError
 
-    def _result(self, key: Tuple[str, ...], outcome: Outcome,
-                blocks: Tuple[Block, ...]) -> ExecutionResult:
-        result = ExecutionResult(key, outcome, blocks)
-        if self.cache_dir:
-            self._cache_store(key, result)
-        return result
-
     def enumerate_steps(self) -> StepSequence:
         if self._sequence is None:
             self._sequence = self._enumerate()
@@ -264,7 +256,10 @@ class Driver:
             self.execute_calls += 1
             cached = self._mem.get(key)
         if cached is not None:
-            return cached  # its order was checked when it first ran
+            coverage = cached.coverage
+            # a run whose parse failed is a miss: it runs again
+            if type(coverage) is tuple or not coverage.done() or coverage.exception() is None:
+                return cached  # its order was checked when it first ran
         # the cached sequence, once there, so execute never re-enters enumerate_steps
         sequence = self._sequence if self._sequence is not None else self.enumerate_steps()
         positions = sequence.positions(key)
@@ -356,31 +351,16 @@ class Driver:
             raise ValueError(f"a line stored twice in {file!r}")
         return block
 
-    def _cache_store(self, key: Tuple[str, ...], result: ExecutionResult) -> None:
+    def _cache_store(self, key: Tuple[str, ...], outcome: Outcome,
+                     blocks: Tuple[Block, ...]) -> None:
         line = "\x1f".join(key)
-        text = "\n".join([_HEADERS[result.outcome], line,
-                          *[block.record or _encode_block(block) for block in result.blocks],
-                          ""])
+        text = "\n".join([_HEADERS[outcome], line,
+                          *[block.record or _encode_block(block) for block in blocks], ""])
         path = self._entry_path(line)
         # one name per writing thread: drivers of one fingerprint may share the directory
         tmp = path.with_name(f"{path.stem}.{os.getpid()}.{threading.get_ident()}.tmp")
         tmp.write_bytes(text.encode("utf-8"))
         os.replace(tmp, path)
-
-
-def _parsed_blocks(driver_ref, key: Tuple[str, ...], parsed: Future) -> Tuple[Block, ...]:
-    """A deferred run's blocks; a run whose parse failed leaves the memory cache.
-
-    The driver is held weakly, so a result read later keeps no driver alive.
-    """
-    try:
-        return parsed.result()
-    except Exception:
-        driver = driver_ref()
-        if driver is not None:
-            with driver._lock:
-                driver._mem.pop(key, None)
-        raise
 
 
 def _encode_block(block: Block) -> str:
@@ -446,10 +426,7 @@ class ProcessDriver(Driver):
             outcome = self._outcome(run_cmd, scratch)
             data = self._read_coverage(scratch, outcome)
         # the next run's command starts while the parser thread works
-        parsed = self._parser.submit(
-            lambda: self._result(key, outcome, self._parse_coverage(data)).blocks)
-        return ExecutionResult.deferred(
-            key, outcome, partial(_parsed_blocks, weakref.ref(self), key, parsed))
+        return ExecutionResult(key, outcome, self._parser.submit(self._parse, key, outcome, data))
 
     def _outcome(self, run_cmd: str, scratch: Path) -> Outcome:
         """Run the pipeline, then the test command if any, and judge the output."""
@@ -518,10 +495,13 @@ class ProcessDriver(Driver):
             )
         return [Path(fname).read_bytes() for fname in matched]
 
-    def _parse_coverage(self, data: List[bytes]) -> Tuple[Block, ...]:
-        """The coverage files' blocks, one per covered file in file order."""
-        return COVERAGE_PARSERS[self.config.coverage_source](
+    def _parse(self, key: Tuple[str, ...], outcome: Outcome,
+               data: List[bytes]) -> Tuple[Block, ...]:
+        """The coverage files' blocks, one per covered file in file order, once stored."""
+        blocks = COVERAGE_PARSERS[self.config.coverage_source](
             data, self.config.source_root, memo=self._parsed)
+        self._cache_store(key, outcome, blocks)
+        return blocks
 
 
 # what the disk cache writes: <fingerprint[:16]>/<digest>.json entries and

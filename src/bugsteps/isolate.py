@@ -25,8 +25,6 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import InconsistentOracle, NotReproducible
 from .model import ExecutionResult, RemovalProbe, StepSequence
-# the names of the strategies live in model; they are imported from here, too
-from .model import STRATEGIES  # noqa: F401
 
 
 @dataclass
@@ -94,7 +92,7 @@ class _Session:
 
     def finish(self, strategy, probes, final_sequence, seed=None) -> IsolationResult:
         for run in self.runs.values():
-            # waits for a deferred run's parse: its error raises here, its entry is stored
+            # waits on a pending run's future: a failed parse raises here, a done one is stored
             run.blocks
         order = self.base.subset.index
         return IsolationResult(

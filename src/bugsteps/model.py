@@ -21,7 +21,11 @@ import threading
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
+
+if TYPE_CHECKING:  # a testbed-run child never loads concurrent.futures
+    from concurrent.futures import Future
 
 STRATEGIES = ("tail", "nodel", "rand")
 
@@ -201,36 +205,32 @@ class Block(frozenset):
         return self.functions[stmt & LINE_MASK]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExecutionResult:
     """Outcome plus executed-statement coverage for one pipeline run.
 
-    ``blocks`` holds one non-empty block per covered file, in file order.  Equal
+    ``coverage`` holds one non-empty block per covered file, in file order,
+    or a ``concurrent.futures.Future`` of them while a parser thread works,
+    and ``blocks`` reads it: the tuple, or the future's result once it is
+    done.  A failed parse raises its one exception on every read.  Equal
     blocks of different runs may be one object, as a disk cache load
-    returns them.  A ``deferred`` result has its outcome at once and
-    gets its blocks from ``settle()`` on their first read; from then on,
-    as for any other result, they are a plain attribute.
+    returns them.  Results are equal by subset, outcome and blocks.
     """
 
     subset: Tuple[str, ...]
     outcome: Outcome
-    blocks: Tuple[Block, ...]
+    coverage: Union[Tuple[Block, ...], Future]
 
-    @classmethod
-    def deferred(cls, subset: Tuple[str, ...], outcome: Outcome,
-                 settle: Callable[[], Tuple[Block, ...]]) -> "ExecutionResult":
-        result = cls.__new__(cls)
-        result.__dict__.update(subset=subset, outcome=outcome, _settle=settle)
-        return result
+    @property
+    def blocks(self) -> Tuple[Block, ...]:
+        coverage = self.coverage
+        return coverage if type(coverage) is tuple else coverage.result()
 
-    def __getattr__(self, name):
-        # reached only for an attribute not yet set: a deferred result's
-        # blocks; ``settle`` stays, so a racing first read calls it too
-        settle = self.__dict__.get("_settle") if name == "blocks" else None
-        if settle is None:
-            raise AttributeError(name)
-        blocks = self.__dict__["blocks"] = settle()  # an error raises on every read
-        return blocks
+    def __eq__(self, other):
+        if not isinstance(other, ExecutionResult):
+            return NotImplemented
+        return (self.subset == other.subset and self.outcome is other.outcome
+                and self.blocks == other.blocks)
 
     def to_json_dict(self):
         return {
@@ -247,17 +247,16 @@ def first_holder_function(holders: Sequence) -> Callable[[int], Optional[str]]:
 
 
 class Diff(frozenset):
-    """The statements two runs differ in, with the blocks they came from.
+    """The statements two runs differ in.
 
     Each statement is covered by one of the runs, so ``function(stmt)`` is
-    the function it has there.
+    the function it has there, in the blocks it came from.
     """
 
-    __slots__ = ("blocks", "function")
+    __slots__ = ("function",)
 
     def __new__(cls, statements: Iterable[int], blocks: Tuple[Block, ...]):
         diff = super().__new__(cls, statements)
-        diff.blocks = blocks
         diff.function = first_holder_function(blocks)
         return diff
 

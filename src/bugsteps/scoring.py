@@ -23,8 +23,6 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from .errors import DegenerateSpectrum, UnmappedStatement
 from .model import (LINE_BITS, LINE_MASK, Block, ExecutionResult, RemovalProbe, file_of,
                     first_holder_function, unit_for)
-# the names of the scorers and units live in model; they are imported from here, too
-from .model import GRANULARITIES, SCORERS, unit_of  # noqa: F401
 
 log = logging.getLogger(__name__)
 

@@ -30,4 +30,4 @@ class ToyDriver(Driver):
     def _run(self, key: Tuple[str, ...], positions: List[int]) -> ExecutionResult:
         tracer = Tracer()
         outcome, _ = subset_outcome(self.bug, positions, tracer=tracer)
-        return self._result(key, outcome, tracer.blocks())
+        return ExecutionResult(key, outcome, tracer.blocks())

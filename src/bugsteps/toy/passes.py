@@ -21,6 +21,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..model import LINE_BITS, Block, file_id
 from .ir import MASK, OPS, Instr, MiniProgram, interpret
 
+# a pass run's recorder: covers the named event's statement, if a tracer is on
+Emit = Callable[[str], None]
+
 CANONICAL_ORDER = (
     "const_fold",
     "cse",
@@ -58,7 +61,7 @@ class PipelineState:
     bug: Optional[str] = None
     tracer: Optional[Tracer] = None
 
-    def emitter(self, pass_name: str) -> Callable[[str], None]:
+    def emitter(self, pass_name: str) -> Emit:
         if self.tracer is None:
             return _noop
         catalog = CATALOGS[pass_name]
@@ -238,8 +241,7 @@ def _compact(prog: MiniProgram, keep: List[int],
     return MiniProgram(prog.params, tuple(new_instrs)), full_map
 
 
-def _pass_const_fold(prog: MiniProgram, st: PipelineState) -> MiniProgram:
-    emit = st.emitter("const_fold")
+def _pass_const_fold(prog: MiniProgram, st: PipelineState, emit: Emit) -> MiniProgram:
     known: Dict[int, int] = {}
     p = prog.n_params
     new_instrs = []
@@ -293,8 +295,7 @@ def _pass_const_fold(prog: MiniProgram, st: PipelineState) -> MiniProgram:
     return MiniProgram(prog.params, tuple(new_instrs))
 
 
-def _pass_cse(prog: MiniProgram, st: PipelineState) -> MiniProgram:
-    emit = st.emitter("cse")
+def _pass_cse(prog: MiniProgram, st: PipelineState, emit: Emit) -> MiniProgram:
     p = prog.n_params
     seen: Dict[tuple, int] = {}
     repl: Dict[int, int] = {}
@@ -354,8 +355,7 @@ def _pass_cse(prog: MiniProgram, st: PipelineState) -> MiniProgram:
     return new_prog
 
 
-def _pass_dce(prog: MiniProgram, st: PipelineState) -> MiniProgram:
-    emit = st.emitter("dce")
+def _pass_dce(prog: MiniProgram, st: PipelineState, emit: Emit) -> MiniProgram:
     p = prog.n_params
     live = set()
     emit("root_outputs")
@@ -401,8 +401,7 @@ def _pass_dce(prog: MiniProgram, st: PipelineState) -> MiniProgram:
     return new_prog
 
 
-def _pass_reassociate(prog: MiniProgram, st: PipelineState) -> MiniProgram:
-    emit = st.emitter("reassociate")
+def _pass_reassociate(prog: MiniProgram, st: PipelineState, emit: Emit) -> MiniProgram:
     p = prog.n_params
     uses: Dict[int, int] = {}
     for ins in prog.instructions:
@@ -454,8 +453,7 @@ def _pass_reassociate(prog: MiniProgram, st: PipelineState) -> MiniProgram:
     return MiniProgram(prog.params, tuple(new_instrs))
 
 
-def _pass_strength_reduce(prog: MiniProgram, st: PipelineState) -> MiniProgram:
-    emit = st.emitter("strength_reduce")
+def _pass_strength_reduce(prog: MiniProgram, st: PipelineState, emit: Emit) -> MiniProgram:
     p = prog.n_params
     emit("table_nonempty" if any(k.startswith("const:") for k in st.analysis)
          else "table_empty")
@@ -513,8 +511,7 @@ def _pass_strength_reduce(prog: MiniProgram, st: PipelineState) -> MiniProgram:
     return MiniProgram(prog.params, tuple(new_instrs))
 
 
-def _pass_instcombine_lite(prog: MiniProgram, st: PipelineState) -> MiniProgram:
-    emit = st.emitter("instcombine_lite")
+def _pass_instcombine_lite(prog: MiniProgram, st: PipelineState, emit: Emit) -> MiniProgram:
     p = prog.n_params
     new_instrs = list(prog.instructions)
     applied = 0
@@ -587,7 +584,7 @@ def _run_one(name: str, prog: MiniProgram, st: PipelineState) -> MiniProgram:
     emit = st.emitter(name)
     emit("entry")
     _scan_shape(prog, emit, _SCAN_PROFILES[name])
-    out = _PASS_BODIES[name](prog, st)
+    out = _PASS_BODIES[name](prog, st, emit)
     emit("exit")  # not reached when a crash-kind bug fires
     return out
 

@@ -93,7 +93,7 @@ class FakeDriver:
         result = ExecutionResult(
             subset=key,
             outcome=outcome,
-            blocks=file_blocks(self.coverage_for(key)),
+            coverage=file_blocks(self.coverage_for(key)),
         )
         if self._cache is not None:
             self._cache[key] = result

@@ -561,8 +561,12 @@ class TestDeferredCoverage:
         assert driver.process_runs >= 2
         assert not driver._cache_path(()).exists()
         assert driver._cache_path(("instcombine", "licm", "simplifycfg")).exists()
-        assert () not in driver._mem
         assert not scratch_dirs()
+        # the failed run is not replayed: executing it again runs it again
+        runs = driver.process_runs
+        with pytest.raises(MalformedCoverage):
+            covered(driver.execute(()))
+        assert driver.process_runs == runs + 1
 
     def test_failed_parse_raises_on_every_read_and_is_not_memoized(self, tmp_path):
         driver = ProcessDriver(self.config(tmp_path), cache_dir=tmp_path / "cache")
@@ -577,6 +581,19 @@ class TestDeferredCoverage:
         with pytest.raises(MalformedCoverage):
             covered(driver.execute(()))
         assert driver.process_runs == 2
+
+    def test_pending_result_equals_its_loaded_twin(self, tmp_path, monkeypatch):
+        release = threading.Event()
+        patch_parser(monkeypatch, lambda: release.wait(30))
+        pending = ProcessDriver(self.config(tmp_path), cache_dir=tmp_path / "cache").execute(
+            ("licm",))
+        assert not pending.coverage.done()
+        release.set()
+        pending.coverage.result(30)  # its entry is on disk once its parse is done
+        fresh = ProcessDriver(self.config(tmp_path), cache_dir=tmp_path / "cache")
+        twin = fresh.execute(("licm",))
+        assert fresh.process_runs == 0 and type(twin.coverage) is tuple
+        assert pending == twin and twin == pending
 
     def test_slow_parse_is_not_a_timeout(self, tmp_path, monkeypatch):
         def busy():
@@ -716,7 +733,7 @@ class TestDiskCacheEntry:
         def store(driver):
             start.wait()
             for _ in range(200):
-                driver._cache_store(key, result)
+                driver._cache_store(key, result.outcome, result.blocks)
 
         with ThreadPoolExecutor(max_workers=2) as pool:
             list(pool.map(store, drivers))
@@ -993,8 +1010,7 @@ def test_disk_entry_round_trip(functions):
         writer = Driver("fp", Path(tmp))
         for subset, run in runs.items():
             coverage = frozenset(StatementId(f, line, fn) for (f, line), fn in run.items())
-            writer._cache_store(subset, ExecutionResult(subset, Outcome.PASS,
-                                                        file_blocks(coverage)))
+            writer._cache_store(subset, Outcome.PASS, file_blocks(coverage))
         fresh = Driver("fp", Path(tmp))
         for subset, run in runs.items():
             loaded = fresh._cache_load(subset)

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from bugsteps import evalharness
+from bugsteps.coverage import emit_gcov_json
 from bugsteps.errors import GranularityMismatch, InvalidConfig, UnevenCoverage
 from bugsteps.evalharness import (
     DatasetBug,
@@ -14,10 +16,12 @@ from bugsteps.evalharness import (
     match_ground_truth,
     render_metrics_table,
 )
+from bugsteps.model import StatementId
 from bugsteps.scoring import RankedReport, ReportRow
 from bugsteps.toy.bugs import generate_scenarios
 from bugsteps.toy.driver import ToyDriver
 from bugsteps.util import canonical_json
+from conftest import file_blocks
 
 
 def report(rows):
@@ -230,6 +234,40 @@ class TestManifest:
             ("nodel", "compscan"), ("nodel", "sbfl"), ("tail", "compscan"), ("tail", "sbfl")]
         assert len({e["error"] for e in out["errors"]}) == 1
         assert "cannot read driver config" in out["errors"][0]["error"]
+
+    def test_failed_parse_is_not_replayed_to_the_next_pair(self, tmp_path, monkeypatch):
+        # fails while licm is retained; the empty subset, which every tail
+        # isolation runs, writes malformed coverage
+        (tmp_path / "cov.json").write_bytes(emit_gcov_json(file_blocks({StatementId("m.c", 1)})))
+        (tmp_path / "proc.json").write_text(json.dumps({
+            "enumerate_command": "printf 'instcombine\\nlicm\\nsimplifycfg\\n'",
+            "run_command": "p=,{passes},; case $p in ,,) echo '{' > {scratch}/cov.json;;"
+                           " *) cp cov.json {scratch}/cov.json;; esac;"
+                           " case $p in *,licm,*) echo bad;; *) echo ok;; esac",
+            "expected_output": "ok",
+            "coverage_paths": ["{scratch}/cov.json"],
+        }))
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"bugs": [
+            {"bug_id": "bad-cov", "config": "proc.json", "ground_truth": {"files": ["m.c"]}}]}))
+        after = []  # (driver, its process_runs) after each pair
+        evaluate = evalharness.evaluate_bug
+
+        def counted(*args, driver, **kwargs):
+            try:
+                return evaluate(*args, driver=driver, **kwargs)
+            finally:
+                after.append((driver, driver.process_runs))
+
+        monkeypatch.setattr(evalharness, "evaluate_bug", counted)
+        out = evaluate_manifest(manifest, strategies=["tail"], scorers=["compscan", "sbfl"],
+                                cache_dir=tmp_path / "cache")
+        assert out["rows"] == []
+        assert [(e["strategy"], e["scorer"]) for e in out["errors"]] == [
+            ("tail", "compscan"), ("tail", "sbfl")]
+        assert all(e["error"].startswith("invalid JSON: ") for e in out["errors"])
+        (first, first_runs), (second, second_runs) = after
+        assert first is second and 0 < first_runs < second_runs
 
     def test_evaluate_manifest_structure(self, tmp_path):
         manifest = self.make_testbed(tmp_path, count=6)

@@ -22,7 +22,8 @@ import pytest
 
 from bugsteps.cli import main
 from bugsteps.isolate import run_strategy
-from bugsteps.scoring import GRANULARITIES, SCORERS, report_for
+from bugsteps.model import GRANULARITIES, SCORERS
+from bugsteps.scoring import report_for
 from bugsteps.toy.driver import ToyDriver
 from bugsteps.util import canonical_json
 

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bugsteps.errors import InconsistentOracle, NotReproducible
-from bugsteps.isolate import (STRATEGIES, _prune, _Session, no_del, rand_order, run_strategy,
-                              tail_prune, verify_baseline)
-from bugsteps.model import Outcome
+from bugsteps.isolate import (_prune, _Session, no_del, rand_order, run_strategy, tail_prune,
+                              verify_baseline)
+from bugsteps.model import STRATEGIES, Outcome
 
 from conftest import FakeDriver, ids
 

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import threading
+from concurrent.futures import Future
 from itertools import chain
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bugsteps.errors import MalformedCoverage
 from bugsteps.model import (
     LINE_BITS,
     Block,
@@ -171,6 +173,32 @@ class TestFileBlocks:
         assert [sorted(ids(b), key=StatementId.sort_key) for b in result.blocks] == [[s1, s2], [s3]]
         assert result.to_json_dict()["coverage"] == [s.to_json_dict() for s in (s1, s2, s3)]
         assert ExecutionResult((), Outcome.PASS, ()).to_json_dict()["coverage"] == []
+
+
+class TestPendingCoverage:
+    """A result's coverage may be a future of its blocks while a parse runs."""
+
+    def test_a_done_future_reads_as_its_blocks(self):
+        blocks = file_blocks([s1, s3])
+        parsed = Future()
+        pending = ExecutionResult(("a",), Outcome.PASS, parsed)
+        parsed.set_result(blocks)
+        assert pending.blocks is blocks
+        assert pending == ExecutionResult(("a",), Outcome.PASS, blocks) == pending
+        assert pending != ExecutionResult(("a",), Outcome.PASS, file_blocks([s1]))
+        assert pending != ExecutionResult((), Outcome.PASS, blocks)
+        assert pending.to_json_dict()["coverage"] == [s.to_json_dict() for s in (s1, s3)]
+
+    def test_a_failed_parse_raises_one_exception_on_every_read(self):
+        parsed = Future()
+        parsed.set_exception(MalformedCoverage("not gcov JSON"))
+        result = ExecutionResult((), Outcome.PASS, parsed)
+        raised = []
+        for read in (lambda: result.blocks, lambda: result.blocks, result.to_json_dict):
+            with pytest.raises(MalformedCoverage) as info:
+                read()
+            raised.append(info.value)
+        assert raised[0] is raised[1] is raised[2]
 
 
 class TestStatementId:
