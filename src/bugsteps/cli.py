@@ -111,6 +111,9 @@ def cmd_eval(args) -> int:
         cache_dir=args.cache_dir,
     )
     if not doc["rows"]:
+        for error in doc["errors"]:
+            print(f"error: {error['bug_id']} {error['strategy']}+{error['scorer']}: "
+                  f"{error['error']}", file=sys.stderr)
         print("error: no bug evaluated successfully", file=sys.stderr)
         return EXIT_NO_ROWS
     if args.format == "json":

@@ -50,7 +50,7 @@ import signal
 import subprocess
 import tempfile
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import suppress
 from dataclasses import asdict, dataclass, field, fields
 from glob import glob
@@ -426,7 +426,9 @@ class ProcessDriver(Driver):
             outcome = self._outcome(run_cmd, scratch)
             data = self._read_coverage(scratch, outcome)
         # the next run's command starts while the parser thread works
-        return ExecutionResult(key, outcome, self._parser.submit(self._parse, key, outcome, data))
+        coverage = Future()
+        self._parser.submit(self._parse, coverage, key, outcome, data)
+        return ExecutionResult(key, outcome, coverage)
 
     def _outcome(self, run_cmd: str, scratch: Path) -> Outcome:
         """Run the pipeline, then the test command if any, and judge the output."""
@@ -495,13 +497,31 @@ class ProcessDriver(Driver):
             )
         return [Path(fname).read_bytes() for fname in matched]
 
-    def _parse(self, key: Tuple[str, ...], outcome: Outcome,
-               data: List[bytes]) -> Tuple[Block, ...]:
-        """The coverage files' blocks, one per covered file in file order, once stored."""
-        blocks = COVERAGE_PARSERS[self.config.coverage_source](
-            data, self.config.source_root, memo=self._parsed)
-        self._cache_store(key, outcome, blocks)
-        return blocks
+    def _parse(self, coverage: Future, key: Tuple[str, ...], outcome: Outcome,
+               data: List[bytes]) -> None:
+        """Fulfil ``coverage`` with the coverage files' blocks, one per covered
+        file in file order, once stored.
+
+        A failure is stored with no traceback on it or on any exception
+        chained to it: their frames lead back through their callers to this
+        one, which would hold the driver and the run's data for as long as
+        the result lives.
+        """
+        try:
+            blocks = COVERAGE_PARSERS[self.config.coverage_source](
+                data, self.config.source_root, memo=self._parsed)
+            self._cache_store(key, outcome, blocks)
+        except BaseException as exc:  # the future's reader waits until it holds an outcome
+            pending, seen = [exc], set()
+            while pending:
+                error = pending.pop()
+                if error is not None and id(error) not in seen:
+                    seen.add(id(error))
+                    error.__traceback__ = None
+                    pending += error.__cause__, error.__context__
+            coverage.set_exception(exc)
+        else:
+            coverage.set_result(blocks)
 
 
 # what the disk cache writes: <fingerprint[:16]>/<digest>.json entries and

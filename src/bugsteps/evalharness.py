@@ -4,8 +4,11 @@ Loads a manifest of bug configs with ground truth, runs each requested
 (strategy, scorer) pair per bug, matches ranked reports against the
 ground truth, and reduces to Top-n / MFR / MAR metrics plus an
 intersection partition of which strategy combinations isolate which bugs.
-Each row's ``probe_count`` is its deterministic cost; the measured time
-per bug is the benchmark's ``isolate_p50_s`` (``perfbench/``).
+Scorers only rank an isolation, so each bug is isolated once per
+(strategy, derived seed) and every scorer's row ranks that one result.
+Each row's ``probe_count`` is its isolation's deterministic cost, the same
+in every scorer's row; the measured time per bug is the benchmark's
+``isolate_p50_s`` (``perfbench/``).
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import json
 import statistics
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -22,7 +25,7 @@ from .driver import load_driver
 from .errors import BugStepsError, GranularityMismatch, InvalidConfig, UnevenCoverage
 # verify_baseline is unused here, since each strategy's session checks the
 # baseline; perfbench/spans.py patches evalharness.verify_baseline by name
-from .isolate import run_strategy, verify_baseline
+from .isolate import IsolationResult, run_strategy, verify_baseline
 from .model import GRANULARITIES
 from .scoring import RankedReport, report_for
 from .util import derive_seed, fingerprint
@@ -62,7 +65,11 @@ class EvalRow:
     repeats: int = 1
 
     def to_json_dict(self):
-        return asdict(self)
+        return {"bug_id": self.bug_id, "strategy": self.strategy, "scorer": self.scorer,
+                "granularity": self.granularity, "first_rank": self.first_rank,
+                "all_ranks": list(self.all_ranks), "probe_count": self.probe_count,
+                "fallback": self.fallback, "unranked": self.unranked,
+                "report_length": self.report_length, "repeats": self.repeats}
 
 
 def _strings(value) -> bool:
@@ -139,8 +146,18 @@ def match_ground_truth(report: RankedReport,
 
 
 def evaluate_bug(bug: DatasetBug, strategy: str, scorer: str, granularity: str,
-                 seed: int = 0, repeat: int = 1, *, driver) -> EvalRow:
+                 seed: int = 0, repeat: int = 1, *, driver,
+                 isolations: Optional[Dict[Tuple[str, int], IsolationResult]] = None
+                 ) -> EvalRow:
+    """One (strategy, scorer) row of ``bug``.
+
+    ``isolations``, shared by the rows of one bug and driver, maps
+    ``(strategy, seed)`` to its isolation result: a row isolates only on
+    a miss and adds what it ran.
+    """
     truth = bug.truth_units(granularity)
+    if isolations is None:
+        isolations = {}
     sequence = driver.enumerate_steps()
     runs = repeat if strategy == "rand" and repeat > 1 else 1
     firsts: List[int] = []
@@ -151,7 +168,10 @@ def evaluate_bug(bug: DatasetBug, strategy: str, scorer: str, granularity: str,
     report_len = 0
     for i in range(runs):
         sub_seed = derive_seed(seed, f"rand:{i}") if runs > 1 else seed
-        isolation = run_strategy(strategy, driver, sequence, seed=sub_seed)
+        isolation = isolations.get((strategy, sub_seed))
+        if isolation is None:
+            isolation = isolations[strategy, sub_seed] = run_strategy(
+                strategy, driver, sequence, seed=sub_seed)
         report = report_for(isolation, scorer, granularity)
         first, ranks, any_ranked = match_ground_truth(report, truth)
         firsts.append(first)
@@ -231,6 +251,7 @@ def evaluate_manifest(manifest_path, strategies: Sequence[str],
         bug_rows: List[EvalRow] = []
         bug_errors: List[Dict[str, str]] = []
         driver = None
+        isolations: Dict[Tuple[str, int], IsolationResult] = {}
         for strategy in strategies:
             for scorer in scorers:
                 try:
@@ -240,6 +261,7 @@ def evaluate_manifest(manifest_path, strategies: Sequence[str],
                         evaluate_bug(
                             bug, strategy, scorer, granularity,
                             seed=seed, repeat=repeat, driver=driver,
+                            isolations=isolations,
                         )
                     )
                 except BugStepsError as exc:

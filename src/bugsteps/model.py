@@ -212,7 +212,8 @@ class ExecutionResult:
     ``coverage`` holds one non-empty block per covered file, in file order,
     or a ``concurrent.futures.Future`` of them while a parser thread works,
     and ``blocks`` reads it: the tuple, or the future's result once it is
-    done.  A failed parse raises its one exception on every read.  Equal
+    done.  A failed parse raises its one exception on every read, its
+    traceback begun afresh, so it holds no frame of an earlier read.  Equal
     blocks of different runs may be one object, as a disk cache load
     returns them.  Results are equal by subset, outcome and blocks.
     """
@@ -224,7 +225,12 @@ class ExecutionResult:
     @property
     def blocks(self) -> Tuple[Block, ...]:
         coverage = self.coverage
-        return coverage if type(coverage) is tuple else coverage.result()
+        if type(coverage) is tuple:
+            return coverage
+        try:
+            return coverage.result()
+        except BaseException as exc:
+            raise exc.with_traceback(None)  # keeping no frame of an earlier read
 
     def __eq__(self, other):
         if not isinstance(other, ExecutionResult):

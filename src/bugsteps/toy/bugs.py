@@ -269,12 +269,16 @@ def _add_filler(pb: _ProgBuilder, rng, count: int, pool: List[int],
         pb.emit("output", added[-1])
 
 
-def subset_outcome(bug: SeededBug, positions: Sequence[int],
-                   tracer=None) -> Tuple[Outcome, Optional[List[int]]]:
-    """Outcome of running only the pipeline steps at ``positions`` (sorted)."""
+def subset_outcome(bug: SeededBug, positions: Sequence[int], tracer=None,
+                   prefixes=None) -> Tuple[Outcome, Optional[List[int]]]:
+    """Outcome of running only the pipeline steps at ``positions`` (sorted).
+
+    ``prefixes`` is ``run_pipeline``'s prefix memo, one per bug.
+    """
     names = [bug.pipeline[i] for i in positions]
     try:
-        outs = run_pipeline(bug.program, names, bug=bug.archetype, tracer=tracer)
+        outs = run_pipeline(bug.program, names, bug=bug.archetype, tracer=tracer,
+                            prefixes=prefixes)
     except CrashSignal:
         return Outcome.FAIL_CRASH, None
     if tuple(outs) != bug.expected_output:

@@ -9,7 +9,7 @@ compiler.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from ..driver import Driver
 from ..model import ExecutionResult, StepSequence
@@ -20,14 +20,25 @@ from .passes import Tracer
 
 
 class ToyDriver(Driver):
+    """Runs one scenario's subsets in process.
+
+    The runs of a bug share long pass prefixes, so the driver keeps one
+    prefix memo (``passes.run_pipeline``) for all of them, keyed by pass
+    names, not step ids: ``cse#1`` and ``cse#2`` share an entry.  A run
+    executes only the passes after its longest prefix already run, by any
+    strategy and on any thread.
+    """
+
     def __init__(self, bug: SeededBug):
         super().__init__(fingerprint(bug.to_json_dict()))
         self.bug = bug
+        self._prefixes: Dict[Tuple[str, ...], tuple] = {}  # run_pipeline's memo
 
     def _enumerate(self) -> StepSequence:
         return pipeline_steps(self.bug.pipeline)
 
     def _run(self, key: Tuple[str, ...], positions: List[int]) -> ExecutionResult:
         tracer = Tracer()
-        outcome, _ = subset_outcome(self.bug, positions, tracer=tracer)
+        outcome, _ = subset_outcome(self.bug, positions, tracer=tracer,
+                                    prefixes=self._prefixes)
         return ExecutionResult(key, outcome, tracer.blocks())

@@ -5,9 +5,11 @@ are pseudo-statements: a statement is "executed" when the corresponding
 code path fires during a pass run.  Coverage of a pipeline run is the set
 of pseudo-statements recorded by the tracer.
 
-Passes share a mutable analysis table keyed by value index (currently
+Passes share an analysis table keyed by value index (currently
 ``const:<idx>`` facts).  ``cse`` owns publication of const facts; ``dce``
-remaps table keys when it compacts the instruction list.  Seeded bugs are
+remaps table keys when it compacts the instruction list.  A pass that
+changes the table replaces it and never edits it in place, so a prefix
+memo can keep each table as it was.  Seeded bugs are
 activated per-scenario through the ``bug`` tag on the pipeline state and
 alter a single code path each, mirroring how a real regression lives on a
 handful of lines.
@@ -16,7 +18,8 @@ handful of lines.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..model import LINE_BITS, Block, file_id
 from .ir import MASK, OPS, Instr, MiniProgram, interpret
@@ -57,7 +60,7 @@ class Tracer:
 
 @dataclass
 class PipelineState:
-    analysis: Dict[str, int] = field(default_factory=dict)
+    analysis: Mapping[str, int] = field(default_factory=dict)
     bug: Optional[str] = None
     tracer: Optional[Tracer] = None
 
@@ -590,17 +593,60 @@ def _run_one(name: str, prog: MiniProgram, st: PipelineState) -> MiniProgram:
 
 
 def run_pipeline(program: MiniProgram, passes, bug: Optional[str] = None,
-                 tracer: Optional[Tracer] = None) -> List[int]:
+                 tracer: Optional[Tracer] = None,
+                 prefixes: Optional[Dict[Tuple[str, ...], tuple]] = None) -> List[int]:
     """Apply the named passes in order and interpret the result.
 
     ``passes`` is a sequence of pass names (repeats allowed).  Raises
     CrashSignal when a crash-kind bug fires; the tracer keeps whatever was
     recorded up to the crash.
+
+    ``prefixes``, with a tracer, is a memo of pass-name tuples to the
+    state after them, for one program and bug: a snapshot ``(program,
+    analysis, covered, crash)``.  ``covered`` maps each file covered so far
+    to its statements in emission order, and shares every file's tuple but
+    the one its last pass covered with the snapshot before.  ``analysis``
+    is read-only, so no pass can change a kept table in place.  A crashed
+    prefix has no program, and ``crash`` holds its ``CrashSignal``'s
+    arguments.  The run starts from the longest prefix of ``passes`` in the
+    memo and adds a snapshot after each pass it runs, so a crashed prefix
+    crashes again without running.  The memo only gains entries, and its
+    snapshots are never changed, so runs on several threads may share it.
     """
     st = PipelineState(analysis={}, bug=bug, tracer=tracer)
     prog = program
-    for name in passes:
+    if prefixes is None:
+        for name in passes:
+            if name not in _PASS_BODIES:
+                raise ValueError(f"unknown pass {name!r}")
+            prog = _run_one(name, prog, st)
+        return interpret(prog)
+    if tracer is None:
+        raise ValueError("a prefix memo needs a tracer")
+    names = tuple(passes)
+    done = len(names)
+    while done and (snapshot := prefixes.get(names[:done])) is None:
+        done -= 1
+    covered: Dict[str, Tuple[int, ...]] = {}
+    st.analysis = MappingProxyType(st.analysis)
+    if done:
+        prog, st.analysis, covered, crash = snapshot
+        tracer.covered.update((file, list(lines)) for file, lines in covered.items())
+        if prog is None:
+            raise CrashSignal(*crash)
+    for end in range(done + 1, len(names) + 1):
+        name = names[end - 1]
         if name not in _PASS_BODIES:
             raise ValueError(f"unknown pass {name!r}")
-        prog = _run_one(name, prog, st)
+        file = PATHS[name]
+        try:
+            prog = _run_one(name, prog, st)
+        except CrashSignal as exc:
+            covered = {**covered, file: tuple(tracer.covered[file])}
+            prefixes[names[:end]] = (None, st.analysis, covered, exc.args)
+            raise
+        if type(st.analysis) is dict:  # the pass replaced the table
+            st.analysis = MappingProxyType(st.analysis)
+        covered = {**covered, file: tuple(tracer.covered[file])}
+        prefixes[names[:end]] = (prog, st.analysis, covered, ())
     return interpret(prog)

@@ -299,6 +299,23 @@ class TestEval:
         }]}))
         assert main(["eval", str(manifest)]) == 4
 
+    def test_no_rows_prints_every_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "toy", "scenario": str(tmp_path / "missing.json")}))
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"bugs": [
+            {"bug_id": bug, "config": str(cfg), "ground_truth": {"files": ["x"]}}
+            for bug in ("b1", "b2")]}))
+        assert main(["eval", str(manifest), "--strategy", "tail,nodel",
+                     "--scorer", "compscan,sbfl"]) == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[:2] for line in lines[:-1]] == [
+            ["error", f" {bug} {strategy}+{scorer}"]
+            for bug in ("b1", "b2") for strategy in ("nodel", "tail")
+            for scorer in ("compscan", "sbfl")]
+        assert all("cannot read scenario" in line for line in lines[:-1])
+        assert lines[-1] == "error: no bug evaluated successfully"
+
     @pytest.mark.parametrize("doc", [
         [1],
         {"bugs": [{"config": "x.json"}]},

@@ -620,23 +620,33 @@ class TestDeferredCoverage:
 
     def test_isolated_driver_is_freed_without_a_collection(self, tmp_path):
         # a result holds its driver weakly: no result -> driver -> memory
-        # cache -> result cycle keeps an isolation's driver and runs alive
-        driver = ProcessDriver(self.config(tmp_path, run_command=(
-            "cp cov.json {scratch}/cov.json; case ,{passes}, in *,licm,*) echo bad;;"
-            " *) echo ok;; esac")), cache_dir=tmp_path / "cache")
-        gc.disable()
-        try:
-            result = tail_prune(driver, driver.enumerate_steps())
-            assert result.bug_causing_steps == ["licm"]
-            alive = weakref.ref(driver)
-            del driver, result
-            # the parser thread drops its last task a moment after finishing it
-            deadline = time.monotonic() + 5
-            while alive() is not None and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert alive() is None
-        finally:
-            gc.enable()
+        # cache -> result cycle keeps an isolation's driver and runs alive;
+        # nor does a failed parse's stored exception, by its traceback's frames
+        for cut in (False, True):
+            driver = ProcessDriver(self.config(tmp_path, run_command=(
+                "cp cov.json {scratch}/cov.json;"
+                + (" truncate -s 40 {scratch}/cov.json;" if cut else "")
+                + " case ,{passes}, in *,licm,*) echo bad;; *) echo ok;; esac")),
+                cache_dir=tmp_path / f"cache{cut}")
+            gc.disable()
+            try:
+                if cut:
+                    result = driver.execute(("licm",))
+                    with pytest.raises(MalformedCoverage) as failed:
+                        result.blocks
+                    del failed
+                else:
+                    result = tail_prune(driver, driver.enumerate_steps())
+                    assert result.bug_causing_steps == ["licm"]
+                alive = weakref.ref(driver)
+                del driver, result
+                # the parser thread drops its last task a moment after finishing it
+                deadline = time.monotonic() + 5
+                while alive() is not None and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert alive() is None, cut
+            finally:
+                gc.enable()
 
     def test_tail_prune_stores_every_run(self, tmp_path):
         driver = ProcessDriver(self.config(tmp_path, run_command=(

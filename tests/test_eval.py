@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -20,7 +21,7 @@ from bugsteps.model import StatementId
 from bugsteps.scoring import RankedReport, ReportRow
 from bugsteps.toy.bugs import generate_scenarios
 from bugsteps.toy.driver import ToyDriver
-from bugsteps.util import canonical_json
+from bugsteps.util import canonical_json, derive_seed
 from conftest import file_blocks
 
 
@@ -269,6 +270,36 @@ class TestManifest:
         (first, first_runs), (second, second_runs) = after
         assert first is second and 0 < first_runs < second_runs
 
+    def test_one_isolation_per_strategy_and_derived_seed(self, tmp_path, monkeypatch):
+        manifest = self.make_testbed(tmp_path, count=3)
+        calls = []
+        run = evalharness.run_strategy
+
+        def counted(strategy, driver, sequence, seed=0, **kwargs):
+            calls.append((driver.bug.id, strategy, seed))
+            return run(strategy, driver, sequence, seed=seed, **kwargs)
+
+        monkeypatch.setattr(evalharness, "run_strategy", counted)
+        strategies, scorers = ["tail", "nodel", "rand"], ["compscan", "mbfl", "sbfl"]
+        doc = evaluate_manifest(manifest, strategies=strategies, scorers=scorers,
+                                seed=5, repeat=3)
+        bugs = [bug.bug_id for bug in load_manifest(manifest)]
+        assert len(doc["rows"]) == len(bugs) * 9
+        rand_seeds = [derive_seed(5, f"rand:{i}") for i in range(3)]
+        assert sorted(calls) == sorted(
+            [(bug, strategy, 5) for bug in bugs for strategy in ("tail", "nodel")]
+            + [(bug, "rand", seed) for bug in bugs for seed in rand_seeds])
+        # each row as when every row isolates on its own
+        monkeypatch.setattr(evalharness, "run_strategy", run)
+        alone = []
+        for bug in load_manifest(manifest):
+            for strategy in strategies:
+                for scorer in scorers:
+                    alone.append(evaluate_bug(bug, strategy, scorer, "file", seed=5, repeat=3,
+                                              driver=evalharness.load_driver(bug.config)))
+        assert doc["rows"] == sorted((r.to_json_dict() for r in alone),
+                                     key=lambda d: (d["bug_id"], d["strategy"], d["scorer"]))
+
     def test_evaluate_manifest_structure(self, tmp_path):
         manifest = self.make_testbed(tmp_path, count=6)
         doc = evaluate_manifest(
@@ -308,6 +339,13 @@ class TestManifest:
         text = render_metrics_table(metrics)
         assert "Top1" in text and "MFR" in text and "MAR" in text
         assert "tail+compscan" in text
+
+
+class TestEvalRow:
+    def test_json_dict_is_asdict(self):
+        r = row("b", 3, [3, 7])
+        assert json.dumps(r.to_json_dict()) == json.dumps(asdict(r))
+        assert r.to_json_dict()["all_ranks"] is not r.all_ranks
 
 
 class TestEvaluateBug:

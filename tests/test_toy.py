@@ -1,13 +1,18 @@
 import itertools
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from types import MappingProxyType
 
 import pytest
 
 from bugsteps.model import LINE_MASK, Outcome, file_of, statement_ids
-from bugsteps.toy.bugs import SeededBug, _validate_scenario, generate_scenarios, subset_outcome
+from bugsteps.toy.bugs import (ARCHETYPES, SeededBug, _validate_scenario, generate_scenarios,
+                               subset_outcome)
 from bugsteps.toy.driver import ToyDriver
 from bugsteps.toy.ir import Instr, MiniProgram, interpret, validate_program
-from bugsteps.toy.passes import CANONICAL_ORDER, CATALOGS, FUNCTIONS, Tracer, run_pipeline
+from bugsteps.toy.passes import (CANONICAL_ORDER, CATALOGS, FUNCTIONS, CrashSignal, Tracer,
+                                 run_pipeline)
 from conftest import covered
 
 MASK = (1 << 64) - 1
@@ -266,3 +271,111 @@ class TestToyDriver:
         s = generate_scenarios(42, 1)[0]
         ids = ToyDriver(s).enumerate_steps().ids
         assert ToyDriver(s).execute(ids) == ToyDriver(s).execute(ids)
+
+
+class TestPrefixMemo:
+    @staticmethod
+    def fresh(bug, positions):
+        tracer = Tracer()
+        outcome, _ = subset_outcome(bug, positions, tracer=tracer)
+        return outcome, tracer.blocks()
+
+    @staticmethod
+    def shape(outcome, blocks):
+        return outcome, [(b.file, frozenset(b), b.functions) for b in blocks]
+
+    def test_every_subset_matches_a_fresh_run(self):
+        # shuffled, so that later subsets resume from crashed prefixes too
+        rng = random.Random(23)
+        scenarios = generate_scenarios(42, 8) + generate_scenarios(7, 8)
+        assert {s.archetype for s in scenarios} == set(ARCHETYPES)
+        checked = 0
+        for bug in scenarios:
+            n = len(bug.pipeline)
+            if n <= 11:
+                masks = list(range(1 << n))
+            else:
+                masks = rng.sample(range(1 << n), 2048)
+            rng.shuffle(masks)
+            driver = ToyDriver(bug)
+            ids = driver.enumerate_steps().ids
+            for mask in masks:
+                positions = [i for i in range(n) if mask >> i & 1]
+                result = driver.execute(tuple(ids[i] for i in positions))
+                assert self.shape(result.outcome, result.blocks) == \
+                    self.shape(*self.fresh(bug, positions)), (bug.id, positions)
+                checked += 1
+            assert driver.process_runs == len(masks)
+        assert checked > 10000
+
+    def test_threads_share_one_memo(self):
+        # more threads than cores, switching often, each visiting every
+        # subset in its own order on one driver
+        bug = next(s for s in generate_scenarios(42, 8) if s.kind == "Crash")
+        n = len(bug.pipeline)
+        driver = ToyDriver(bug)
+        ids = driver.enumerate_steps().ids
+        subsets = [[i for i in range(n) if mask >> i & 1] for mask in range(1 << n)]
+        expected = {tuple(p): self.shape(*self.fresh(bug, p)) for p in subsets}
+
+        def visit(seed):
+            order = subsets[:]
+            random.Random(seed).shuffle(order)
+            for positions in order:
+                result = driver.execute(tuple(ids[i] for i in positions))
+                assert self.shape(result.outcome, result.blocks) == expected[tuple(positions)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for done in [pool.submit(visit, seed) for seed in range(8)]:
+                    done.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_repeated_pass_names_share_an_entry(self):
+        bug = next(s for s in generate_scenarios(42, 8) if len(set(s.pipeline)) < len(s.pipeline))
+        name = next(p for p in bug.pipeline if bug.pipeline.count(p) > 1)
+        first, second = [i for i, p in enumerate(bug.pipeline) if p == name][:2]
+        driver = ToyDriver(bug)
+        ids = driver.enumerate_steps().ids
+        # the steps before the first occurrence, then either occurrence
+        subsets = [ids[:first] + (ids[pick],) for pick in (first, second)]
+        results = [driver.execute(subset) for subset in subsets]
+        assert driver.process_runs == 2
+        assert len(driver._prefixes) == first + 1  # the second run ran no pass
+        assert results[0].blocks == results[1].blocks
+
+    def test_snapshots_are_frozen_and_share_tuples(self):
+        bug = next(s for s in generate_scenarios(42, 8) if s.archetype == "stale_cse_sr")
+        prefixes = {}
+        run_pipeline(bug.program, bug.pipeline, bug=bug.archetype, tracer=Tracer(),
+                     prefixes=prefixes)
+        for names, (_, analysis, covered, _) in prefixes.items():
+            assert isinstance(analysis, MappingProxyType)
+            with pytest.raises(TypeError):
+                analysis["const:0"] = 1  # no pass may change a table in place
+            if len(names) > 1:
+                changed = f"passes/{names[-1]}.mini"
+                for file, lines in prefixes[names[:-1]][2].items():
+                    if file != changed:
+                        assert covered[file] is lines
+        assert any(analysis for _, analysis, _, _ in prefixes.values())
+
+    def test_crash_prefix_replays_its_partial_coverage(self):
+        bug = next(s for s in generate_scenarios(42, 8) if s.kind == "Crash")
+        prefixes = {}
+        first, again = Tracer(), Tracer()
+        for tracer in (first, again):
+            with pytest.raises(CrashSignal):
+                run_pipeline(bug.program, bug.pipeline, bug=bug.archetype, tracer=tracer,
+                             prefixes=prefixes)
+        crashed = [names for names, (program, *_) in prefixes.items() if program is None]
+        assert len(crashed) == 1
+        assert again.covered == first.covered
+
+    def test_memo_needs_a_tracer(self):
+        bug = generate_scenarios(42, 1)[0]
+        with pytest.raises(ValueError):
+            run_pipeline(bug.program, bug.pipeline, prefixes={})
