@@ -3,13 +3,13 @@ and the names of the strategies, scorers and units.
 
 Inside the engine a statement is the int ``file_id << LINE_BITS | line``.
 File ids come from one intern table per process: they never reach disk or
-any output, which name files by path and statements as ``StatementId``.
-A run's coverage exists only as per-file blocks, one ``Block`` of
-statements per covered file, carrying its file and its lines' functions:
-the runs of one isolation differ in a few steps, so most of their blocks
-are equal, and a consumer that counts or diffs blocks handles each
-distinct one once.  Everything here is immutable once built, and can be
-shared between threads.
+any output, which name files by path and write statements through
+``statements_json``.  A run's coverage exists only as per-file blocks, one
+``Block`` of statements per covered file, carrying its file and its lines'
+functions: the runs of one isolation differ in a few steps, so most of
+their blocks are equal, and a consumer that counts or diffs blocks handles
+each distinct one once.  Everything here is immutable once built, and can
+be shared between threads.
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ import enum
 import operator
 import posixpath
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
 from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Optional, Sequence,
                     Tuple, Union)
 
@@ -75,37 +74,6 @@ def normalize_path(path: str) -> str:
     return norm
 
 
-@dataclass(frozen=True, slots=True)
-class StatementId:
-    """One compiler source element at line granularity, as outputs name it.
-
-    Identity is structural on (file, line); the enclosing function name is
-    metadata used only by function-level aggregation.
-    """
-
-    file: str
-    line: int
-    function: Optional[str] = field(default=None, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "file", normalize_path(self.file))
-        if self.line < 1:
-            raise ValueError(f"statement line must be >= 1, got {self.line}")
-
-    def __str__(self):
-        return f"{self.file}:{self.line}"
-
-    def sort_key(self):
-        return (self.file, self.line)
-
-    def to_json_dict(self):
-        return {"file": self.file, "line": self.line, "function": self.function}
-
-    @classmethod
-    def from_json_dict(cls, doc) -> "StatementId":
-        return cls(doc["file"], doc["line"], doc.get("function"))
-
-
 def unit_for(file: str, function: Optional[str], granularity: str) -> Optional[str]:
     """The unit of a statement of ``file`` in ``function``; None for a
     function unit without a function."""
@@ -116,19 +84,11 @@ def unit_for(file: str, function: Optional[str], granularity: str) -> Optional[s
     raise ValueError(f"unknown granularity {granularity!r}")
 
 
-def unit_of(stmt: StatementId, granularity: str) -> Optional[str]:
-    return unit_for(stmt.file, stmt.function, granularity)
-
-
-def statement_ids(statements: Iterable[int],
-                  function: Callable[[int], Optional[str]]) -> List[StatementId]:
-    """Int statements as ``StatementId``s, each under ``function(stmt)``."""
-    return [StatementId(_FILES[s >> LINE_BITS], s & LINE_MASK, function(s)) for s in statements]
-
-
-def statements_json(statements: Iterable[StatementId]) -> List[dict]:
-    """The one JSON form of a statement list: each ``to_json_dict``, by file, then line."""
-    return [s.to_json_dict() for s in sorted(statements, key=StatementId.sort_key)]
+def statements_json(statements: Iterable[Tuple[str, int, Optional[str]]]) -> List[dict]:
+    """The one JSON form of a statement list: ``(file, line, function)``
+    triples as objects, by file, then line."""
+    return [{"file": file, "line": line, "function": function}
+            for file, line, function in sorted(statements, key=operator.itemgetter(0, 1))]
 
 
 @dataclass(frozen=True)
@@ -242,8 +202,9 @@ class ExecutionResult:
         return {
             "subset": list(self.subset),
             "outcome": self.outcome.value,
-            "coverage": statements_json(chain.from_iterable(
-                statement_ids(block, block.function) for block in self.blocks)),
+            "coverage": statements_json((block.file, line, block.functions[line])
+                                        for block in self.blocks
+                                        for line in map(LINE_MASK.__and__, block)),
         }
 
 
@@ -312,5 +273,6 @@ class RemovalProbe:
             "removed_step": self.removed_step,
             "baseline_subset": list(self.baseline.subset),
             "probe_subset": list(self.probe.subset),
-            "diff": statements_json(statement_ids(self.diff, self.diff.function)),
+            "diff": statements_json((file_of(s), s & LINE_MASK, self.diff.function(s))
+                                    for s in self.diff),
         }

@@ -15,13 +15,12 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import GenerationFailed, InvalidConfig
-from ..model import (LINE_MASK, Outcome, StatementId, StepSequence, file_of, statement_ids,
-                     statements_json, unit_of)
+from ..model import LINE_MASK, Outcome, StepSequence, normalize_path, statements_json, unit_for
 from .ir import Instr, MiniProgram, interpret, validate_program
-from .passes import CANONICAL_ORDER, CATALOGS, FUNCTIONS, CrashSignal, run_pipeline
+from .passes import CANONICAL_ORDER, CATALOGS, FUNCTIONS, PATHS, CrashSignal, run_pipeline
 
 # archetype -> (scenario id tag, kind, trigger passes, (gt pass, gt events))
 _ARCHETYPE_INFO = {
@@ -50,18 +49,18 @@ class SeededBug:
     kind: str
     archetype: str
     trigger_passes: Tuple[str, ...]
-    ground_truth: FrozenSet[StatementId]
+    ground_truth: Tuple[Tuple[str, int, Optional[str]], ...]  # (file, line, function), sorted
     program: MiniProgram
     expected_output: Tuple[int, ...]
     pipeline: Tuple[str, ...]
 
     @property
     def ground_truth_files(self) -> Tuple[str, ...]:
-        return tuple(sorted({s.file for s in self.ground_truth}))
+        return tuple(sorted({unit_for(f, fn, "file") for f, _, fn in self.ground_truth}))
 
     @property
     def ground_truth_functions(self) -> Tuple[str, ...]:
-        return tuple(sorted({unit_of(s, "function") for s in self.ground_truth}))
+        return tuple(sorted({unit_for(f, fn, "function") for f, _, fn in self.ground_truth}))
 
     def to_json_dict(self):
         return {
@@ -82,11 +81,24 @@ class SeededBug:
             kind=doc["kind"],
             archetype=doc["archetype"],
             trigger_passes=tuple(doc["trigger_passes"]),
-            ground_truth=frozenset(map(StatementId.from_json_dict, doc["ground_truth"])),
+            ground_truth=_load_ground_truth(doc["ground_truth"]),
             program=MiniProgram.from_json_dict(doc["program"]),
             expected_output=tuple(int(v) for v in doc["expected_output"]),
             pipeline=tuple(doc["pipeline"]),
         )
+
+
+def _load_ground_truth(records) -> Tuple[Tuple[str, int, Optional[str]], ...]:
+    """Ground-truth statement records as sorted ``(file, line, function)``
+    triples; a ``(file, line)`` listed twice keeps its first function."""
+    truth: Dict[Tuple[str, int], Optional[str]] = {}
+    for rec in records:
+        file, line, function = rec["file"], rec["line"], rec.get("function")
+        if (not isinstance(file, str) or type(line) is not int or line < 1
+                or not (function is None or isinstance(function, str))):
+            raise ValueError(f"malformed ground-truth statement {rec!r}")
+        truth.setdefault((normalize_path(file), line), function)
+    return tuple(sorted((file, line, function) for (file, line), function in truth.items()))
 
 
 def step_ids_for_pipeline(pipeline: Sequence[str]) -> Tuple[str, ...]:
@@ -135,11 +147,11 @@ class _ProgBuilder:
         return prog
 
 
-def _ground_truth(archetype: str) -> FrozenSet[StatementId]:
+def _ground_truth(archetype: str) -> Tuple[Tuple[str, int, Optional[str]], ...]:
     *_, (pass_name, events) = _ARCHETYPE_INFO[archetype]
-    cat = CATALOGS[pass_name]
-    return frozenset(statement_ids((cat[e] for e in events),
-                                   lambda s: FUNCTIONS[file_of(s)][s & LINE_MASK]))
+    path = PATHS[pass_name]
+    lines = sorted(CATALOGS[pass_name][e] & LINE_MASK for e in events)
+    return tuple((path, line, FUNCTIONS[path][line]) for line in lines)
 
 
 # Each motif returns (values usable by filler, filler op menu).
@@ -287,29 +299,30 @@ def subset_outcome(bug: SeededBug, positions: Sequence[int], tracer=None,
 
 
 def _validate_scenario(bug: SeededBug) -> bool:
+    prefixes: Dict[Tuple[str, ...], tuple] = {}  # one memo for every run of this candidate
     n = len(bug.pipeline)
     everything = list(range(n))
     trig = [i for i, name in enumerate(bug.pipeline) if name in bug.trigger_passes]
     if len(trig) != len(bug.trigger_passes):
         return False
-    full, _ = subset_outcome(bug, everything)
+    full, _ = subset_outcome(bug, everything, prefixes=prefixes)
     if not full.is_fail:
         return False
     if bug.kind == "Crash" and full is not Outcome.FAIL_CRASH:
         return False
     if bug.kind != "Crash" and full is not Outcome.FAIL_WRONG_OUTPUT:
         return False
-    no_trig, _ = subset_outcome(bug, [i for i in everything if i not in trig])
+    no_trig, _ = subset_outcome(bug, [i for i in everything if i not in trig], prefixes=prefixes)
     if no_trig is not Outcome.PASS:
         return False
     for t in trig:
-        got, _ = subset_outcome(bug, [i for i in everything if i != t])
+        got, _ = subset_outcome(bug, [i for i in everything if i != t], prefixes=prefixes)
         if got is not Outcome.PASS:
             return False
     for i in everything:
         if i in trig:
             continue
-        got, _ = subset_outcome(bug, [j for j in everything if j != i])
+        got, _ = subset_outcome(bug, [j for j in everything if j != i], prefixes=prefixes)
         if not got.is_fail:
             return False
     return True

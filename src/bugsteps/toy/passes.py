@@ -3,7 +3,9 @@
 Each pass owns a virtual source file (``passes/<name>.mini``) whose lines
 are pseudo-statements: a statement is "executed" when the corresponding
 code path fires during a pass run.  Coverage of a pipeline run is the set
-of pseudo-statements recorded by the tracer.
+of pseudo-statements recorded by the tracer.  Every run records to a
+tracer and goes through a prefix memo, fresh ones when the caller gives
+none (``run_pipeline``).
 
 Passes share an analysis table keyed by value index (currently
 ``const:<idx>`` facts).  ``cse`` owns publication of const facts; ``dce``
@@ -17,14 +19,14 @@ handful of lines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..model import LINE_BITS, Block, file_id
 from .ir import MASK, OPS, Instr, MiniProgram, interpret
 
-# a pass run's recorder: covers the named event's statement, if a tracer is on
+# a pass run's recorder: covers the named event's statement
 Emit = Callable[[str], None]
 
 CANONICAL_ORDER = (
@@ -60,13 +62,11 @@ class Tracer:
 
 @dataclass
 class PipelineState:
-    analysis: Mapping[str, int] = field(default_factory=dict)
-    bug: Optional[str] = None
-    tracer: Optional[Tracer] = None
+    tracer: Tracer
+    analysis: Mapping[str, int]
+    bug: Optional[str]
 
     def emitter(self, pass_name: str) -> Emit:
-        if self.tracer is None:
-            return _noop
         catalog = CATALOGS[pass_name]
         covered = self.tracer.covered.setdefault(PATHS[pass_name], [])
 
@@ -74,10 +74,6 @@ class PipelineState:
             covered.append(catalog[event])
 
         return emit
-
-
-def _noop(event: str) -> None:
-    return None
 
 
 _SHAPE_EVENTS = (
@@ -598,37 +594,31 @@ def run_pipeline(program: MiniProgram, passes, bug: Optional[str] = None,
     """Apply the named passes in order and interpret the result.
 
     ``passes`` is a sequence of pass names (repeats allowed).  Raises
-    CrashSignal when a crash-kind bug fires; the tracer keeps whatever was
-    recorded up to the crash.
+    CrashSignal when a crash-kind bug fires; the tracer, a fresh one when
+    none is given, keeps whatever was recorded up to the crash.
 
-    ``prefixes``, with a tracer, is a memo of pass-name tuples to the
-    state after them, for one program and bug: a snapshot ``(program,
-    analysis, covered, crash)``.  ``covered`` maps each file covered so far
-    to its statements in emission order, and shares every file's tuple but
-    the one its last pass covered with the snapshot before.  ``analysis``
-    is read-only, so no pass can change a kept table in place.  A crashed
-    prefix has no program, and ``crash`` holds its ``CrashSignal``'s
-    arguments.  The run starts from the longest prefix of ``passes`` in the
-    memo and adds a snapshot after each pass it runs, so a crashed prefix
-    crashes again without running.  The memo only gains entries, and its
-    snapshots are never changed, so runs on several threads may share it.
+    ``prefixes``, a fresh one when none is given, is a memo of pass-name
+    tuples to the state after them, for one program and bug: a snapshot
+    ``(program, analysis, covered, crash)``.  ``covered`` maps each file
+    covered so far to its statements in emission order, and shares every
+    file's tuple but the one its last pass covered with the snapshot
+    before.  ``analysis`` is read-only, so no pass can change a kept table
+    in place.  A crashed prefix has no program, and ``crash`` holds its
+    ``CrashSignal``'s arguments.  The run starts from the longest prefix of
+    ``passes`` in the memo and adds a snapshot after each pass it runs, so
+    a crashed prefix crashes again without running.  The memo only gains
+    entries, and its snapshots are never changed, so runs on several
+    threads may share it.
     """
-    st = PipelineState(analysis={}, bug=bug, tracer=tracer)
+    tracer = Tracer() if tracer is None else tracer
+    prefixes = {} if prefixes is None else prefixes
+    st = PipelineState(tracer, MappingProxyType({}), bug)
     prog = program
-    if prefixes is None:
-        for name in passes:
-            if name not in _PASS_BODIES:
-                raise ValueError(f"unknown pass {name!r}")
-            prog = _run_one(name, prog, st)
-        return interpret(prog)
-    if tracer is None:
-        raise ValueError("a prefix memo needs a tracer")
     names = tuple(passes)
     done = len(names)
     while done and (snapshot := prefixes.get(names[:done])) is None:
         done -= 1
     covered: Dict[str, Tuple[int, ...]] = {}
-    st.analysis = MappingProxyType(st.analysis)
     if done:
         prog, st.analysis, covered, crash = snapshot
         tracer.covered.update((file, list(lines)) for file, lines in covered.items())

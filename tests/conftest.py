@@ -1,18 +1,45 @@
 import tempfile
+from dataclasses import dataclass, field
+from typing import Optional
 
 import pytest
 
 from bugsteps.model import (
     LINE_BITS,
+    LINE_MASK,
     Block,
     ExecutionResult,
     Outcome,
-    StatementId,
     StepSequence,
     file_id,
-    statement_ids,
+    file_of,
+    normalize_path,
 )
 from bugsteps.scoring import Scores
+
+
+@dataclass(frozen=True, slots=True)
+class StatementId:
+    """A statement as tests write it: equal and hashed by its normalized
+    (file, line), with its function as metadata."""
+
+    file: str
+    line: int
+    function: Optional[str] = field(default=None, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "file", normalize_path(self.file))
+
+    def __str__(self):
+        return f"{self.file}:{self.line}"
+
+    def sort_key(self):
+        return (self.file, self.line)
+
+
+def statement_ids(statements, function):
+    """Int statements as ``StatementId``s, each under ``function(stmt)``."""
+    return [StatementId(file_of(s), s & LINE_MASK, function(s)) for s in statements]
 
 
 def file_blocks(statements):

@@ -20,7 +20,6 @@ from bugsteps.model import (
     ExecutionResult,
     Outcome,
     RemovalProbe,
-    StatementId,
 )
 from bugsteps.scoring import (
     aggregate_ranksum,
@@ -32,7 +31,7 @@ from bugsteps.scoring import (
 from bugsteps.toy.bugs import generate_scenarios, subset_outcome
 from bugsteps.toy.driver import ToyDriver
 from bugsteps.util import canonical_json, derive_seed
-from conftest import by_id, file_blocks, ids, scores_of
+from conftest import StatementId, by_id, file_blocks, ids, scores_of
 
 TOL = 1e-9
 
@@ -378,7 +377,7 @@ class TestBayesDirectionProperty:
     def test_smaller_diffs_carry_higher_fault_density(self, suite100):
         samples = []
         for entry in suite100["entries"]:
-            gt = entry["scn"].ground_truth
+            gt = {StatementId(*stmt) for stmt in entry["scn"].ground_truth}
             for probe in entry["tail"].probes:
                 density = len(ids(probe.diff) & gt) / len(probe.diff)
                 samples.append((len(probe.diff), density))

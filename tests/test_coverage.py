@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from bugsteps.coverage import emit_gcov_json, parse_gcov_blocks
 from bugsteps.errors import MalformedCoverage
-from bugsteps.model import StatementId, normalize_path
-from conftest import file_blocks, ids
+from bugsteps.model import normalize_path
+from conftest import StatementId, file_blocks, ids
 
 
 def gcov_doc(files):

@@ -34,8 +34,8 @@ from bugsteps.errors import (
     MalformedCoverage,
 )
 from bugsteps.isolate import no_del, run_strategy, tail_prune
-from bugsteps.model import ExecutionResult, Outcome, StatementId, StepSequence
-from conftest import covered, file_blocks, ids
+from bugsteps.model import ExecutionResult, Outcome, StepSequence
+from conftest import StatementId, covered, file_blocks, ids
 
 PY = sys.executable
 SRC = Path(__file__).resolve().parent.parent / "src"

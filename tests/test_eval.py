@@ -17,12 +17,11 @@ from bugsteps.evalharness import (
     match_ground_truth,
     render_metrics_table,
 )
-from bugsteps.model import StatementId
 from bugsteps.scoring import RankedReport, ReportRow
 from bugsteps.toy.bugs import generate_scenarios
 from bugsteps.toy.driver import ToyDriver
 from bugsteps.util import canonical_json, derive_seed
-from conftest import file_blocks
+from conftest import StatementId, file_blocks
 
 
 def report(rows):

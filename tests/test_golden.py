@@ -12,7 +12,9 @@ run from an empty directory with relative paths, and
 probe, run and diff that ``tail``, ``nodel`` and ``rand`` (seed 7)
 produce on the same 30 scenarios, in order; ``nodel`` gives the same
 document whatever ``jobs`` is.  The report digest pins every ranked
-report of those isolations: each scorer at each granularity.
+report of those isolations: each scorer at each granularity.  The
+testbed digest pins the tree ``testbed-gen`` writes: every file, its
+path relative to ``--out`` and its bytes.
 """
 
 import hashlib
@@ -41,6 +43,8 @@ ISOLATION_DIGESTS = {
 }
 
 REPORT_DIGEST = "3d5733875755d1770817ca8db5263d1ad9dba187a7b3feca1322b3ad86046e51"
+
+TESTBED_DIGEST = "ec5ae0ba7db2e88b8c2aaa14d90b859e23ddd1d5787dae34dbe031e9489d8895"
 
 
 @pytest.mark.parametrize("granularity", sorted(GOLDEN_EVAL))
@@ -89,3 +93,17 @@ def test_report_digest(testbed30):
                     report = report_for(isolation, scorer, granularity)
                     digest.update(canonical_json(report.to_json_dict()).encode("utf-8"))
     assert digest.hexdigest() == REPORT_DIGEST
+
+
+def test_testbed_gen_digest(tmp_path, monkeypatch):
+    """sha256 over the files in sorted relative POSIX path order, each as
+    ``path + b"\\0" + bytes + b"\\0"``."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["testbed-gen", "--out", "testbed", "--seed", "42", "--count", "30"]) == 0
+    root = tmp_path / "testbed"
+    files = sorted((p.relative_to(root).as_posix(), p) for p in root.rglob("*") if p.is_file())
+    assert len(files) == 61
+    digest = hashlib.sha256()
+    for rel, path in files:
+        digest.update(rel.encode("utf-8") + b"\0" + path.read_bytes() + b"\0")
+    assert digest.hexdigest() == TESTBED_DIGEST

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bugsteps.errors import DegenerateSpectrum, UnmappedStatement
-from bugsteps.model import ExecutionResult, Outcome, RemovalProbe, StatementId, file_id
+from bugsteps.model import ExecutionResult, Outcome, RemovalProbe, file_id
 from bugsteps.scoring import (
     _ranked_rows,
     aggregate_ranksum,
@@ -27,7 +27,7 @@ from bugsteps.scoring import (
     score_metallaxis,
     score_ochiai,
 )
-from conftest import by_id, file_blocks, ids
+from conftest import StatementId, by_id, file_blocks, ids
 
 # interned last-name-first, so file ids are not in name order
 FILES = ["ref/zz.c", "ref/mm.c", "ref/aa.c"]

@@ -13,7 +13,6 @@ from bugsteps.model import (
     ExecutionResult,
     Outcome,
     RemovalProbe,
-    StatementId,
     file_id,
 )
 from bugsteps.scoring import (
@@ -24,7 +23,7 @@ from bugsteps.scoring import (
     score_metallaxis,
     score_ochiai,
 )
-from conftest import by_id, covered, file_blocks, scores_of
+from conftest import StatementId, by_id, covered, file_blocks, scores_of
 
 TOL = 1e-9
 

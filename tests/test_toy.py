@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -6,14 +7,15 @@ from types import MappingProxyType
 
 import pytest
 
-from bugsteps.model import LINE_MASK, Outcome, file_of, statement_ids
+from bugsteps.model import LINE_MASK, Outcome, file_of
+from bugsteps.errors import InvalidConfig
 from bugsteps.toy.bugs import (ARCHETYPES, SeededBug, _validate_scenario, generate_scenarios,
-                               subset_outcome)
+                               load_scenario, subset_outcome)
 from bugsteps.toy.driver import ToyDriver
 from bugsteps.toy.ir import Instr, MiniProgram, interpret, validate_program
 from bugsteps.toy.passes import (CANONICAL_ORDER, CATALOGS, FUNCTIONS, CrashSignal, Tracer,
                                  run_pipeline)
-from conftest import covered
+from conftest import covered, statement_ids
 
 MASK = (1 << 64) - 1
 
@@ -126,7 +128,7 @@ class TestInstrumentation:
             expected = {f"passes/{name}.mini" for name in subset}
             assert files == expected
 
-    def test_tracer_none_is_fast_path(self):
+    def test_tracer_none_preserves_semantics(self):
         p = random_program(random.Random(4))
         assert run_pipeline(p, CANONICAL_ORDER, tracer=None) == interpret(p)
 
@@ -168,7 +170,7 @@ class TestScenarios:
     def test_ground_truth_in_trigger_files(self):
         for s in generate_scenarios(42, 20):
             trigger_files = {f"passes/{p}.mini" for p in s.trigger_passes}
-            assert {stmt.file for stmt in s.ground_truth} <= trigger_files
+            assert {file for file, _, _ in s.ground_truth} <= trigger_files
 
     def test_serialization_roundtrip(self):
         for s in generate_scenarios(42, 8):
@@ -187,6 +189,42 @@ class TestScenarios:
             pipeline=s.pipeline,
         )
         assert not _validate_scenario(broken)
+
+
+class TestGroundTruthLoader:
+    @staticmethod
+    def load(tmp_path, *records):
+        doc = generate_scenarios(42, 1)[0].to_json_dict()
+        doc["ground_truth"] = [{"file": "a.c", "line": 1, "function": "f", **r} for r in records]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        return load_scenario(path).ground_truth
+
+    def test_normalized_sorted_and_first_function_kept(self, tmp_path):
+        truth = self.load(tmp_path, {"file": "b//./x.c", "line": 2},
+                          {"line": 9, "function": None},
+                          {"file": "b/x.c", "line": 2, "function": "g"}, {})
+        assert truth == (("a.c", 1, "f"), ("a.c", 9, None), ("b/x.c", 2, "f"))
+
+    @pytest.mark.parametrize("line", [0, -3])
+    def test_line_must_be_positive(self, tmp_path, line):
+        with pytest.raises(InvalidConfig):
+            self.load(tmp_path, {"line": line})
+
+    @pytest.mark.parametrize("line", [1.5, True, "3", None])
+    def test_line_must_be_an_int(self, tmp_path, line):
+        with pytest.raises(InvalidConfig):
+            self.load(tmp_path, {"line": line})
+
+    @pytest.mark.parametrize("function", [7, ["f"], False])
+    def test_function_must_be_a_string_or_null(self, tmp_path, function):
+        with pytest.raises(InvalidConfig):
+            self.load(tmp_path, {"function": function})
+
+    @pytest.mark.parametrize("file", ["", "../a.c", "a/../../b.c", ".", 7, None])
+    def test_file_must_be_a_normalizable_path(self, tmp_path, file):
+        with pytest.raises(InvalidConfig):
+            self.load(tmp_path, {"file": file})
 
 
 class TestStaleStateStructure:
@@ -375,7 +413,13 @@ class TestPrefixMemo:
         assert len(crashed) == 1
         assert again.covered == first.covered
 
-    def test_memo_needs_a_tracer(self):
-        bug = generate_scenarios(42, 1)[0]
-        with pytest.raises(ValueError):
-            run_pipeline(bug.program, bug.pipeline, prefixes={})
+    def test_no_memo_or_tracer_equals_a_shared_memo(self):
+        rng = random.Random(5)
+        for bug in generate_scenarios(42, 8):
+            n = len(bug.pipeline)
+            prefixes = {}
+            for mask in rng.sample(range(1 << n), 64):
+                positions = [i for i in range(n) if mask >> i & 1]
+                shared = subset_outcome(bug, positions, tracer=Tracer(), prefixes=prefixes)
+                assert subset_outcome(bug, positions) == shared, (bug.id, positions)
+            assert len(prefixes) > n
