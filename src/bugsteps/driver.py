@@ -19,13 +19,14 @@ record per covered file, in file order, the indices local to that file's
 names: paths and lines, never the process-local file ids.
 
 The runs of one isolation differ in a few steps, so most files' coverage
-repeats from run to run, and two memos keep a run's cost to the files
-that changed.  Every driver decodes each distinct record line once,
+repeats from run to run, and memos keep a run's cost to the files that
+changed.  Every driver decodes each distinct cache record line once,
 keyed by the line's text, and a loaded result holds the memo's block
-objects as they are.  A ``ProcessDriver``'s one parser
-thread looks each file's block up by the file and its ``(line,
-function)`` pairs over all of the run's coverage documents, so a
-repeated file yields the block object of its first parse.  A block keeps
+objects as they are.  A ``ProcessDriver``'s one parser thread decodes
+and checks each distinct gcov file record once, keyed by its text, then
+looks each file's block up by the file and its ``(line, function)``
+pairs over all of the run's coverage documents, so a repeated file
+yields the block object of its first parse.  A block keeps
 its record line in ``Block.record``, the one it was decoded from or
 encoded into on its first store, so no block object is encoded twice.
 An entry of versions 1-3 is a miss; a version-4 entry whose header or
@@ -391,9 +392,9 @@ class ProcessDriver(Driver):
         root = Path(cache_dir) if cache_dir else Path(config.workdir) / ".bugsteps-cache"
         super().__init__(digest, root / digest[:16])
         self._parser = ThreadPoolExecutor(max_workers=1, thread_name_prefix="bugsteps-parse")
-        # the parser's block memo: (file, ((line, function), ...)) -> block;
-        # only the parser thread reads or fills it
-        self._parsed: Dict[tuple, Block] = {}
+        # the parser's memo of gcov file records by their text and of blocks
+        # by (file, {(line, function), ...}); only the parser thread reads or fills it
+        self._parsed: dict = {}
 
     def _enumerate(self) -> StepSequence:
         proc = self._run_command(self.config.enumerate_command, scratch=None)

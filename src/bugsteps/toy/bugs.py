@@ -76,16 +76,29 @@ class SeededBug:
 
     @classmethod
     def from_json_dict(cls, doc) -> "SeededBug":
+        """A scenario document as a bug; a field of the wrong type, an unknown
+        archetype or a kind other than its archetype's is ``ValueError``."""
+        archetype, kind, output = doc["archetype"], doc["kind"], doc["expected_output"]
+        if archetype not in ARCHETYPES or kind != _ARCHETYPE_INFO[archetype][1]:
+            raise ValueError(f"unknown archetype {archetype!r} or kind {kind!r}")
+        if not (isinstance(output, list) and all(type(v) is int for v in output)):
+            raise ValueError(f"expected_output must be a list of ints, got {output!r}")
         return cls(
             id=doc["id"],
-            kind=doc["kind"],
-            archetype=doc["archetype"],
-            trigger_passes=tuple(doc["trigger_passes"]),
+            kind=kind,
+            archetype=archetype,
+            trigger_passes=_strings(doc["trigger_passes"], "trigger_passes"),
             ground_truth=_load_ground_truth(doc["ground_truth"]),
             program=MiniProgram.from_json_dict(doc["program"]),
-            expected_output=tuple(int(v) for v in doc["expected_output"]),
-            pipeline=tuple(doc["pipeline"]),
+            expected_output=tuple(output),
+            pipeline=_strings(doc["pipeline"], "pipeline"),
         )
+
+
+def _strings(value, name: str) -> Tuple[str, ...]:
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise ValueError(f"{name} must be a list of strings, got {value!r}")
+    return tuple(value)
 
 
 def _load_ground_truth(records) -> Tuple[Tuple[str, int, Optional[str]], ...]:

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from bugsteps.cli import main
+from bugsteps.model import Outcome
+from bugsteps.toy.bugs import load_scenario, subset_outcome
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -105,7 +107,10 @@ class TestIsolate:
         config, _ = config_for(testbed_dir, "cf_neg_fold")
         scn_path = (config.parent / json.loads(config.read_text())["scenario"]).resolve()
         doc = json.loads(scn_path.read_text())
-        doc["archetype"] = "not_a_bug"  # bug never fires -> full pipeline passes
+        # the buggy output expected -> the full pipeline passes
+        bug = load_scenario(scn_path)
+        outcome, doc["expected_output"] = subset_outcome(bug, range(len(bug.pipeline)))
+        assert outcome is Outcome.FAIL_WRONG_OUTPUT
         fixed = tmp_path / "scenario.json"
         fixed.write_text(json.dumps(doc))
         cfg = tmp_path / "cfg.json"
@@ -166,8 +171,7 @@ class TestIsolate:
         config, _ = config_for(testbed_dir, "cf_neg_fold")
         scn_path = (config.parent / json.loads(config.read_text())["scenario"]).resolve()
         doc = json.loads(scn_path.read_text())
-        doc["archetype"] = "not_a_bug"
-        doc["expected_output"] = [v + 1 for v in doc["expected_output"]]
+        doc["expected_output"] = [*doc["expected_output"], 0]  # more values than any run prints
         fixed = tmp_path / "scenario.json"
         fixed.write_text(json.dumps(doc))
         cfg = tmp_path / "cfg.json"

@@ -1154,23 +1154,27 @@ int main(int argc, char **argv) {
 class TestRealGcov:
     """A ``gcc --coverage`` program read through ``gcov --json-format``."""
 
-    def config(self, tmp_path):
+    def config(self, tmp_path, sources=(("m", GCOV_PROGRAM),)):
         build = (tmp_path / "build").resolve()
         build.mkdir()
-        (build / "m.c").write_text(GCOV_PROGRAM)
-        # compiled apart from the link, so the note file is m.gcno on every gcc
-        for command in (["gcc", "--coverage", "-O0", "-c", "m.c", "-o", "m.o"],
-                        ["gcc", "--coverage", "m.o", "-o", "prog"]):
-            subprocess.run(command, cwd=build, check=True, capture_output=True)
-        # the run writes m.gcda straight into its own {scratch}, so no
-        # counters of an earlier run are added to it
+        for unit, text in sources:
+            (build / f"{unit}.c").write_text(text)
+            # compiled apart from the link, so the note file is <unit>.gcno on every gcc
+            subprocess.run(["gcc", "--coverage", "-O0", "-c", f"{unit}.c", "-o", f"{unit}.o"],
+                           cwd=build, check=True, capture_output=True)
+        subprocess.run(["gcc", "--coverage", *(f"{unit}.o" for unit, _ in sources), "-o", "prog"],
+                       cwd=build, check=True, capture_output=True)
+        # the run writes its .gcda files straight into its own {scratch}, so
+        # no counters of an earlier run are added to them; with --stdout,
+        # gcov writes one document per .gcda file, one per line
         strip = len(build.parts) - 1
+        gcda = " ".join(f"{unit}.gcda" for unit, _ in sources)
         return load_config(write_config(
             tmp_path,
             enumerate_command="printf 'a\\nb\\nc\\n'",
             run_command=f"GCOV_PREFIX={{scratch}} GCOV_PREFIX_STRIP={strip} build/prog {{passes}}"
-                        " && cp build/m.gcno {scratch}/ && cd {scratch}"
-                        " && gcov --json-format --stdout m.gcda > cov.json",
+                        " && cp build/*.gcno {scratch}/ && cd {scratch}"
+                        f" && gcov --json-format --stdout {gcda} > cov.json",
             step_separator=" ",
             expected_output="21",
             coverage_paths=["{scratch}/cov.json"],
@@ -1190,3 +1194,14 @@ class TestRealGcov:
         others = {s for s in covered(full) if s.function in ("pass_b", "pass_c")}
         assert others and not others & covered(only_a)
         assert any(s.function == "pass_a" for s in covered(only_a))
+
+    def test_two_translation_units_through_stdout(self, tmp_path):
+        main = GCOV_PROGRAM.replace("static int pass_c(int v) {\n    return v - 0;\n}",
+                                    "int pass_c(int v);")
+        assert main != GCOV_PROGRAM
+        sources = (("m", main), ("c", "int pass_c(int v) {\n    return v - 0;\n}\n"))
+        driver = ProcessDriver(self.config(tmp_path, sources))
+        full = driver.execute(("a", "b", "c"))
+        assert {block.file for block in full.blocks} == {"c.c", "m.c"}
+        assert {s.function for s in covered(full)} >= {"main", "pass_b", "pass_c"}
+        assert not any(s.function == "pass_c" for s in covered(driver.execute(("a", "b"))))

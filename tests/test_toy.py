@@ -227,6 +227,47 @@ class TestGroundTruthLoader:
             self.load(tmp_path, {"file": file})
 
 
+class TestScenarioFields:
+    @staticmethod
+    def load(tmp_path, **fields):
+        doc = generate_scenarios(42, 1)[0].to_json_dict()
+        doc.update(fields)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        return load_scenario(path)
+
+    def test_generated_scenario_loads_unchanged(self, tmp_path):
+        bug = generate_scenarios(42, 1)[0]
+        assert self.load(tmp_path) == bug
+
+    @pytest.mark.parametrize("output", [[True], [False, 3], [2.0], [18446744073709551613.5],
+                                        ["7"], [None], 7, "7", {"0": 7}])
+    def test_expected_output_must_be_a_list_of_ints(self, tmp_path, output):
+        with pytest.raises(InvalidConfig, match="must be a list of ints"):
+            self.load(tmp_path, expected_output=output)
+
+    def test_large_and_negative_outputs_load(self, tmp_path):
+        output = [18446744073709551613, -5, 0]
+        assert self.load(tmp_path, expected_output=output).expected_output == tuple(output)
+
+    @pytest.mark.parametrize("field", ["trigger_passes", "pipeline"])
+    @pytest.mark.parametrize("value", ["const_fold", [7], [None], [["cse"]], {"cse": 1}, None])
+    def test_pass_lists_must_be_lists_of_strings(self, tmp_path, field, value):
+        with pytest.raises(InvalidConfig, match=f"{field} must be a list of strings"):
+            self.load(tmp_path, **{field: value})
+
+    @pytest.mark.parametrize("archetype", ["no_such_bug", 7, None, ["cf_neg_fold"]])
+    def test_archetype_must_be_catalogued(self, tmp_path, archetype):
+        with pytest.raises(InvalidConfig, match="unknown archetype"):
+            self.load(tmp_path, archetype=archetype)
+
+    @pytest.mark.parametrize("kind", [7, None, "Crash", "wrongcode", "StaleState"])
+    def test_kind_must_be_the_archetypes(self, tmp_path, kind):
+        assert generate_scenarios(42, 1)[0].kind == "WrongCode"
+        with pytest.raises(InvalidConfig, match="unknown archetype"):
+            self.load(tmp_path, kind=kind)
+
+
 class TestStaleStateStructure:
     def test_two_trigger_removal_structure(self):
         # two triggers; removing either one alone makes the failure vanish
