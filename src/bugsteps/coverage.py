@@ -66,8 +66,9 @@ def _documents(text: str) -> list:
             idx = _WS(text, idx).end()
             if idx == len(text):
                 return docs
-    except json.JSONDecodeError as exc:
-        raise MalformedCoverage(f"invalid JSON: {exc.msg}", offset=exc.pos) from exc
+    except json.JSONDecodeError as exc:  # its pos counts characters, the offset bytes
+        offset = len(text[:exc.pos].encode("utf-8"))
+        raise MalformedCoverage(f"invalid JSON: {exc.msg}", offset=offset) from exc
 
 
 def _root_prefix(source_root: Optional[str]) -> Optional[str]:

@@ -8,8 +8,8 @@ any output, which name files by path and write statements through
 ``Block`` of statements per covered file, carrying its file and its lines'
 functions: the runs of one isolation differ in a few steps, so most of
 their blocks are equal, and a consumer that counts or diffs blocks handles
-each distinct one once.  Everything here is immutable once built, and can
-be shared between threads.
+each distinct one once.  Everything here is immutable once built (a block
+only fills in its ``record`` once), and can be shared between threads.
 """
 
 from __future__ import annotations
@@ -18,10 +18,9 @@ import enum
 import operator
 import posixpath
 import threading
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Optional, Sequence,
-                    Tuple, Union)
+from functools import lru_cache
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 if TYPE_CHECKING:  # a testbed-run child never loads concurrent.futures
     from concurrent.futures import Future
@@ -91,28 +90,46 @@ def statements_json(statements: Iterable[Tuple[str, int, Optional[str]]]) -> Lis
             for file, line, function in sorted(statements, key=operator.itemgetter(0, 1))]
 
 
-@dataclass(frozen=True)
-class StepSequence:
+class Record:
+    """Fields in ``__slots__`` that ``__init__`` sets once, through ``object.__setattr__``,
+    and nothing assigns after; equal and hashed by the values of the public ones."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__}.{name} cannot be assigned or deleted")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__ if name[0] != "_")
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class StepSequence(Record):
     """The ids of the individually skippable compilation steps, in execution order.
 
     An id is non-empty and holds no ``\x1f`` or newline: a subset's ids
     joined by ``\x1f`` name its disk cache entry and are one of its lines.
     """
 
-    ids: Tuple[str, ...]
+    __slots__ = ("ids", "_ordinals")
 
-    def __post_init__(self):
-        if len(self._ordinals) != len(self.ids):
+    def __init__(self, ids: Tuple[str, ...]):
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "_ordinals", {step: i for i, step in enumerate(ids)})
+        if len(self._ordinals) != len(ids):
             raise ValueError("step ids must be pairwise distinct")
-        if not all(self.ids) or any("\x1f" in s or "\n" in s for s in self.ids):
+        if not all(ids) or any("\x1f" in s or "\n" in s for s in ids):
             raise ValueError("a step id must be non-empty and hold no \\x1f or newline")
 
     def __len__(self):
         return len(self.ids)
-
-    @cached_property
-    def _ordinals(self) -> Dict[str, int]:
-        return {step: i for i, step in enumerate(self.ids)}
 
     def positions(self, subset: Sequence[str]) -> List[int]:
         """Positions of ``subset``, which must be an ordered subsequence of the steps.
@@ -165,8 +182,7 @@ class Block(frozenset):
         return self.functions[stmt & LINE_MASK]
 
 
-@dataclass(frozen=True, eq=False)
-class ExecutionResult:
+class ExecutionResult(Record):
     """Outcome plus executed-statement coverage for one pipeline run.
 
     ``coverage`` holds one non-empty block per covered file, in file order,
@@ -175,12 +191,16 @@ class ExecutionResult:
     done.  A failed parse raises its one exception on every read, its
     traceback begun afresh, so it holds no frame of an earlier read.  Equal
     blocks of different runs may be one object, as a disk cache load
-    returns them.  Results are equal by subset, outcome and blocks.
+    returns them.  Results are equal by subset, outcome and blocks; no hash.
     """
 
-    subset: Tuple[str, ...]
-    outcome: Outcome
-    coverage: Union[Tuple[Block, ...], Future]
+    __slots__ = ("subset", "outcome", "coverage", "__weakref__")
+
+    def __init__(self, subset: Tuple[str, ...], outcome: Outcome,
+                 coverage: Union[Tuple[Block, ...], Future]):
+        object.__setattr__(self, "subset", subset)
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "coverage", coverage)
 
     @property
     def blocks(self) -> Tuple[Block, ...]:
@@ -239,8 +259,7 @@ def symmetric_diff(a: Iterable[Block], b: Iterable[Block]) -> Diff:
     return Diff(frozenset().union(*only_a) ^ frozenset().union(*only_b), (*only_a, *only_b))
 
 
-@dataclass(frozen=True)
-class RemovalProbe:
+class RemovalProbe(NamedTuple):
     """One flip: removing a step from a failing baseline made the run pass.
 
     A probe that fails differently (e.g. wrong output became a crash) is

@@ -13,9 +13,8 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import GenerationFailed, InvalidConfig
 from ..model import LINE_MASK, Outcome, StepSequence, normalize_path, statements_json, unit_for
@@ -43,8 +42,7 @@ _ARCHETYPE_INFO = {
 ARCHETYPES = tuple(_ARCHETYPE_INFO)
 
 
-@dataclass(frozen=True)
-class SeededBug:
+class SeededBug(NamedTuple):
     id: str
     kind: str
     archetype: str

@@ -7,8 +7,9 @@ only reference earlier values (SSA-like).  Arithmetic wraps modulo 2**64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
+
+from ..model import Record
 
 MASK = (1 << 64) - 1
 
@@ -16,12 +17,17 @@ OPS = ("const", "add", "mul", "neg", "shl", "copy", "output")
 _ARITY = {"const": 0, "add": 2, "mul": 2, "neg": 1, "shl": 1, "copy": 1, "output": 1}
 
 
-@dataclass(frozen=True)
-class Instr:
-    op: str
-    a: Optional[int] = None
-    b: Optional[int] = None
-    imm: Optional[int] = None
+class Instr(Record):
+    """A Record, not a namedtuple: every pass reads every field, and slots read faster."""
+
+    __slots__ = ("op", "a", "b", "imm")
+
+    def __init__(self, op: str, a: Optional[int] = None, b: Optional[int] = None,
+                 imm: Optional[int] = None):
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "imm", imm)
 
     def operands(self) -> Tuple[int, ...]:
         n = _ARITY[self.op]
@@ -32,10 +38,12 @@ class Instr:
         return (self.a, self.b)
 
 
-@dataclass(frozen=True)
-class MiniProgram:
-    params: Tuple[int, ...]
-    instructions: Tuple[Instr, ...]
+class MiniProgram(Record):
+    __slots__ = ("params", "instructions")
+
+    def __init__(self, params: Tuple[int, ...], instructions: Tuple[Instr, ...]):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "instructions", instructions)
 
     @property
     def n_params(self) -> int:

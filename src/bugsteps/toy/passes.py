@@ -19,7 +19,6 @@ handful of lines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -60,11 +59,11 @@ class Tracer:
                      for file in sorted(self.covered))
 
 
-@dataclass
 class PipelineState:
-    tracer: Tracer
-    analysis: Mapping[str, int]
-    bug: Optional[str]
+    __slots__ = ("tracer", "analysis", "bug")
+
+    def __init__(self, tracer: Tracer, analysis: Mapping[str, int], bug: Optional[str]):
+        self.tracer, self.analysis, self.bug = tracer, analysis, bug
 
     def emitter(self, pass_name: str) -> Emit:
         catalog = CATALOGS[pass_name]

@@ -380,7 +380,8 @@ class TestTestbedRunChildImports:
     """A process driver starts one testbed-run child per run: it loads only what a run needs."""
 
     UNNEEDED = {"bugsteps.isolate", "bugsteps.scoring", "bugsteps.util", "bugsteps.driver",
-                "bugsteps.evalharness", "logging", "concurrent.futures", "hashlib", "gzip"}
+                "bugsteps.evalharness", "logging", "concurrent.futures", "hashlib", "gzip",
+                "dataclasses", "inspect"}
 
     @staticmethod
     def child(code, *args):

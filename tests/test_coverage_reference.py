@@ -10,6 +10,7 @@ must give the same blocks and, for a file that does not parse, the same
 error: type, message, offset and cause.
 """
 
+import gzip
 import json
 import posixpath
 import re
@@ -36,7 +37,8 @@ def ref_documents(text):
             if idx == len(text):
                 return docs
     except json.JSONDecodeError as exc:
-        raise MalformedCoverage(f"invalid JSON: {exc.msg}", offset=exc.pos) from exc
+        offset = len(text[:exc.pos].encode("utf-8"))  # bytes, not characters
+        raise MalformedCoverage(f"invalid JSON: {exc.msg}", offset=offset) from exc
 
 
 def ref_integer(value, file):
@@ -268,3 +270,13 @@ def test_top_level_edge_cases_match_the_reference(text):
     memo = {}
     parsed([gcov_text(_GCOV_RECORDS)], None, memo)
     assert outcome(parsed, [text], None, memo) == outcome(ref_parse, [text], None)
+
+
+@pytest.mark.parametrize("compress", [False, True])
+def test_invalid_json_offset_counts_bytes_of_the_decoded_document(compress):
+    data = '{"files": [{"file": "ééé.c", "lines": [}]}'.encode("utf-8")
+    assert data[42:43] == b"}"  # the 40th character: each "é" is two bytes
+    with pytest.raises(MalformedCoverage, match=r"\(byte offset 42\)$") as info:
+        parse_gcov_blocks([gzip.compress(data) if compress else data])
+    assert info.value.offset == 42
+    assert error_of(info.value) == outcome(ref_parse, [data], None)

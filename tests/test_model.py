@@ -13,6 +13,7 @@ from bugsteps.model import (
     Block,
     ExecutionResult,
     Outcome,
+    RemovalProbe,
     StepSequence,
     file_id,
     file_of,
@@ -282,9 +283,10 @@ class TestRemovalProbe:
 
 
 class TestStepSequence:
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValueError):
-            StepSequence(("a", "a"))
+    @pytest.mark.parametrize("ids", [("a", "a"), ("a", "b", "a")])
+    def test_duplicate_ids_rejected(self, ids):
+        with pytest.raises(ValueError, match="distinct"):
+            StepSequence(ids)
 
     @pytest.mark.parametrize("step", ["", "a\x1fb", "a\nb"])
     def test_id_that_cannot_name_a_cache_entry_rejected(self, step):
@@ -296,3 +298,45 @@ class TestStepSequence:
         seq = StepSequence(("a", "b"))
         assert seq.ids == ("a", "b")
         assert seq.positions(["b"]) == [1]
+
+
+class TestRecordSemantics:
+    """What callers and tests rely on of the model's record classes: which
+    compare and hash by value, and which can be assigned to."""
+
+    @staticmethod
+    def run(subset, outcome, coverage):
+        return ExecutionResult(tuple(subset), outcome, file_blocks(coverage))
+
+    def test_step_sequence_equal_and_hashed_by_its_ids(self):
+        a, b = StepSequence(("a", "b")), StepSequence(("a", "b"))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != StepSequence(("b", "a")) and a != ("a", "b")
+
+    def test_step_sequence_cannot_be_assigned(self):
+        seq = StepSequence(("a", "b"))
+        with pytest.raises(AttributeError):
+            seq.ids = ("b", "a")
+        with pytest.raises(AttributeError):
+            del seq.ids
+        assert seq.ids == ("a", "b") and len(seq) == 2 and seq.positions(["b"]) == [1]
+
+    def test_result_equal_by_value_unhashable_and_cannot_be_assigned(self):
+        result = self.run(("a",), Outcome.PASS, {s1})
+        assert result == self.run(("a",), Outcome.PASS, {s1})
+        assert result != self.run(("a",), Outcome.FAIL_CRASH, {s1})
+        assert result != (result.subset, result.outcome, result.blocks)
+        with pytest.raises(TypeError):
+            hash(result)
+        with pytest.raises(AttributeError):
+            result.outcome = Outcome.FAIL_CRASH
+
+    def test_probe_equal_by_fields_unhashable_and_cannot_be_assigned(self):
+        baseline = self.run(("a", "b"), Outcome.FAIL_CRASH, {s1})
+        probe = RemovalProbe.from_runs("b", baseline, self.run(("a",), Outcome.PASS, {s2}))
+        assert probe == RemovalProbe.from_runs("b", baseline, self.run(("a",), Outcome.PASS, {s2}))
+        assert probe != RemovalProbe.from_runs("a", baseline, self.run(("b",), Outcome.PASS, {s2}))
+        with pytest.raises(TypeError):
+            hash(probe)
+        with pytest.raises(AttributeError):
+            probe.removed_step = "a"

@@ -13,8 +13,8 @@ from bugsteps.toy.bugs import (ARCHETYPES, SeededBug, _validate_scenario, genera
                                load_scenario, subset_outcome)
 from bugsteps.toy.driver import ToyDriver
 from bugsteps.toy.ir import Instr, MiniProgram, interpret, validate_program
-from bugsteps.toy.passes import (CANONICAL_ORDER, CATALOGS, FUNCTIONS, CrashSignal, Tracer,
-                                 run_pipeline)
+from bugsteps.toy.passes import (CANONICAL_ORDER, CATALOGS, FUNCTIONS, CrashSignal,
+                                 PipelineState, Tracer, run_pipeline)
 from conftest import covered, statement_ids
 
 MASK = (1 << 64) - 1
@@ -464,3 +464,43 @@ class TestPrefixMemo:
                 shared = subset_outcome(bug, positions, tracer=Tracer(), prefixes=prefixes)
                 assert subset_outcome(bug, positions) == shared, (bug.id, positions)
             assert len(prefixes) > n
+
+
+class TestValueClasses:
+    """What callers and tests rely on of the testbed's value classes: which
+    compare and hash by value, and which can be assigned to."""
+
+    def test_instr_equal_and_hashed_by_its_fields(self):
+        ins = Instr("const", imm=2)
+        assert ins == Instr(op="const", a=None, b=None, imm=2)
+        assert hash(ins) == hash(Instr("const", imm=2))
+        assert ins != Instr("const", imm=3) and ins != Instr("copy", 0)
+        assert Instr("add", 0, 1).operands() == (0, 1)
+        with pytest.raises(AttributeError):
+            ins.imm = 3
+
+    def test_program_equal_and_hashed_by_its_fields(self):
+        p = prog([5], [Instr("neg", 0), Instr("output", 1)])
+        same = MiniProgram.from_json_dict(json.loads(json.dumps(p.to_json_dict())))
+        assert same == p and hash(same) == hash(p) and same.n_params == 1
+        assert p != MiniProgram((6,), p.instructions)
+        assert p != MiniProgram(p.params, (Instr("neg", 0), Instr("output", 0)))
+        with pytest.raises(AttributeError):
+            p.params = (6,)
+
+    def test_pipeline_state_fields_can_be_replaced(self):
+        state = PipelineState(Tracer(), MappingProxyType({}), None)
+        state.analysis = MappingProxyType({"const:0": 7})
+        state.bug = "cf_neg_fold"
+        assert state.analysis == {"const:0": 7} and state.bug == "cf_neg_fold"
+        state.emitter("cse")("key_miss")
+        assert state.tracer.covered == {"passes/cse.mini": [CATALOGS["cse"]["key_miss"]]}
+
+    def test_seeded_bug_equal_hashed_and_round_tripped_through_json(self):
+        bug, other = generate_scenarios(42, 2)
+        doc = json.loads(json.dumps(bug.to_json_dict()))
+        same = SeededBug.from_json_dict(doc)
+        assert same == bug and hash(same) == hash(bug) and same.to_json_dict() == doc
+        assert bug != other
+        with pytest.raises(AttributeError):
+            bug.kind = "Crash"
