@@ -173,7 +173,7 @@ def cmd_testbed_run(args) -> int:
     from .coverage import emit_gcov_json
     from .model import Outcome
     from .toy.bugs import load_scenario, pipeline_steps, subset_outcome
-    from .toy.passes import Tracer
+    from .toy.passes import blocks
 
     bug = load_scenario(args.scenario)
     sequence = pipeline_steps(bug.pipeline)
@@ -186,10 +186,10 @@ def cmd_testbed_run(args) -> int:
         positions = sequence.positions(wanted)
     except (KeyError, ValueError) as exc:
         raise InvalidConfig(exc.args[0]) from exc
-    tracer = Tracer()
-    outcome, outputs = subset_outcome(bug, positions, tracer=tracer)
+    covered: dict = {}
+    outcome, outputs = subset_outcome(bug, positions, covered)
     if args.coverage_out:
-        Path(args.coverage_out).write_bytes(emit_gcov_json(tracer.blocks()))
+        Path(args.coverage_out).write_bytes(emit_gcov_json(blocks(covered)))
     if outcome is Outcome.FAIL_CRASH:
         sys.stderr.write("compiler crashed\n")
         sys.stderr.flush()

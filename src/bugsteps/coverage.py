@@ -19,7 +19,7 @@ import json
 import posixpath
 import re
 from operator import attrgetter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import MalformedCoverage
 from .model import LINE_BITS, LINE_MASK, Block, file_id, normalize_path
@@ -235,8 +235,28 @@ def _walk(text: str, records: dict, follows: dict, root_prefix: Optional[str], i
             return index
 
 
+def _records(data: bytes, walk: tuple, root_prefix: Optional[str], index: int) -> Tuple[list, int]:
+    """The entries (see ``_walk``) of the file records of one coverage file,
+    and the run's index of the document after it."""
+    text = _text(_decode(data))
+    found: Optional[list] = []
+    try:
+        index = _walk(text, *walk, root_prefix, index, found)
+    except (ValueError, IndexError, StopIteration, MalformedCoverage):
+        found = None
+    if found is None:  # out of the except block, so no error chains the walk's
+        found = []
+        for doc in _documents(text):
+            if not isinstance(doc, dict) or not isinstance(doc.get("files"), list):
+                raise MalformedCoverage("gcov document missing 'files' array")
+            found += ((None, *_file_entry(frec, root_prefix)) for frec in doc["files"])
+            index += 1
+    return found, index
+
+
 def parse_gcov_blocks(documents: Iterable[bytes], source_root: Optional[str] = None,
-                      memo: Optional[dict] = None) -> Tuple[Block, ...]:
+                      memo: Optional[dict] = None,
+                      names: Optional[Sequence[str]] = None) -> Tuple[Block, ...]:
     """Parse a run's gcov JSON-intermediate coverage files into one block per covered file.
 
     A file holds one or more whitespace-separated documents (``gcov --stdout``
@@ -253,6 +273,9 @@ def parse_gcov_blocks(documents: Iterable[bytes], source_root: Optional[str] = N
     and each block by its file and the set of its ``(line, function)``
     pairs, so a file whose covered lines and functions repeat yields the
     same block object every time.
+
+    ``names``, when given, names each file of ``documents``: a
+    ``MalformedCoverage`` then ends with the name of the file it is in.
     """
     memo = {} if memo is None else memo
     root_prefix = _root_prefix(source_root)
@@ -263,20 +286,13 @@ def parse_gcov_blocks(documents: Iterable[bytes], source_root: Optional[str] = N
     # normalized file -> the covered lines of each of its records, in order
     files: Dict[str, List[Dict[int, Optional[str]]]] = {}
     index = 0
-    for data in documents:
-        text = _text(_decode(data))
-        found: Optional[list] = []
+    for n, data in enumerate(documents):
         try:
-            index = _walk(text, *walk, root_prefix, index, found)
-        except (ValueError, IndexError, StopIteration, MalformedCoverage):
-            found = None
-        if found is None:  # out of the except block, so no error chains the walk's
-            found = []
-            for doc in _documents(text):
-                if not isinstance(doc, dict) or not isinstance(doc.get("files"), list):
-                    raise MalformedCoverage("gcov document missing 'files' array")
-                found += ((None, *_file_entry(frec, root_prefix)) for frec in doc["files"])
-                index += 1
+            found, index = _records(data, walk, root_prefix, index)
+        except MalformedCoverage as exc:
+            if names is not None:
+                exc.args = (f"{exc} in coverage file {names[n]}",)
+            raise
         for _, fname, lines in found:
             if fname is not None:
                 parts = files.get(fname)

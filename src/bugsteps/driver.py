@@ -425,10 +425,10 @@ class ProcessDriver(Driver):
                                          ignore_cleanup_errors=True) as tmp:
             scratch = Path(tmp)
             outcome = self._outcome(run_cmd, scratch)
-            data = self._read_coverage(scratch, outcome)
+            names, data = self._read_coverage(scratch, outcome)
         # the next run's command starts while the parser thread works
         coverage = Future()
-        self._parser.submit(self._parse, coverage, key, outcome, data)
+        self._parser.submit(self._parse, coverage, key, outcome, names, data)
         return ExecutionResult(key, outcome, coverage)
 
     def _outcome(self, run_cmd: str, scratch: Path) -> Outcome:
@@ -480,8 +480,9 @@ class ProcessDriver(Driver):
                 raise
         return subprocess.CompletedProcess(command, proc.returncode, stdout, stderr)
 
-    def _read_coverage(self, scratch: Path, outcome: Outcome) -> List[bytes]:
-        """The contents of every coverage file the run wrote.
+    def _read_coverage(self, scratch: Path, outcome: Outcome) -> Tuple[List[str], List[bytes]]:
+        """The names and contents of the coverage files the run wrote: the
+        regular files its patterns match, in pattern order.
 
         A crash or timeout may end the run before it writes any coverage:
         then no file matching is recorded as no statement covered.
@@ -491,15 +492,21 @@ class ProcessDriver(Driver):
             pattern = pattern.replace("{scratch}", str(scratch))
             if not os.path.isabs(pattern):
                 pattern = os.path.join(self.config.workdir, pattern)
-            matched.extend(sorted(glob(pattern)))
+            matched.extend(sorted(filter(os.path.isfile, glob(pattern))))
         if not matched and outcome not in (Outcome.FAIL_CRASH, Outcome.FAIL_TIMEOUT):
             raise CoverageMissing(
                 f"no coverage file matched {self.config.coverage_paths!r}"
             )
-        return [Path(fname).read_bytes() for fname in matched]
+        data = []
+        for fname in matched:
+            try:
+                data.append(Path(fname).read_bytes())
+            except OSError as exc:
+                raise CoverageMissing(f"cannot read coverage file {fname}: {exc}") from exc
+        return matched, data
 
     def _parse(self, coverage: Future, key: Tuple[str, ...], outcome: Outcome,
-               data: List[bytes]) -> None:
+               names: List[str], data: List[bytes]) -> None:
         """Fulfil ``coverage`` with the coverage files' blocks, one per covered
         file in file order, once stored.
 
@@ -510,7 +517,7 @@ class ProcessDriver(Driver):
         """
         try:
             blocks = COVERAGE_PARSERS[self.config.coverage_source](
-                data, self.config.source_root, memo=self._parsed)
+                data, self.config.source_root, memo=self._parsed, names=names)
             self._cache_store(key, outcome, blocks)
         except BaseException as exc:  # the future's reader waits until it holds an outcome
             pending, seen = [exc], set()

@@ -19,7 +19,7 @@ class EmptySequence(BugStepsError):
 
 
 class CoverageMissing(BugStepsError):
-    """No coverage file matched the configured patterns."""
+    """No coverage file matched the configured patterns, or one could not be read."""
 
 
 class MalformedCoverage(BugStepsError):
@@ -57,10 +57,6 @@ class UnmappedStatement(BugStepsError):
 
 class GranularityMismatch(BugStepsError):
     """Ground truth granularity does not match the report granularity."""
-
-
-class UnevenCoverage(BugStepsError):
-    """Strategies under comparison did not evaluate the same bug set."""
 
 
 class GenerationFailed(BugStepsError):

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .driver import load_driver
-from .errors import BugStepsError, GranularityMismatch, InvalidConfig, UnevenCoverage
+from .errors import BugStepsError, GranularityMismatch, InvalidConfig
 # verify_baseline is unused here, since each strategy's session checks the
 # baseline; perfbench/spans.py patches evalharness.verify_baseline by name
 from .isolate import IsolationResult, run_strategy, verify_baseline
@@ -213,28 +213,17 @@ def compute_metrics(rows: Sequence[EvalRow]) -> Dict[str, object]:
 
 def intersection_report(rows_by_strategy: Dict[str, Sequence[EvalRow]],
                         n: int) -> Dict[str, int]:
-    """Partition bugs isolated at Top-n by the exact strategy subset."""
-    bug_sets = {
-        label: {r.bug_id for r in rows} for label, rows in rows_by_strategy.items()
-    }
-    reference = None
-    for label, ids in bug_sets.items():
-        if reference is None:
-            reference = ids
-        elif ids != reference:
-            raise UnevenCoverage(
-                f"strategy {label!r} evaluated a different bug set"
-            )
+    """Partition bugs isolated at Top-n by the exact strategy subset.
+
+    The caller passes only strategies that evaluated every bug.
+    """
     isolated = {
         label: {r.bug_id for r in rows if r.first_rank <= n}
         for label, rows in rows_by_strategy.items()
     }
     counts: Dict[str, int] = {}
-    for bug_id in sorted(reference or ()):
-        subset = tuple(sorted(label for label, ids in isolated.items() if bug_id in ids))
-        if not subset:
-            continue
-        key = "+".join(subset)
+    for bug_id in sorted(set().union(*isolated.values())):
+        key = "+".join(sorted(label for label, ids in isolated.items() if bug_id in ids))
         counts[key] = counts.get(key, 0) + 1
     return counts
 

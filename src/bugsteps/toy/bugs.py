@@ -21,27 +21,6 @@ from ..model import LINE_MASK, Outcome, StepSequence, normalize_path, statements
 from .ir import Instr, MiniProgram, interpret, validate_program
 from .passes import CANONICAL_ORDER, CATALOGS, FUNCTIONS, PATHS, CrashSignal, run_pipeline
 
-# archetype -> (scenario id tag, kind, trigger passes, (gt pass, gt events))
-_ARCHETYPE_INFO = {
-    "cf_neg_fold": ("CF-neg-fold", "WrongCode", ("const_fold",),
-                    ("const_fold", ("fold_neg",))),
-    "stale_cse_sr": ("STALE-cse-sr", "StaleState", ("cse", "strength_reduce"),
-                     ("cse", ("publish_const_fact",))),
-    "cse_dup_shift": ("CSE-dup-shift", "WrongCode", ("cse",), ("cse", ("key_shl",))),
-    "dce_dead_crash": ("DCE-dead-crash", "Crash", ("dce",), ("dce", ("guard_dead_set",))),
-    "sr_pow2_off": ("SR-pow2-off", "WrongCode", ("strength_reduce",),
-                    ("strength_reduce", ("rewrite_shl",))),
-    "ic_add_zero": ("IC-add-zero", "WrongCode", ("instcombine_lite",),
-                    ("instcombine_lite", ("add_zero_left", "pick_operand"))),
-    "ra_chain_crash": ("RA-chain-crash", "Crash", ("reassociate",),
-                       ("reassociate", ("chain_guard",))),
-    "cf_shl_fold": ("CF-shl-fold", "WrongCode", ("const_fold",),
-                    ("const_fold", ("fold_shl",))),
-}
-
-ARCHETYPES = tuple(_ARCHETYPE_INFO)
-
-
 class SeededBug(NamedTuple):
     id: str
     kind: str
@@ -75,17 +54,20 @@ class SeededBug(NamedTuple):
     @classmethod
     def from_json_dict(cls, doc) -> "SeededBug":
         """A scenario document as a bug; a field of the wrong type, an unknown
-        archetype or a kind other than its archetype's is ``ValueError``."""
+        archetype, or a kind or trigger passes other than its archetype's is
+        ``ValueError``."""
         archetype, kind, output = doc["archetype"], doc["kind"], doc["expected_output"]
-        if archetype not in ARCHETYPES or kind != _ARCHETYPE_INFO[archetype][1]:
-            raise ValueError(f"unknown archetype {archetype!r} or kind {kind!r}")
+        triggers = _strings(doc["trigger_passes"], "trigger_passes")
+        if archetype not in ARCHETYPES or (kind, triggers) != _ARCHETYPE_INFO[archetype][1:3]:
+            raise ValueError(f"unknown archetype {archetype!r}, or kind {kind!r} or "
+                             f"trigger passes {list(triggers)} not its own")
         if not (isinstance(output, list) and all(type(v) is int for v in output)):
             raise ValueError(f"expected_output must be a list of ints, got {output!r}")
         return cls(
             id=doc["id"],
             kind=kind,
             archetype=archetype,
-            trigger_passes=_strings(doc["trigger_passes"], "trigger_passes"),
+            trigger_passes=triggers,
             ground_truth=_load_ground_truth(doc["ground_truth"]),
             program=MiniProgram.from_json_dict(doc["program"]),
             expected_output=tuple(output),
@@ -159,7 +141,7 @@ class _ProgBuilder:
 
 
 def _ground_truth(archetype: str) -> Tuple[Tuple[str, int, Optional[str]], ...]:
-    *_, (pass_name, events) = _ARCHETYPE_INFO[archetype]
+    pass_name, events = _ARCHETYPE_INFO[archetype][3]
     path = PATHS[pass_name]
     lines = sorted(CATALOGS[pass_name][e] & LINE_MASK for e in events)
     return tuple((path, line, FUNCTIONS[path][line]) for line in lines)
@@ -242,16 +224,27 @@ def _motif_stale_cse_sr(pb: _ProgBuilder, rng) -> Tuple[List[int], Tuple[str, ..
     return [0, 1, d1, d2, m], ("mul", "neg", "shl", "copy")
 
 
-_MOTIFS = {
-    "cf_neg_fold": _motif_cf_neg_fold,
-    "cf_shl_fold": _motif_cf_shl_fold,
-    "cse_dup_shift": _motif_cse_dup_shift,
-    "dce_dead_crash": _motif_dce_dead_crash,
-    "ra_chain_crash": _motif_ra_chain_crash,
-    "sr_pow2_off": _motif_sr_pow2_off,
-    "ic_add_zero": _motif_ic_add_zero,
-    "stale_cse_sr": _motif_stale_cse_sr,
+# archetype -> (scenario id tag, kind, trigger passes, (gt pass, gt events), motif)
+_ARCHETYPE_INFO = {
+    "cf_neg_fold": ("CF-neg-fold", "WrongCode", ("const_fold",),
+                    ("const_fold", ("fold_neg",)), _motif_cf_neg_fold),
+    "stale_cse_sr": ("STALE-cse-sr", "StaleState", ("cse", "strength_reduce"),
+                     ("cse", ("publish_const_fact",)), _motif_stale_cse_sr),
+    "cse_dup_shift": ("CSE-dup-shift", "WrongCode", ("cse",), ("cse", ("key_shl",)),
+                      _motif_cse_dup_shift),
+    "dce_dead_crash": ("DCE-dead-crash", "Crash", ("dce",), ("dce", ("guard_dead_set",)),
+                       _motif_dce_dead_crash),
+    "sr_pow2_off": ("SR-pow2-off", "WrongCode", ("strength_reduce",),
+                    ("strength_reduce", ("rewrite_shl",)), _motif_sr_pow2_off),
+    "ic_add_zero": ("IC-add-zero", "WrongCode", ("instcombine_lite",),
+                    ("instcombine_lite", ("add_zero_left", "pick_operand")), _motif_ic_add_zero),
+    "ra_chain_crash": ("RA-chain-crash", "Crash", ("reassociate",),
+                       ("reassociate", ("chain_guard",)), _motif_ra_chain_crash),
+    "cf_shl_fold": ("CF-shl-fold", "WrongCode", ("const_fold",),
+                    ("const_fold", ("fold_shl",)), _motif_cf_shl_fold),
 }
+
+ARCHETYPES = tuple(_ARCHETYPE_INFO)
 
 
 def _instr_key(ins: Instr) -> tuple:
@@ -292,15 +285,16 @@ def _add_filler(pb: _ProgBuilder, rng, count: int, pool: List[int],
         pb.emit("output", added[-1])
 
 
-def subset_outcome(bug: SeededBug, positions: Sequence[int], tracer=None,
+def subset_outcome(bug: SeededBug, positions: Sequence[int], covered=None,
                    prefixes=None) -> Tuple[Outcome, Optional[List[int]]]:
     """Outcome of running only the pipeline steps at ``positions`` (sorted).
 
-    ``prefixes`` is ``run_pipeline``'s prefix memo, one per bug.
+    ``covered`` and ``prefixes`` are ``run_pipeline``'s coverage dict and
+    prefix memo, the memo one per bug.
     """
     names = [bug.pipeline[i] for i in positions]
     try:
-        outs = run_pipeline(bug.program, names, bug=bug.archetype, tracer=tracer,
+        outs = run_pipeline(bug.program, names, bug=bug.archetype, covered=covered,
                             prefixes=prefixes)
     except CrashSignal:
         return Outcome.FAIL_CRASH, None
@@ -340,10 +334,10 @@ def _validate_scenario(bug: SeededBug) -> bool:
 
 
 def _build_scenario(archetype: str, rng: random.Random, scenario_id: str) -> SeededBug:
-    _, kind, triggers, _ = _ARCHETYPE_INFO[archetype]
+    _, kind, triggers, _, motif = _ARCHETYPE_INFO[archetype]
     params = (rng.randrange(2, 10), rng.randrange(2, 10))
     pb = _ProgBuilder(params)
-    pool, filler_ops = _MOTIFS[archetype](pb, rng)
+    pool, filler_ops = motif(pb, rng)
     _add_filler(pb, rng, rng.randrange(0, 7), pool, filler_ops)
     program = pb.finish()
     non_triggers = [p for p in CANONICAL_ORDER if p not in triggers]

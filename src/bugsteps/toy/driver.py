@@ -16,7 +16,7 @@ from ..model import ExecutionResult, StepSequence
 from ..util import fingerprint
 # step_ids_for_pipeline and subset_outcome are looked up here by name, too
 from .bugs import SeededBug, pipeline_steps, step_ids_for_pipeline, subset_outcome  # noqa: F401
-from .passes import Tracer
+from .passes import blocks
 
 
 class ToyDriver(Driver):
@@ -38,7 +38,6 @@ class ToyDriver(Driver):
         return pipeline_steps(self.bug.pipeline)
 
     def _run(self, key: Tuple[str, ...], positions: List[int]) -> ExecutionResult:
-        tracer = Tracer()
-        outcome, _ = subset_outcome(self.bug, positions, tracer=tracer,
-                                    prefixes=self._prefixes)
-        return ExecutionResult(key, outcome, tracer.blocks())
+        covered: dict = {}
+        outcome, _ = subset_outcome(self.bug, positions, covered, self._prefixes)
+        return ExecutionResult(key, outcome, blocks(covered))

@@ -3,9 +3,11 @@
 Each pass owns a virtual source file (``passes/<name>.mini``) whose lines
 are pseudo-statements: a statement is "executed" when the corresponding
 code path fires during a pass run.  Coverage of a pipeline run is the set
-of pseudo-statements recorded by the tracer.  Every run records to a
-tracer and goes through a prefix memo, fresh ones when the caller gives
-none (``run_pipeline``).
+of pseudo-statements recorded in its ``covered`` dict (``blocks`` turns it
+into per-file blocks).  Every run records to such a dict and goes through
+a prefix memo, fresh ones when the caller gives none (``run_pipeline``).
+Each pass is one ``_PASSES`` entry: its body, its scan depth and its
+event groups, from which its catalog of statements is built.
 
 Passes share an analysis table keyed by value index (currently
 ``const:<idx>`` facts).  ``cse`` owns publication of const facts; ``dce``
@@ -28,46 +30,31 @@ from .ir import MASK, OPS, Instr, MiniProgram, interpret
 # a pass run's recorder: covers the named event's statement
 Emit = Callable[[str], None]
 
-CANONICAL_ORDER = (
-    "const_fold",
-    "cse",
-    "dce",
-    "reassociate",
-    "strength_reduce",
-    "instcombine_lite",
-)
-
 
 class CrashSignal(Exception):
     """Raised when a crash-kind seeded bug fires inside a pass."""
 
 
-class Tracer:
-    """Collects executed pseudo-statements for one pipeline run, per file.
+# one pipeline run's executed pseudo-statements: virtual file -> its
+# statements in emission order; a file's list may repeat a statement, its
+# block holds each once
+Covered = Dict[str, List[int]]
 
-    A file's list may repeat a statement; its block holds each once.
-    """
 
-    __slots__ = ("covered",)
-
-    def __init__(self):
-        self.covered: Dict[str, List[int]] = {}
-
-    def blocks(self) -> Tuple[Block, ...]:
-        """The run's coverage, one block per covered file in file order."""
-        return tuple(Block(self.covered[file], file, FUNCTIONS[file])
-                     for file in sorted(self.covered))
+def blocks(covered: Covered) -> Tuple[Block, ...]:
+    """A run's coverage, one block per covered file in file order."""
+    return tuple(Block(covered[file], file, FUNCTIONS[file]) for file in sorted(covered))
 
 
 class PipelineState:
-    __slots__ = ("tracer", "analysis", "bug")
+    __slots__ = ("covered", "analysis", "bug")
 
-    def __init__(self, tracer: Tracer, analysis: Mapping[str, int], bug: Optional[str]):
-        self.tracer, self.analysis, self.bug = tracer, analysis, bug
+    def __init__(self, covered: Covered, analysis: Mapping[str, int], bug: Optional[str]):
+        self.covered, self.analysis, self.bug = covered, analysis, bug
 
     def emitter(self, pass_name: str) -> Emit:
         catalog = CATALOGS[pass_name]
-        covered = self.tracer.covered.setdefault(PATHS[pass_name], [])
+        covered = self.covered.setdefault(PATHS[pass_name], [])
 
         def emit(event: str) -> None:
             covered.append(catalog[event])
@@ -84,88 +71,8 @@ _SHAPE_EVENTS = (
 
 _RUN_EVENTS = ["entry", "changed", "nochange", "exit"]
 
-_SPECIFIC_EVENTS = {
-    "const_fold": [
-        ("fold", ["fold_add", "fold_mul", "fold_neg", "fold_shl", "fold_copy",
-                  "skip_dynamic", "fold_wrap", "folds_1", "folds_ge2"]),
-    ],
-    "cse": [
-        ("number", ["key_const", "key_add", "key_mul", "key_neg", "key_shl",
-                    "key_copy", "key_miss", "key_hit"]),
-        ("merge", ["drop_dup", "remap_uses", "shift_1", "shift_ge2", "no_dups"]),
-        ("publish", ["publish_entry", "publish_const_fact", "publish_done"]),
-    ],
-    "dce": [
-        ("mark", ["root_outputs", "reach_step", "all_live", "dead_1", "dead_ge2"]),
-        ("sweep", ["guard_dead_set", "drop_dead", "compact_remap",
-                   "analysis_remap", "no_sweep"]),
-    ],
-    "reassociate": [
-        ("find", ["chain_found", "chain_none", "inner_multi_use",
-                  "operand_const_skip", "operand_order_skip", "chain_guard"]),
-        ("rotate", ["rotate_apply", "rotate_done"]),
-    ],
-    "strength_reduce": [
-        ("analyze", [f"visit_{op}" for op in OPS]
-         + ["mul_seen", "muls_1", "muls_ge2", "operand_param", "operand_instr",
-            "const_resolved", "const_unknown", "table_nonempty", "table_empty",
-            "pow2_hit", "pow2_miss", "amount_1", "amount_2", "amount_3",
-            "amount_ge4"]),
-        ("rewrite", ["rewrite_shl", "rewrite_single", "rewrite_multi",
-                     "rewrite_none"]),
-    ],
-    "instcombine_lite": [
-        ("match", ["add_zero_left", "add_zero_right", "mul_one_left",
-                   "mul_one_right", "neg_neg", "shl_zero", "no_match_instr"]),
-        ("apply", ["pick_operand", "apply_copy", "applies_ge1"]),
-    ],
-}
 
-
-# pass -> its virtual file; one string per file, which every block of it shares
-PATHS: Dict[str, str] = {name: f"passes/{name}.mini" for name in CANONICAL_ORDER}
-
-# virtual file -> {line: function}, for every catalog statement
-FUNCTIONS: Dict[str, Dict[int, str]] = {}
-
-
-def _build_catalog(name: str) -> Dict[str, int]:
-    path = PATHS[name]
-    base = file_id(path) << LINE_BITS
-    catalog: Dict[str, int] = {}
-    functions = FUNCTIONS[path] = {}
-    line = 2
-    groups = [("run", _RUN_EVENTS), ("scan", _SHAPE_EVENTS)] + _SPECIFIC_EVENTS[name]
-    for fn, events in groups:
-        line += 3
-        for ev in events:
-            if ev in catalog:
-                raise ValueError(f"duplicate event {ev!r} in {name}")
-            catalog[ev] = base | line
-            functions[line] = fn
-            line += 2
-    return catalog
-
-
-# pass -> {event: int statement}
-CATALOGS: Dict[str, Dict[str, int]] = {n: _build_catalog(n) for n in CANONICAL_ORDER}
-
-
-# Passes inspect their input to different depths: a surgical value-numbering
-# pass only glances at the program size, while analysis-heavy consumers walk
-# everything.  This shows up as per-pass scan profiles, and it is what makes
-# removal-diff sizes vary across passes.
-_SCAN_PROFILES = {
-    "const_fold": "standard",
-    "cse": "lean",
-    "dce": "standard",
-    "reassociate": "standard",
-    "strength_reduce": "standard",
-    "instcombine_lite": "standard",
-}
-
-
-def _scan_shape(prog: MiniProgram, emit, profile: str) -> None:
+def _scan_shape(prog: MiniProgram, emit, lean: bool) -> None:
     n = len(prog.instructions)
     if n <= 4:
         emit("len_le4")
@@ -177,7 +84,7 @@ def _scan_shape(prog: MiniProgram, emit, profile: str) -> None:
         emit("len_le16")
     else:
         emit("len_gt16")
-    if profile == "lean":
+    if lean:
         return
     consts = sum(1 for i in prog.instructions if i.op == "const")
     emit(f"consts_{consts}" if consts < 4 else "consts_ge4")
@@ -568,32 +475,95 @@ def _pass_instcombine_lite(prog: MiniProgram, st: PipelineState, emit: Emit) -> 
     return MiniProgram(prog.params, tuple(new_instrs))
 
 
-_PASS_BODIES = {
-    "const_fold": _pass_const_fold,
-    "cse": _pass_cse,
-    "dce": _pass_dce,
-    "reassociate": _pass_reassociate,
-    "strength_reduce": _pass_strength_reduce,
-    "instcombine_lite": _pass_instcombine_lite,
+# pass -> (body, lean scan, its event groups after "run" and "scan"), in
+# canonical order.  Passes inspect their input to different depths: a
+# surgical value-numbering pass only glances at the program size (a lean
+# scan), while analysis-heavy consumers walk everything.  This is what
+# makes removal-diff sizes vary across passes.
+_PASSES = {
+    "const_fold": (_pass_const_fold, False, [
+        ("fold", ["fold_add", "fold_mul", "fold_neg", "fold_shl", "fold_copy",
+                  "skip_dynamic", "fold_wrap", "folds_1", "folds_ge2"]),
+    ]),
+    "cse": (_pass_cse, True, [
+        ("number", ["key_const", "key_add", "key_mul", "key_neg", "key_shl",
+                    "key_copy", "key_miss", "key_hit"]),
+        ("merge", ["drop_dup", "remap_uses", "shift_1", "shift_ge2", "no_dups"]),
+        ("publish", ["publish_entry", "publish_const_fact", "publish_done"]),
+    ]),
+    "dce": (_pass_dce, False, [
+        ("mark", ["root_outputs", "reach_step", "all_live", "dead_1", "dead_ge2"]),
+        ("sweep", ["guard_dead_set", "drop_dead", "compact_remap",
+                   "analysis_remap", "no_sweep"]),
+    ]),
+    "reassociate": (_pass_reassociate, False, [
+        ("find", ["chain_found", "chain_none", "inner_multi_use",
+                  "operand_const_skip", "operand_order_skip", "chain_guard"]),
+        ("rotate", ["rotate_apply", "rotate_done"]),
+    ]),
+    "strength_reduce": (_pass_strength_reduce, False, [
+        ("analyze", [f"visit_{op}" for op in OPS]
+         + ["mul_seen", "muls_1", "muls_ge2", "operand_param", "operand_instr",
+            "const_resolved", "const_unknown", "table_nonempty", "table_empty",
+            "pow2_hit", "pow2_miss", "amount_1", "amount_2", "amount_3",
+            "amount_ge4"]),
+        ("rewrite", ["rewrite_shl", "rewrite_single", "rewrite_multi",
+                     "rewrite_none"]),
+    ]),
+    "instcombine_lite": (_pass_instcombine_lite, False, [
+        ("match", ["add_zero_left", "add_zero_right", "mul_one_left",
+                   "mul_one_right", "neg_neg", "shl_zero", "no_match_instr"]),
+        ("apply", ["pick_operand", "apply_copy", "applies_ge1"]),
+    ]),
 }
+
+CANONICAL_ORDER = tuple(_PASSES)
+
+# pass -> its virtual file; one string per file, which every block of it shares
+PATHS: Dict[str, str] = {name: f"passes/{name}.mini" for name in CANONICAL_ORDER}
+
+# virtual file -> {line: function}, for every catalog statement
+FUNCTIONS: Dict[str, Dict[int, str]] = {}
+
+
+def _build_catalog(name: str) -> Dict[str, int]:
+    path = PATHS[name]
+    base = file_id(path) << LINE_BITS
+    catalog: Dict[str, int] = {}
+    functions = FUNCTIONS[path] = {}
+    line = 2
+    for fn, events in [("run", _RUN_EVENTS), ("scan", _SHAPE_EVENTS), *_PASSES[name][2]]:
+        line += 3
+        for ev in events:
+            if ev in catalog:
+                raise ValueError(f"duplicate event {ev!r} in {name}")
+            catalog[ev] = base | line
+            functions[line] = fn
+            line += 2
+    return catalog
+
+
+# pass -> {event: int statement}
+CATALOGS: Dict[str, Dict[str, int]] = {n: _build_catalog(n) for n in CANONICAL_ORDER}
 
 
 def _run_one(name: str, prog: MiniProgram, st: PipelineState) -> MiniProgram:
+    body, lean, _ = _PASSES[name]
     emit = st.emitter(name)
     emit("entry")
-    _scan_shape(prog, emit, _SCAN_PROFILES[name])
-    out = _PASS_BODIES[name](prog, st, emit)
+    _scan_shape(prog, emit, lean)
+    out = body(prog, st, emit)
     emit("exit")  # not reached when a crash-kind bug fires
     return out
 
 
 def run_pipeline(program: MiniProgram, passes, bug: Optional[str] = None,
-                 tracer: Optional[Tracer] = None,
+                 covered: Optional[Covered] = None,
                  prefixes: Optional[Dict[Tuple[str, ...], tuple]] = None) -> List[int]:
     """Apply the named passes in order and interpret the result.
 
     ``passes`` is a sequence of pass names (repeats allowed).  Raises
-    CrashSignal when a crash-kind bug fires; the tracer, a fresh one when
+    CrashSignal when a crash-kind bug fires; ``covered``, a fresh dict when
     none is given, keeps whatever was recorded up to the crash.
 
     ``prefixes``, a fresh one when none is given, is a memo of pass-name
@@ -609,33 +579,33 @@ def run_pipeline(program: MiniProgram, passes, bug: Optional[str] = None,
     entries, and its snapshots are never changed, so runs on several
     threads may share it.
     """
-    tracer = Tracer() if tracer is None else tracer
+    covered = {} if covered is None else covered
     prefixes = {} if prefixes is None else prefixes
-    st = PipelineState(tracer, MappingProxyType({}), bug)
+    st = PipelineState(covered, MappingProxyType({}), bug)
     prog = program
     names = tuple(passes)
     done = len(names)
     while done and (snapshot := prefixes.get(names[:done])) is None:
         done -= 1
-    covered: Dict[str, Tuple[int, ...]] = {}
+    kept: Dict[str, Tuple[int, ...]] = {}
     if done:
-        prog, st.analysis, covered, crash = snapshot
-        tracer.covered.update((file, list(lines)) for file, lines in covered.items())
+        prog, st.analysis, kept, crash = snapshot
+        covered.update((file, list(lines)) for file, lines in kept.items())
         if prog is None:
             raise CrashSignal(*crash)
     for end in range(done + 1, len(names) + 1):
         name = names[end - 1]
-        if name not in _PASS_BODIES:
+        if name not in _PASSES:
             raise ValueError(f"unknown pass {name!r}")
         file = PATHS[name]
         try:
             prog = _run_one(name, prog, st)
         except CrashSignal as exc:
-            covered = {**covered, file: tuple(tracer.covered[file])}
-            prefixes[names[:end]] = (None, st.analysis, covered, exc.args)
+            kept = {**kept, file: tuple(covered[file])}
+            prefixes[names[:end]] = (None, st.analysis, kept, exc.args)
             raise
         if type(st.analysis) is dict:  # the pass replaced the table
             st.analysis = MappingProxyType(st.analysis)
-        covered = {**covered, file: tuple(tracer.covered[file])}
-        prefixes[names[:end]] = (prog, st.analysis, covered, ())
+        kept = {**kept, file: tuple(covered[file])}
+        prefixes[names[:end]] = (prog, st.analysis, kept, ())
     return interpret(prog)

@@ -154,6 +154,60 @@ class TestIsolate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'lines'" in err and "Traceback" not in err
 
+    def scratch_config(self, tmp_path, b_json):
+        """Fails while licm is retained; each run writes a good a.json, then
+        ``b_json`` as b.json, and a subdirectory, all under ``{scratch}``."""
+        (tmp_path / "a.json").write_text(json.dumps(
+            {"files": [{"file": "m.c", "lines": [{"line_number": 1, "count": 1}]}]}))
+        (tmp_path / "b.json").write_text(b_json)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "enumerate_command": "printf 'instcombine\\nlicm\\nsimplifycfg\\n'",
+            "run_command": "mkdir {scratch}/sub; cp a.json b.json {scratch}/;"
+                           " case ,{passes}, in *,licm,*) echo bad;; *) echo ok;; esac",
+            "expected_output": "ok", "coverage_paths": ["{scratch}/*"]}))
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"bugs": [
+            {"bug_id": "b", "config": str(cfg), "ground_truth": {"files": ["m.c"]}}]}))
+        return cfg, manifest
+
+    def test_a_directory_among_the_matches_is_skipped(self, tmp_path, capsys):
+        cfg, manifest = self.scratch_config(tmp_path, '{"files": []}')
+        assert main(["isolate", str(cfg), "--cache-dir", str(tmp_path / "cache")]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["provenance"]["bug_causing_steps"] == ["licm"]
+        assert "Traceback" not in err
+        assert main(["eval", str(manifest), "--cache-dir", str(tmp_path / "cache")]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["errors"] == [] and len(doc["rows"]) == 1
+
+    def test_unreadable_coverage_file_exits_3_naming_it(self, tmp_path, capsys, monkeypatch):
+        cfg, manifest = self.scratch_config(tmp_path, '{"files": []}')
+        read_bytes = Path.read_bytes
+
+        def unreadable(path):
+            if path.name == "b.json" and path.parent.name.startswith("bugsteps-run-"):
+                raise PermissionError(13, "Permission denied", str(path))
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", unreadable)
+        assert main(["isolate", str(cfg), "--cache-dir", str(tmp_path / "cache")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read coverage file ") and "b.json" in err
+        assert "Traceback" not in err
+        # eval records the error per pair and goes on, instead of raising
+        assert main(["eval", str(manifest), "--cache-dir", str(tmp_path / "cache")]) == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert "cannot read coverage file" in lines[0] and "b.json" in lines[0]
+        assert lines[-1] == "error: no bug evaluated successfully"
+
+    def test_malformed_coverage_names_its_file(self, tmp_path, capsys):
+        cfg, manifest = self.scratch_config(tmp_path, '{"files": [')
+        assert main(["isolate", str(cfg), "--cache-dir", str(tmp_path / "cache")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid JSON: ")
+        assert err.rstrip().endswith("b.json") and "a.json" not in err
+
     def test_cache_dir_that_is_a_file_exits_3_before_any_run(self, tmp_path, capsys):
         cfg = self.process_config(tmp_path, {"files": []})
         afile = tmp_path / "afile"

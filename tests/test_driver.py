@@ -392,6 +392,24 @@ class TestExecute:
         with pytest.raises(CoverageMissing):
             driver.execute(("licm",))
 
+    def test_a_pattern_that_matches_only_directories_matches_nothing(self, tmp_path):
+        cfg = write_config(tmp_path, run_command="mkdir {scratch}/cov.json; echo ran {passes}",
+                           coverage_paths=["{scratch}/*"])
+        with pytest.raises(CoverageMissing, match="no coverage file matched"):
+            ProcessDriver(load_config(cfg)).execute(("licm",))
+
+    def test_malformed_coverage_names_its_file(self, tmp_path):
+        (tmp_path / "b.json").write_text('{"files": [{"file": "m.c", "lines": [')
+        cfg = write_config(tmp_path, run_command="cp cov.json {scratch}/a.json;"
+                                                 " cp b.json {scratch}/b.json; echo ran {passes}",
+                           coverage_paths=["{scratch}/*.json"])
+        result = ProcessDriver(load_config(cfg)).execute(("licm",))
+        with pytest.raises(MalformedCoverage) as info:
+            result.blocks
+        message = str(info.value)
+        assert message.startswith("invalid JSON: Expecting value (byte offset 37) in coverage file ")
+        assert message.endswith("/b.json") and info.value.offset == 37
+
     def test_subset_order_enforced(self, tmp_path):
         driver = ProcessDriver(load_config(write_config(tmp_path)))
         for subset in [("licm", "instcombine"), ("licm", "licm")]:

@@ -5,7 +5,7 @@ import pytest
 
 from bugsteps import evalharness
 from bugsteps.coverage import emit_gcov_json
-from bugsteps.errors import GranularityMismatch, InvalidConfig, UnevenCoverage
+from bugsteps.errors import DegenerateSpectrum, GranularityMismatch, InvalidConfig
 from bugsteps.evalharness import (
     DatasetBug,
     EvalRow,
@@ -128,14 +128,6 @@ class TestIntersection:
         }
         counts = intersection_report(rows, 1)
         assert counts == {"A": 1, "B": 1}
-
-    def test_uneven_coverage_rejected(self):
-        rows = {
-            "A": [row("1", 1, strategy="A")],
-            "B": [row("2", 1, strategy="B")],
-        }
-        with pytest.raises(UnevenCoverage):
-            intersection_report(rows, 1)
 
 
 class TestManifest:
@@ -309,6 +301,32 @@ class TestManifest:
         assert "top1" in doc["intersections"]
         counts = doc["intersections"]["top1"]
         assert sum(counts.values()) <= 6
+
+    def test_a_combo_with_a_failed_pair_is_left_out_of_intersections(self, tmp_path,
+                                                                     monkeypatch):
+        manifest = self.make_testbed(tmp_path, count=4)
+        failing = load_manifest(manifest)[1].bug_id
+        evaluate = evalharness.evaluate_bug
+
+        def scored(bug, strategy, scorer, *args, **kwargs):
+            if (bug.bug_id, strategy, scorer) == (failing, "tail", "sbfl"):
+                raise DegenerateSpectrum("no passing run")
+            return evaluate(bug, strategy, scorer, *args, **kwargs)
+
+        monkeypatch.setattr(evalharness, "evaluate_bug", scored)
+        doc = evaluate_manifest(manifest, strategies=["tail", "nodel"],
+                                scorers=["compscan", "sbfl"])
+        assert [(e["bug_id"], e["strategy"], e["scorer"]) for e in doc["errors"]] == [
+            (failing, "tail", "sbfl")]
+        assert len(doc["rows"]) == 4 * 4 - 1 and "tail+sbfl" in doc["metrics"]
+        complete = {"tail+compscan", "nodel+compscan", "nodel+sbfl"}
+        for n in (1, 5):
+            counts = doc["intersections"][f"top{n}"]
+            assert all("tail+sbfl" not in key for key in counts)
+            isolated = {r["bug_id"] for r in doc["rows"] if r["first_rank"] <= n
+                        and f"{r['strategy']}+{r['scorer']}" in complete}
+            # each bug isolated by a complete combo is counted once, under its exact subset
+            assert sum(counts.values()) == len(isolated) > 0
 
     def test_byte_identical_reruns(self, tmp_path):
         manifest = self.make_testbed(tmp_path, count=5)

@@ -14,7 +14,7 @@ from bugsteps.toy.bugs import (ARCHETYPES, SeededBug, _validate_scenario, genera
 from bugsteps.toy.driver import ToyDriver
 from bugsteps.toy.ir import Instr, MiniProgram, interpret, validate_program
 from bugsteps.toy.passes import (CANONICAL_ORDER, CATALOGS, FUNCTIONS, CrashSignal,
-                                 PipelineState, Tracer, run_pipeline)
+                                 PipelineState, blocks, run_pipeline)
 from conftest import covered, statement_ids
 
 MASK = (1 << 64) - 1
@@ -101,10 +101,10 @@ class TestRunPipeline:
     def test_constant_folding_fires_on_foldable_program(self):
         p = prog([], [Instr("const", imm=2), Instr("const", imm=3),
                       Instr("add", 0, 1), Instr("output", 2)])
-        tracer = Tracer()
-        outputs = run_pipeline(p, CANONICAL_ORDER, tracer=tracer)
+        covered = {}
+        outputs = run_pipeline(p, CANONICAL_ORDER, covered=covered)
         assert outputs == [5]
-        cf_lines = tracer.covered.get("passes/const_fold.mini")
+        cf_lines = covered.get("passes/const_fold.mini")
         assert cf_lines  # the folding paths must appear in coverage
 
 
@@ -122,15 +122,15 @@ class TestInstrumentation:
         rng = random.Random(3)
         p = random_program(rng)
         for subset in [("const_fold",), ("cse", "dce"), CANONICAL_ORDER, ()]:
-            tracer = Tracer()
-            run_pipeline(p, subset, tracer=tracer)
-            files = {block.file for block in tracer.blocks()}
+            covered = {}
+            run_pipeline(p, subset, covered=covered)
+            files = {block.file for block in blocks(covered)}
             expected = {f"passes/{name}.mini" for name in subset}
             assert files == expected
 
-    def test_tracer_none_preserves_semantics(self):
+    def test_covered_none_preserves_semantics(self):
         p = random_program(random.Random(4))
-        assert run_pipeline(p, CANONICAL_ORDER, tracer=None) == interpret(p)
+        assert run_pipeline(p, CANONICAL_ORDER, covered=None) == interpret(p)
 
 
 class TestScenarios:
@@ -267,6 +267,13 @@ class TestScenarioFields:
         with pytest.raises(InvalidConfig, match="unknown archetype"):
             self.load(tmp_path, kind=kind)
 
+    @pytest.mark.parametrize("triggers", [["dce", "nonexistent_pass"], ["cse"], [],
+                                          ["const_fold", "const_fold"]])
+    def test_trigger_passes_must_be_the_archetypes(self, tmp_path, triggers):
+        assert generate_scenarios(42, 1)[0].trigger_passes == ("const_fold",)
+        with pytest.raises(InvalidConfig, match=r"trigger passes \[.*\] not its own"):
+            self.load(tmp_path, trigger_passes=triggers)
+
 
 class TestStaleStateStructure:
     def test_two_trigger_removal_structure(self):
@@ -355,9 +362,9 @@ class TestToyDriver:
 class TestPrefixMemo:
     @staticmethod
     def fresh(bug, positions):
-        tracer = Tracer()
-        outcome, _ = subset_outcome(bug, positions, tracer=tracer)
-        return outcome, tracer.blocks()
+        covered = {}
+        outcome, _ = subset_outcome(bug, positions, covered=covered)
+        return outcome, blocks(covered)
 
     @staticmethod
     def shape(outcome, blocks):
@@ -429,7 +436,7 @@ class TestPrefixMemo:
     def test_snapshots_are_frozen_and_share_tuples(self):
         bug = next(s for s in generate_scenarios(42, 8) if s.archetype == "stale_cse_sr")
         prefixes = {}
-        run_pipeline(bug.program, bug.pipeline, bug=bug.archetype, tracer=Tracer(),
+        run_pipeline(bug.program, bug.pipeline, bug=bug.archetype, covered={},
                      prefixes=prefixes)
         for names, (_, analysis, covered, _) in prefixes.items():
             assert isinstance(analysis, MappingProxyType)
@@ -445,23 +452,23 @@ class TestPrefixMemo:
     def test_crash_prefix_replays_its_partial_coverage(self):
         bug = next(s for s in generate_scenarios(42, 8) if s.kind == "Crash")
         prefixes = {}
-        first, again = Tracer(), Tracer()
-        for tracer in (first, again):
+        first, again = {}, {}
+        for covered in (first, again):
             with pytest.raises(CrashSignal):
-                run_pipeline(bug.program, bug.pipeline, bug=bug.archetype, tracer=tracer,
+                run_pipeline(bug.program, bug.pipeline, bug=bug.archetype, covered=covered,
                              prefixes=prefixes)
         crashed = [names for names, (program, *_) in prefixes.items() if program is None]
         assert len(crashed) == 1
-        assert again.covered == first.covered
+        assert again == first
 
-    def test_no_memo_or_tracer_equals_a_shared_memo(self):
+    def test_no_memo_or_covered_equals_a_shared_memo(self):
         rng = random.Random(5)
         for bug in generate_scenarios(42, 8):
             n = len(bug.pipeline)
             prefixes = {}
             for mask in rng.sample(range(1 << n), 64):
                 positions = [i for i in range(n) if mask >> i & 1]
-                shared = subset_outcome(bug, positions, tracer=Tracer(), prefixes=prefixes)
+                shared = subset_outcome(bug, positions, covered={}, prefixes=prefixes)
                 assert subset_outcome(bug, positions) == shared, (bug.id, positions)
             assert len(prefixes) > n
 
@@ -489,12 +496,12 @@ class TestValueClasses:
             p.params = (6,)
 
     def test_pipeline_state_fields_can_be_replaced(self):
-        state = PipelineState(Tracer(), MappingProxyType({}), None)
+        state = PipelineState({}, MappingProxyType({}), None)
         state.analysis = MappingProxyType({"const:0": 7})
         state.bug = "cf_neg_fold"
         assert state.analysis == {"const:0": 7} and state.bug == "cf_neg_fold"
         state.emitter("cse")("key_miss")
-        assert state.tracer.covered == {"passes/cse.mini": [CATALOGS["cse"]["key_miss"]]}
+        assert state.covered == {"passes/cse.mini": [CATALOGS["cse"]["key_miss"]]}
 
     def test_seeded_bug_equal_hashed_and_round_tripped_through_json(self):
         bug, other = generate_scenarios(42, 2)
