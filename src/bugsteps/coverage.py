@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import posixpath
-import re
 from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -31,7 +30,6 @@ _DECODER = json.JSONDecoder()
 _SCAN = _DECODER.scan_once  # raw_decode's scanner: StopIteration, not JSONDecodeError
 _SPACE = " \t\n\r"
 _FILE = attrgetter("file")
-_DECIMAL = re.compile("-?[0-9]+")  # ASCII digits only, no sign but "-", no "_"
 
 
 def _decode(data: bytes) -> bytes:
@@ -95,20 +93,6 @@ def _statement_file(path: str, root_prefix: Optional[str]) -> Optional[str]:
     return None if path.startswith("/") else path
 
 
-def _integer(value, file: str) -> int:
-    """A line record's ``line_number`` or ``count`` that is not an int, as one.
-
-    An integral float and a decimal string (``-?[0-9]+``) are read; any
-    other value, a boolean too, is ``MalformedCoverage``.
-    """
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if (isinstance(value, int) and not isinstance(value, bool)
-            or isinstance(value, str) and _DECIMAL.fullmatch(value)):
-        return int(value)
-    raise MalformedCoverage(f"non-integral line record {value!r} in {file!r}")
-
-
 def _file_entry(frec, root_prefix: Optional[str]) -> Tuple[Optional[str], Dict[int, Optional[str]]]:
     """A gcov file record's statement file (None when the parser drops it) and
     its covered lines, each with the function of its first positive record.
@@ -132,8 +116,9 @@ def _file_entry(frec, root_prefix: Optional[str]) -> Tuple[Optional[str], Dict[i
             line, count = lrec["line_number"], lrec.get("count", 0)
         except (TypeError, KeyError):
             raise MalformedCoverage(f"gcov line record malformed in {path!r}") from None
-        if type(line) is not int or type(count) is not int:
-            line, count = _integer(line, path), _integer(count, path)
+        if type(line) is not int or type(count) is not int:  # gcov writes ints, never "3" or 3.0
+            bad = line if type(line) is not int else count
+            raise MalformedCoverage(f"line_number or count {bad!r} of {path!r} is not an int")
         if count > 0 and line > 0:
             if line > mask:
                 raise MalformedCoverage(f"line {line} of {path!r} is above {mask}")

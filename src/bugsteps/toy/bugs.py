@@ -17,19 +17,32 @@ from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import GenerationFailed, InvalidConfig
-from ..model import LINE_MASK, Outcome, StepSequence, normalize_path, statements_json, unit_for
+from ..model import LINE_MASK, Outcome, StepSequence, statements_json, unit_for
 from .ir import Instr, MiniProgram, interpret, validate_program
 from .passes import CANONICAL_ORDER, CATALOGS, FUNCTIONS, PATHS, CrashSignal, run_pipeline
 
 class SeededBug(NamedTuple):
+    """What a scenario's generator chose; its kind, trigger passes and ground
+    truth are its archetype's, read from ``_ANSWERS``."""
+
     id: str
-    kind: str
     archetype: str
-    trigger_passes: Tuple[str, ...]
-    ground_truth: Tuple[Tuple[str, int, Optional[str]], ...]  # (file, line, function), sorted
     program: MiniProgram
     expected_output: Tuple[int, ...]
     pipeline: Tuple[str, ...]
+
+    @property
+    def kind(self) -> str:
+        return _ANSWERS[self.archetype][0]
+
+    @property
+    def trigger_passes(self) -> Tuple[str, ...]:
+        return _ANSWERS[self.archetype][1]
+
+    @property
+    def ground_truth(self) -> Tuple[Tuple[str, int, Optional[str]], ...]:
+        """``(file, line, function)`` triples, sorted."""
+        return _ANSWERS[self.archetype][2]
 
     @property
     def ground_truth_files(self) -> Tuple[str, ...]:
@@ -54,44 +67,24 @@ class SeededBug(NamedTuple):
     @classmethod
     def from_json_dict(cls, doc) -> "SeededBug":
         """A scenario document as a bug; a field of the wrong type, an unknown
-        archetype, or a kind or trigger passes other than its archetype's is
-        ``ValueError``."""
-        archetype, kind, output = doc["archetype"], doc["kind"], doc["expected_output"]
-        triggers = _strings(doc["trigger_passes"], "trigger_passes")
-        if archetype not in ARCHETYPES or (kind, triggers) != _ARCHETYPE_INFO[archetype][1:3]:
-            raise ValueError(f"unknown archetype {archetype!r}, or kind {kind!r} or "
-                             f"trigger passes {list(triggers)} not its own")
+        archetype or pass, or a kind, trigger passes or ground truth other
+        than its archetype's is ``ValueError``."""
+        scenario_id, archetype = doc["id"], doc["archetype"]
+        output, pipeline = doc["expected_output"], doc["pipeline"]
+        if not (isinstance(scenario_id, str) and scenario_id):
+            raise ValueError(f"id must be a non-empty string, got {scenario_id!r}")
+        # one text compare, so a reordered, extra or `true`-for-1 value differs too
+        if archetype not in ARCHETYPES or _ANSWERS[archetype][3] != json.dumps(
+                [doc["kind"], doc["trigger_passes"], doc["ground_truth"]], sort_keys=True):
+            raise ValueError(f"unknown archetype {archetype!r}, or kind, trigger_passes or "
+                             "ground_truth not its own")
         if not (isinstance(output, list) and all(type(v) is int for v in output)):
             raise ValueError(f"expected_output must be a list of ints, got {output!r}")
-        return cls(
-            id=doc["id"],
-            kind=kind,
-            archetype=archetype,
-            trigger_passes=triggers,
-            ground_truth=_load_ground_truth(doc["ground_truth"]),
-            program=MiniProgram.from_json_dict(doc["program"]),
-            expected_output=tuple(output),
-            pipeline=_strings(doc["pipeline"], "pipeline"),
-        )
-
-
-def _strings(value, name: str) -> Tuple[str, ...]:
-    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-        raise ValueError(f"{name} must be a list of strings, got {value!r}")
-    return tuple(value)
-
-
-def _load_ground_truth(records) -> Tuple[Tuple[str, int, Optional[str]], ...]:
-    """Ground-truth statement records as sorted ``(file, line, function)``
-    triples; a ``(file, line)`` listed twice keeps its first function."""
-    truth: Dict[Tuple[str, int], Optional[str]] = {}
-    for rec in records:
-        file, line, function = rec["file"], rec["line"], rec.get("function")
-        if (not isinstance(file, str) or type(line) is not int or line < 1
-                or not (function is None or isinstance(function, str))):
-            raise ValueError(f"malformed ground-truth statement {rec!r}")
-        truth.setdefault((normalize_path(file), line), function)
-    return tuple(sorted((file, line, function) for (file, line), function in truth.items()))
+        if not (isinstance(pipeline, list)
+                and all(isinstance(p, str) and p in CATALOGS for p in pipeline)):
+            raise ValueError(f"pipeline must be a list of known pass names, got {pipeline!r}")
+        return cls(scenario_id, archetype, MiniProgram.from_json_dict(doc["program"]),
+                   tuple(output), tuple(pipeline))
 
 
 def step_ids_for_pipeline(pipeline: Sequence[str]) -> Tuple[str, ...]:
@@ -118,8 +111,6 @@ def load_scenario(path) -> SeededBug:
     try:
         bug = SeededBug.from_json_dict(json.loads(Path(path).read_text("utf-8")))
         validate_program(bug.program)
-        if not CATALOGS.keys() >= set(bug.pipeline):
-            raise ValueError(f"unknown pass in pipeline {list(bug.pipeline)}")
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise InvalidConfig(f"cannot read scenario {path}: {type(exc).__name__}: {exc}") from exc
     return bug
@@ -138,13 +129,6 @@ class _ProgBuilder:
         prog = MiniProgram(self.params, tuple(self.instrs))
         validate_program(prog)
         return prog
-
-
-def _ground_truth(archetype: str) -> Tuple[Tuple[str, int, Optional[str]], ...]:
-    pass_name, events = _ARCHETYPE_INFO[archetype][3]
-    path = PATHS[pass_name]
-    lines = sorted(CATALOGS[pass_name][e] & LINE_MASK for e in events)
-    return tuple((path, line, FUNCTIONS[path][line]) for line in lines)
 
 
 # Each motif returns (values usable by filler, filler op menu).
@@ -247,6 +231,20 @@ _ARCHETYPE_INFO = {
 ARCHETYPES = tuple(_ARCHETYPE_INFO)
 
 
+def _answer(kind: str, triggers: Tuple[str, ...], pass_name: str, events: Tuple[str, ...]):
+    path = PATHS[pass_name]
+    truth = tuple((path, line, FUNCTIONS[path][line])
+                  for line in sorted(CATALOGS[pass_name][e] & LINE_MASK for e in events))
+    return kind, triggers, truth, json.dumps([kind, list(triggers), statements_json(truth)],
+                                             sort_keys=True)
+
+
+# archetype -> (kind, trigger passes, ground truth, the sort-keys JSON text of
+# the three as a scenario document lists them)
+_ANSWERS = {archetype: _answer(kind, triggers, *truth)
+            for archetype, (_, kind, triggers, truth, _) in _ARCHETYPE_INFO.items()}
+
+
 def _instr_key(ins: Instr) -> tuple:
     return (ins.op, ins.a, ins.b, ins.imm)
 
@@ -334,7 +332,7 @@ def _validate_scenario(bug: SeededBug) -> bool:
 
 
 def _build_scenario(archetype: str, rng: random.Random, scenario_id: str) -> SeededBug:
-    _, kind, triggers, _, motif = _ARCHETYPE_INFO[archetype]
+    _, _, triggers, _, motif = _ARCHETYPE_INFO[archetype]
     params = (rng.randrange(2, 10), rng.randrange(2, 10))
     pb = _ProgBuilder(params)
     pool, filler_ops = motif(pb, rng)
@@ -344,16 +342,7 @@ def _build_scenario(archetype: str, rng: random.Random, scenario_id: str) -> See
     extra = sorted(rng.sample(non_triggers, rng.randrange(0, len(non_triggers) + 1)),
                    key=CANONICAL_ORDER.index)
     pipeline = tuple(CANONICAL_ORDER) + tuple(extra)
-    return SeededBug(
-        id=scenario_id,
-        kind=kind,
-        archetype=archetype,
-        trigger_passes=triggers,
-        ground_truth=_ground_truth(archetype),
-        program=program,
-        expected_output=tuple(interpret(program)),
-        pipeline=pipeline,
-    )
+    return SeededBug(scenario_id, archetype, program, tuple(interpret(program)), pipeline)
 
 
 def generate_scenarios(seed: int, count: int) -> List[SeededBug]:

@@ -15,6 +15,7 @@ MASK = (1 << 64) - 1
 
 OPS = ("const", "add", "mul", "neg", "shl", "copy", "output")
 _ARITY = {"const": 0, "add": 2, "mul": 2, "neg": 1, "shl": 1, "copy": 1, "output": 1}
+_INT = (int, type(None))  # an instruction field's exact type: no bool, no float, no str
 
 
 class Instr(Record):
@@ -65,21 +66,28 @@ class MiniProgram(Record):
             Instr(op=r["op"], a=r.get("a"), b=r.get("b"), imm=r.get("imm"))
             for r in doc["instructions"]
         )
-        return cls(params=tuple(int(p) for p in doc["params"]), instructions=instrs)
+        return cls(params=tuple(doc["params"]), instructions=instrs)
 
 
 def validate_program(prog: MiniProgram) -> None:
+    """``ValueError`` unless every param, operand and immediate is an int (a
+    bool is not), every operand names an earlier value and some instruction
+    is an output."""
     p = prog.n_params
+    if not all(type(v) is int for v in prog.params):
+        raise ValueError(f"params must be ints, got {list(prog.params)!r}")
     outputs = 0
     for j, ins in enumerate(prog.instructions):
         if ins.op not in _ARITY:
             raise ValueError(f"unknown op {ins.op!r} at {j}")
+        if not (type(ins.a) in _INT and type(ins.b) in _INT and type(ins.imm) in _INT):
+            raise ValueError(f"operand or immediate of instruction {j} is not an int")
         for operand in ins.operands():
             if operand is None or not (0 <= operand < p + j):
                 raise ValueError(f"operand {operand!r} of instruction {j} is out of range")
-        if ins.op == "const" and ins.imm is None:
-            raise ValueError(f"const at {j} missing immediate")
-        if ins.op == "shl" and not (0 <= (ins.imm or 0) <= 63):
+        if ins.op in ("const", "shl") and ins.imm is None:
+            raise ValueError(f"{ins.op} at {j} missing immediate")
+        if ins.op == "shl" and not (0 <= ins.imm <= 63):
             raise ValueError(f"shl amount out of range at {j}")
         if ins.op == "output":
             outputs += 1

@@ -136,6 +136,22 @@ class TestIsolate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
 
+    @pytest.mark.parametrize("field, named", [("imm", "not an int"),
+                                              ("ground_truth", "ground_truth")])
+    def test_tampered_scenario_exits_3(self, tmp_path, testbed_dir, capsys, field, named):
+        config, _ = config_for(testbed_dir, "cf_neg_fold")
+        doc = json.loads((config.parent / json.loads(config.read_text())["scenario"]).read_text())
+        if field == "imm":  # the motif's const
+            doc["program"]["instructions"][0]["imm"] = "5"
+        else:  # another archetype's
+            doc["ground_truth"] = [{"file": "passes/cse.mini", "line": 1, "function": None}]
+        (tmp_path / "scenario.json").write_text(json.dumps(doc))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "toy", "scenario": "scenario.json"}))
+        assert main(["isolate", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read scenario") and named in err
+
     @staticmethod
     def process_config(tmp_path, coverage):
         """A process config whose every run fails, writes ``coverage`` and

@@ -13,7 +13,6 @@ error: type, message, offset and cause.
 import gzip
 import json
 import posixpath
-import re
 
 import pytest
 from hypothesis import given, settings
@@ -22,8 +21,6 @@ from hypothesis import strategies as st
 from bugsteps.coverage import parse_gcov_blocks
 from bugsteps.errors import MalformedCoverage
 from bugsteps.model import LINE_MASK, normalize_path
-
-_DECIMAL = re.compile("-?[0-9]+")
 
 
 def ref_documents(text):
@@ -42,12 +39,9 @@ def ref_documents(text):
 
 
 def ref_integer(value, file):
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if (isinstance(value, int) and not isinstance(value, bool)
-            or isinstance(value, str) and _DECIMAL.fullmatch(value)):
-        return int(value)
-    raise MalformedCoverage(f"non-integral line record {value!r} in {file!r}")
+    if type(value) is not int:  # gcov writes ints: a bool, float or string is malformed
+        raise MalformedCoverage(f"line_number or count {value!r} of {file!r} is not an int")
+    return value
 
 
 def ref_file(path, source_root):
@@ -124,8 +118,8 @@ def parsed(files, source_root, memo):
     return {block.file: dict(block.functions) for block in blocks}
 
 
-# numbers as gcov writes them and as other writers might: ints, decimal
-# strings and integral floats, zero counts among them
+# numbers as gcov writes them, ints with zero counts among them, and the
+# decimal strings and integral floats both parsers must reject alike
 _NUMBER = st.integers(0, 6)
 _LINE_NUMBER = st.one_of(_NUMBER, _NUMBER.map(str), _NUMBER.map(float))
 _COUNT = st.sampled_from([0, 1, 7, "2", "0", 3.0, 0.0])

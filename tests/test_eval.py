@@ -227,6 +227,25 @@ class TestManifest:
         assert len({e["error"] for e in out["errors"]}) == 1
         assert "cannot read driver config" in out["errors"][0]["error"]
 
+    @pytest.mark.parametrize("where, value", [("imm", "5"), ("a", 0.5), ("params", ["3", 4])])
+    def test_a_scenario_with_a_non_int_program_number_fails_alone(self, tmp_path, where, value):
+        manifest = self.make_testbed(tmp_path, count=3)
+        scenario = manifest.parent / "scenarios" / "CF-neg-fold-000.json"
+        doc = json.loads(scenario.read_text())
+        program = doc["program"]
+        if where == "params":
+            program["params"] = value
+        else:  # the motif's const, then the neg of it
+            program["instructions"][0 if where == "imm" else 1][where] = value
+        scenario.write_text(json.dumps(doc))
+        out = evaluate_manifest(manifest, strategies=["tail"], scorers=["compscan", "sbfl"])
+        assert [(e["bug_id"], e["scorer"]) for e in out["errors"]] == [
+            ("CF-neg-fold-000", "compscan"), ("CF-neg-fold-000", "sbfl")]
+        assert all("cannot read scenario" in e["error"] for e in out["errors"])
+        assert sorted({r["bug_id"] for r in out["rows"]}) == ["CSE-dup-shift-002",
+                                                              "STALE-cse-sr-001"]
+        assert len(out["rows"]) == 4
+
     def test_failed_parse_is_not_replayed_to_the_next_pair(self, tmp_path, monkeypatch):
         # fails while licm is retained; the empty subset, which every tail
         # isolation runs, writes malformed coverage

@@ -53,6 +53,16 @@ class TestInterpreter:
         with pytest.raises(ValueError):
             prog([2], [Instr("copy", 0)])
 
+    @pytest.mark.parametrize("params, instrs", [
+        ([2], [Instr("shl", 0), Instr("output", 1)]),  # no shift amount
+        ([2], [Instr("neg", 0, b="0"), Instr("output", 1)]),  # a stray field too
+        ([2.0], [Instr("output", 0)]),
+        ([2], [Instr("copy", True), Instr("output", 1)]),
+    ])
+    def test_fields_must_be_ints_and_shl_needs_an_amount(self, params, instrs):
+        with pytest.raises(ValueError):
+            prog(params, instrs)
+
 
 def random_program(rng):
     n_params = rng.randrange(1, 3)
@@ -182,29 +192,52 @@ class TestScenarios:
 
     def test_validator_rejects_bugfree_scenario(self):
         s = generate_scenarios(42, 1)[0]
-        broken = SeededBug(
-            id=s.id, kind=s.kind, archetype="no_such_bug",
-            trigger_passes=s.trigger_passes, ground_truth=s.ground_truth,
-            program=s.program, expected_output=s.expected_output,
-            pipeline=s.pipeline,
-        )
-        assert not _validate_scenario(broken)
+        # the same trigger pass, but no shl of a constant for its bug to fold
+        broken = SeededBug(s.id, "cf_shl_fold", s.program, s.expected_output, s.pipeline)
+        assert s.archetype == "cf_neg_fold" and broken.trigger_passes == s.trigger_passes
+        assert _validate_scenario(s) and not _validate_scenario(broken)
+
+    def test_a_bug_stores_only_what_its_generator_chose(self):
+        for s in generate_scenarios(42, 8):
+            assert s._fields == ("id", "archetype", "program", "expected_output", "pipeline")
+            assert s.ground_truth and s.kind in ("WrongCode", "StaleState", "Crash")
 
 
 class TestGroundTruthLoader:
+    """A scenario's ground truth must be its archetype's, record for record."""
+
     @staticmethod
     def load(tmp_path, *records):
+        """Load the first scenario with its ground truth one copy of the
+        archetype's record per ``records`` item, updated by that item."""
         doc = generate_scenarios(42, 1)[0].to_json_dict()
-        doc["ground_truth"] = [{"file": "a.c", "line": 1, "function": "f", **r} for r in records]
+        doc["ground_truth"] = [{**doc["ground_truth"][0], **r} for r in records]
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc))
         return load_scenario(path).ground_truth
 
-    def test_normalized_sorted_and_first_function_kept(self, tmp_path):
-        truth = self.load(tmp_path, {"file": "b//./x.c", "line": 2},
-                          {"line": 9, "function": None},
-                          {"file": "b/x.c", "line": 2, "function": "g"}, {})
-        assert truth == (("a.c", 1, "f"), ("a.c", 9, None), ("b/x.c", 2, "f"))
+    def test_the_archetypes_own_loads(self, tmp_path):
+        assert self.load(tmp_path, {}) == (("passes/const_fold.mini", 63, "fold"),)
+
+    @pytest.mark.parametrize("step", [-1, 1])
+    def test_a_neighbouring_catalog_line_rejected(self, tmp_path, step):
+        (file, line, _), = generate_scenarios(42, 1)[0].ground_truth
+        lines = sorted(stmt & LINE_MASK for stmt in CATALOGS["const_fold"].values())
+        moved = lines[lines.index(line) + step]
+        record = {"line": moved, "function": FUNCTIONS[file][moved]}
+        with pytest.raises(InvalidConfig, match="ground_truth not its own"):
+            self.load(tmp_path, record)
+
+    @pytest.mark.parametrize("records", [
+        [],  # "ground_truth": []
+        [{}, {}],  # listed twice
+        [{"file": "passes//const_fold.mini"}],  # not as the archetype writes it
+        [{"function": None}],
+        [{"extra": 1}],
+    ])
+    def test_anything_but_the_archetypes_rejected(self, tmp_path, records):
+        with pytest.raises(InvalidConfig, match="ground_truth not its own"):
+            self.load(tmp_path, *records)
 
     @pytest.mark.parametrize("line", [0, -3])
     def test_line_must_be_positive(self, tmp_path, line):
@@ -253,8 +286,15 @@ class TestScenarioFields:
     @pytest.mark.parametrize("field", ["trigger_passes", "pipeline"])
     @pytest.mark.parametrize("value", ["const_fold", [7], [None], [["cse"]], {"cse": 1}, None])
     def test_pass_lists_must_be_lists_of_strings(self, tmp_path, field, value):
-        with pytest.raises(InvalidConfig, match=f"{field} must be a list of strings"):
+        match = {"trigger_passes": "trigger_passes or ground_truth not its own",
+                 "pipeline": "pipeline must be a list of known pass names"}[field]
+        with pytest.raises(InvalidConfig, match=match):
             self.load(tmp_path, **{field: value})
+
+    @pytest.mark.parametrize("scenario_id", [7, "", None, ["CF-neg-fold-000"]])
+    def test_id_must_be_a_non_empty_string(self, tmp_path, scenario_id):
+        with pytest.raises(InvalidConfig, match="id must be a non-empty string"):
+            self.load(tmp_path, id=scenario_id)
 
     @pytest.mark.parametrize("archetype", ["no_such_bug", 7, None, ["cf_neg_fold"]])
     def test_archetype_must_be_catalogued(self, tmp_path, archetype):
@@ -271,8 +311,25 @@ class TestScenarioFields:
                                           ["const_fold", "const_fold"]])
     def test_trigger_passes_must_be_the_archetypes(self, tmp_path, triggers):
         assert generate_scenarios(42, 1)[0].trigger_passes == ("const_fold",)
-        with pytest.raises(InvalidConfig, match=r"trigger passes \[.*\] not its own"):
+        with pytest.raises(InvalidConfig, match="trigger_passes or ground_truth not its own"):
             self.load(tmp_path, trigger_passes=triggers)
+
+    @pytest.mark.parametrize("where, value", [
+        ("params", ["3", 4]), ("params", [2.9, 4]), ("params", [True, 4]),
+        ("a", 0.5), ("a", "0"), ("a", False), ("imm", "5"), ("imm", 5.0), ("imm", None),
+    ])
+    def test_program_numbers_must_be_ints(self, tmp_path, where, value):
+        doc = generate_scenarios(42, 1)[0].to_json_dict()
+        program = doc["program"]
+        assert program["instructions"][0]["op"] == "const" and program["instructions"][1]["a"] == 2
+        if where == "params":
+            program["params"] = value
+        elif where == "imm":
+            program["instructions"][0]["imm"] = value
+        else:
+            program["instructions"][1]["a"] = value
+        with pytest.raises(InvalidConfig, match="must be ints|not an int|missing immediate"):
+            self.load(tmp_path, program=program)
 
 
 class TestStaleStateStructure:
