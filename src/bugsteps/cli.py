@@ -223,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_iso.add_argument("--scorer", choices=SCORERS, default="compscan")
     p_iso.add_argument("--granularity", choices=GRANULARITIES, default="file")
     p_iso.add_argument("--seed", type=int, default=0)
-    p_iso.add_argument("--jobs", type=positive_int, default=1)
+    p_iso.add_argument("--jobs", type=positive_int, default=1,
+                       help="threads for nodel's independent probes; tail and rand ignore it")
     p_iso.add_argument("--cache-dir", default=None)
     p_iso.add_argument("--output", default=None)
     p_iso.add_argument("--format", choices=("json", "table"), default="json")
@@ -241,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--repeat", type=positive_int, default=1,
                         help="repeats for the rand strategy (median ranks)")
-    p_eval.add_argument("--jobs", type=positive_int, default=1)
+    p_eval.add_argument("--jobs", type=positive_int, default=1, help="bugs evaluated in parallel")
     p_eval.add_argument("--cache-dir", default=None)
     p_eval.add_argument("--output", default=None)
     p_eval.add_argument("--format", choices=("json", "table"), default="json")

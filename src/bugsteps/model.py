@@ -182,14 +182,21 @@ class Block(frozenset):
         return self.functions[stmt & LINE_MASK]
 
 
+def _copy_error(exc: BaseException) -> BaseException:
+    """A new exception of ``exc``'s type, args and attributes (such as an ``offset``)."""
+    copy = type(exc).__new__(type(exc), *exc.args)
+    copy.__dict__.update(exc.__dict__)
+    return copy
+
+
 class ExecutionResult(Record):
     """Outcome plus executed-statement coverage for one pipeline run.
 
     ``coverage`` holds one non-empty block per covered file, in file order,
     or a ``concurrent.futures.Future`` of them while a parser thread works,
     and ``blocks`` reads it: the tuple, or the future's result once it is
-    done.  A failed parse raises its one exception on every read, its
-    traceback begun afresh, so it holds no frame of an earlier read.  Equal
+    done.  A failed parse raises a fresh copy of its exception, caused by it,
+    on every read, so the stored one never holds a reader's frames.  Equal
     blocks of different runs may be one object, as a disk cache load
     returns them.  Results are equal by subset, outcome and blocks; no hash.
     """
@@ -207,10 +214,9 @@ class ExecutionResult(Record):
         coverage = self.coverage
         if type(coverage) is tuple:
             return coverage
-        try:
+        if (failed := coverage.exception()) is None:  # waits for the parse
             return coverage.result()
-        except BaseException as exc:
-            raise exc.with_traceback(None)  # keeping no frame of an earlier read
+        raise _copy_error(failed) from failed  # in no local, which its traceback would hold
 
     def __eq__(self, other):
         if not isinstance(other, ExecutionResult):

@@ -284,16 +284,16 @@ def _add_filler(pb: _ProgBuilder, rng, count: int, pool: List[int],
 
 
 def subset_outcome(bug: SeededBug, positions: Sequence[int], covered=None,
-                   prefixes=None) -> Tuple[Outcome, Optional[List[int]]]:
+                   memo=None) -> Tuple[Outcome, Optional[List[int]]]:
     """Outcome of running only the pipeline steps at ``positions`` (sorted).
 
-    ``covered`` and ``prefixes`` are ``run_pipeline``'s coverage dict and
-    prefix memo, the memo one per bug.
+    ``covered`` and ``memo`` are ``run_pipeline``'s coverage dict and pass
+    application memo, the memo one per bug.
     """
     names = [bug.pipeline[i] for i in positions]
     try:
         outs = run_pipeline(bug.program, names, bug=bug.archetype, covered=covered,
-                            prefixes=prefixes)
+                            memo=memo)
     except CrashSignal:
         return Outcome.FAIL_CRASH, None
     if tuple(outs) != bug.expected_output:
@@ -302,30 +302,30 @@ def subset_outcome(bug: SeededBug, positions: Sequence[int], covered=None,
 
 
 def _validate_scenario(bug: SeededBug) -> bool:
-    prefixes: Dict[Tuple[str, ...], tuple] = {}  # one memo for every run of this candidate
+    memo: dict = {}  # one memo for every run of this candidate
     n = len(bug.pipeline)
     everything = list(range(n))
     trig = [i for i, name in enumerate(bug.pipeline) if name in bug.trigger_passes]
     if len(trig) != len(bug.trigger_passes):
         return False
-    full, _ = subset_outcome(bug, everything, prefixes=prefixes)
+    full, _ = subset_outcome(bug, everything, memo=memo)
     if not full.is_fail:
         return False
     if bug.kind == "Crash" and full is not Outcome.FAIL_CRASH:
         return False
     if bug.kind != "Crash" and full is not Outcome.FAIL_WRONG_OUTPUT:
         return False
-    no_trig, _ = subset_outcome(bug, [i for i in everything if i not in trig], prefixes=prefixes)
+    no_trig, _ = subset_outcome(bug, [i for i in everything if i not in trig], memo=memo)
     if no_trig is not Outcome.PASS:
         return False
     for t in trig:
-        got, _ = subset_outcome(bug, [i for i in everything if i != t], prefixes=prefixes)
+        got, _ = subset_outcome(bug, [i for i in everything if i != t], memo=memo)
         if got is not Outcome.PASS:
             return False
     for i in everything:
         if i in trig:
             continue
-        got, _ = subset_outcome(bug, [j for j in everything if j != i], prefixes=prefixes)
+        got, _ = subset_outcome(bug, [j for j in everything if j != i], memo=memo)
         if not got.is_fail:
             return False
     return True

@@ -22,22 +22,23 @@ from .passes import blocks
 class ToyDriver(Driver):
     """Runs one scenario's subsets in process.
 
-    The runs of a bug share long pass prefixes, so the driver keeps one
-    prefix memo (``passes.run_pipeline``) for all of them, keyed by pass
-    names, not step ids: ``cse#1`` and ``cse#2`` share an entry.  A run
-    executes only the passes after its longest prefix already run, by any
-    strategy and on any thread.
+    The runs of a bug apply the same passes to the same states again and
+    again, so the driver keeps one memo (``passes.run_pipeline``) for all
+    of them, keyed by a pass name and its input program and table, not by
+    step id: ``cse#1`` and ``cse#2`` share an entry when their inputs are
+    one state.  A run executes only the pass applications no earlier run
+    made, by any strategy and on any thread.
     """
 
     def __init__(self, bug: SeededBug):
         super().__init__(fingerprint(bug.to_json_dict()))
         self.bug = bug
-        self._prefixes: Dict[Tuple[str, ...], tuple] = {}  # run_pipeline's memo
+        self._memo: Dict[tuple, tuple] = {}  # run_pipeline's memo
 
     def _enumerate(self) -> StepSequence:
         return pipeline_steps(self.bug.pipeline)
 
     def _run(self, key: Tuple[str, ...], positions: List[int]) -> ExecutionResult:
         covered: dict = {}
-        outcome, _ = subset_outcome(self.bug, positions, covered, self._prefixes)
+        outcome, _ = subset_outcome(self.bug, positions, covered, self._memo)
         return ExecutionResult(key, outcome, blocks(covered))

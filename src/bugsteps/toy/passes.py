@@ -5,15 +5,17 @@ are pseudo-statements: a statement is "executed" when the corresponding
 code path fires during a pass run.  Coverage of a pipeline run is the set
 of pseudo-statements recorded in its ``covered`` dict (``blocks`` turns it
 into per-file blocks).  Every run records to such a dict and goes through
-a prefix memo, fresh ones when the caller gives none (``run_pipeline``).
-Each pass is one ``_PASSES`` entry: its body, its scan depth and its
-event groups, from which its catalog of statements is built.
+a memo of pass applications by input state, fresh ones when the caller
+gives none (``run_pipeline``).  Each pass is one ``_PASSES`` entry: its
+body, its scan depth and its event groups, from which its catalog of
+statements is built.
 
 Passes share an analysis table keyed by value index (currently
 ``const:<idx>`` facts).  ``cse`` owns publication of const facts; ``dce``
 remaps table keys when it compacts the instruction list.  A pass that
-changes the table replaces it and never edits it in place, so a prefix
-memo can keep each table as it was.  Seeded bugs are
+changes the table replaces it and never edits it in place, so the memo
+can keep each table as it was; a pass that changes nothing returns its
+input program and table.  Seeded bugs are
 activated per-scenario through the ``bug`` tag on the pipeline state and
 alter a single code path each, mirroring how a real regression lives on a
 handful of lines.
@@ -47,19 +49,10 @@ def blocks(covered: Covered) -> Tuple[Block, ...]:
 
 
 class PipelineState:
-    __slots__ = ("covered", "analysis", "bug")
+    __slots__ = ("analysis", "bug")
 
-    def __init__(self, covered: Covered, analysis: Mapping[str, int], bug: Optional[str]):
-        self.covered, self.analysis, self.bug = covered, analysis, bug
-
-    def emitter(self, pass_name: str) -> Emit:
-        catalog = CATALOGS[pass_name]
-        covered = self.covered.setdefault(PATHS[pass_name], [])
-
-        def emit(event: str) -> None:
-            covered.append(catalog[event])
-
-        return emit
+    def __init__(self, analysis: Mapping[str, int], bug: Optional[str]):
+        self.analysis, self.bug = analysis, bug
 
 
 _SHAPE_EVENTS = (
@@ -197,7 +190,7 @@ def _pass_const_fold(prog: MiniProgram, st: PipelineState, emit: Emit) -> MiniPr
     elif folds >= 2:
         emit("folds_ge2")
     emit("changed" if folds else "nochange")
-    return MiniProgram(prog.params, tuple(new_instrs))
+    return MiniProgram(prog.params, tuple(new_instrs)) if folds else prog
 
 
 def _pass_cse(prog: MiniProgram, st: PipelineState, emit: Emit) -> MiniProgram:
@@ -413,7 +406,7 @@ def _pass_strength_reduce(prog: MiniProgram, st: PipelineState, emit: Emit) -> M
     else:
         emit("rewrite_single" if rewrites == 1 else "rewrite_multi")
     emit("changed" if rewrites else "nochange")
-    return MiniProgram(prog.params, tuple(new_instrs))
+    return MiniProgram(prog.params, tuple(new_instrs)) if rewrites else prog
 
 
 def _pass_instcombine_lite(prog: MiniProgram, st: PipelineState, emit: Emit) -> MiniProgram:
@@ -472,7 +465,7 @@ def _pass_instcombine_lite(prog: MiniProgram, st: PipelineState, emit: Emit) -> 
     if applied:
         emit("applies_ge1")
     emit("changed" if applied else "nochange")
-    return MiniProgram(prog.params, tuple(new_instrs))
+    return MiniProgram(prog.params, tuple(new_instrs)) if applied else prog
 
 
 # pass -> (body, lean scan, its event groups after "run" and "scan"), in
@@ -547,65 +540,64 @@ def _build_catalog(name: str) -> Dict[str, int]:
 CATALOGS: Dict[str, Dict[str, int]] = {n: _build_catalog(n) for n in CANONICAL_ORDER}
 
 
-def _run_one(name: str, prog: MiniProgram, st: PipelineState) -> MiniProgram:
+# every run's first table: no facts, read-only
+NO_FACTS: Mapping[str, int] = MappingProxyType({})
+
+
+def apply_pass(name: str, prog: MiniProgram, table: Mapping[str, int],
+               bug: Optional[str]) -> tuple:
+    """Run one pass on a program and read-only table, as a memo entry: ``(prog,
+    table, output program or None on a crash, output table, the statements it
+    recorded in emission order, CrashSignal args or None)``.  A replaced table
+    is read-only too, and one equal to the input table is that table."""
     body, lean, _ = _PASSES[name]
-    emit = st.emitter(name)
-    emit("entry")
-    _scan_shape(prog, emit, lean)
-    out = body(prog, st, emit)
-    emit("exit")  # not reached when a crash-kind bug fires
-    return out
+    catalog, lines, st = CATALOGS[name], [], PipelineState(table, bug)
+
+    def emit(event: str) -> None:
+        lines.append(catalog[event])
+
+    try:
+        emit("entry")
+        _scan_shape(prog, emit, lean)
+        out, crash = body(prog, st, emit), None
+        emit("exit")
+    except CrashSignal as exc:
+        out, crash = None, exc.args
+    if type(st.analysis) is dict:  # the pass replaced the table
+        st.analysis = table if st.analysis == table else MappingProxyType(st.analysis)
+    return prog, table, out, st.analysis, tuple(lines), crash
 
 
 def run_pipeline(program: MiniProgram, passes, bug: Optional[str] = None,
                  covered: Optional[Covered] = None,
-                 prefixes: Optional[Dict[Tuple[str, ...], tuple]] = None) -> List[int]:
+                 memo: Optional[Dict[tuple, tuple]] = None) -> List[int]:
     """Apply the named passes in order and interpret the result.
 
     ``passes`` is a sequence of pass names (repeats allowed).  Raises
     CrashSignal when a crash-kind bug fires; ``covered``, a fresh dict when
     none is given, keeps whatever was recorded up to the crash.
 
-    ``prefixes``, a fresh one when none is given, is a memo of pass-name
-    tuples to the state after them, for one program and bug: a snapshot
-    ``(program, analysis, covered, crash)``.  ``covered`` maps each file
-    covered so far to its statements in emission order, and shares every
-    file's tuple but the one its last pass covered with the snapshot
-    before.  ``analysis`` is read-only, so no pass can change a kept table
-    in place.  A crashed prefix has no program, and ``crash`` holds its
-    ``CrashSignal``'s arguments.  The run starts from the longest prefix of
-    ``passes`` in the memo and adds a snapshot after each pass it runs, so
-    a crashed prefix crashes again without running.  The memo only gains
-    entries, and its snapshots are never changed, so runs on several
-    threads may share it.
+    ``memo``, a fresh one when none is given, maps each pass application of
+    one bug, keyed by its input state ``(pass name, id(program), id(table))``,
+    to its ``apply_pass`` entry, which holds the objects its key names, so
+    neither id is reused while it lives.  A hit adds the entry's statements
+    to ``covered`` (and re-raises a recorded crash) without running the
+    pass; as a pass that changes nothing returns its inputs, a subset that
+    leaves it out hits the entries after it too.  Entries are only added,
+    never changed, so runs on several threads may share one memo.
     """
     covered = {} if covered is None else covered
-    prefixes = {} if prefixes is None else prefixes
-    st = PipelineState(covered, MappingProxyType({}), bug)
-    prog = program
-    names = tuple(passes)
-    done = len(names)
-    while done and (snapshot := prefixes.get(names[:done])) is None:
-        done -= 1
-    kept: Dict[str, Tuple[int, ...]] = {}
-    if done:
-        prog, st.analysis, kept, crash = snapshot
-        covered.update((file, list(lines)) for file, lines in kept.items())
-        if prog is None:
+    memo = {} if memo is None else memo
+    prog, table = program, NO_FACTS
+    for name in passes:
+        key = (name, id(prog), id(table))
+        entry = memo.get(key)
+        if entry is None:
+            if name not in _PASSES:
+                raise ValueError(f"unknown pass {name!r}")
+            entry = memo.setdefault(key, apply_pass(name, prog, table, bug))
+        _, _, prog, table, lines, crash = entry
+        covered.setdefault(PATHS[name], []).extend(lines)
+        if crash is not None:
             raise CrashSignal(*crash)
-    for end in range(done + 1, len(names) + 1):
-        name = names[end - 1]
-        if name not in _PASSES:
-            raise ValueError(f"unknown pass {name!r}")
-        file = PATHS[name]
-        try:
-            prog = _run_one(name, prog, st)
-        except CrashSignal as exc:
-            kept = {**kept, file: tuple(covered[file])}
-            prefixes[names[:end]] = (None, st.analysis, kept, exc.args)
-            raise
-        if type(st.analysis) is dict:  # the pass replaced the table
-            st.analysis = MappingProxyType(st.analysis)
-        kept = {**kept, file: tuple(covered[file])}
-        prefixes[names[:end]] = (prog, st.analysis, kept, ())
     return interpret(prog)

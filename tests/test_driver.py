@@ -594,7 +594,9 @@ class TestDeferredCoverage:
             covered(result)
         with pytest.raises(MalformedCoverage) as again:
             result.blocks
-        assert again.value is first.value
+        assert (type(again.value), str(again.value), again.value.offset) == (
+            type(first.value), str(first.value), first.value.offset)
+        assert again.value.__cause__ is first.value.__cause__
         assert not driver._cache_path(()).exists() and not scratch_dirs()
         with pytest.raises(MalformedCoverage):
             covered(driver.execute(()))
@@ -639,30 +641,34 @@ class TestDeferredCoverage:
     def test_isolated_driver_is_freed_without_a_collection(self, tmp_path):
         # a result holds its driver weakly: no result -> driver -> memory
         # cache -> result cycle keeps an isolation's driver and runs alive;
-        # nor does a failed parse's stored exception, by its traceback's frames
-        for cut in (False, True):
+        # nor does a failed parse's stored exception, by the frames of a read,
+        # whether the read is direct or inside an isolation
+        for cut, isolate in ((False, True), (True, False), (True, True)):
             driver = ProcessDriver(self.config(tmp_path, run_command=(
                 "cp cov.json {scratch}/cov.json;"
                 + (" truncate -s 40 {scratch}/cov.json;" if cut else "")
                 + " case ,{passes}, in *,licm,*) echo bad;; *) echo ok;; esac")),
-                cache_dir=tmp_path / f"cache{cut}")
+                cache_dir=tmp_path / f"cache{cut}{isolate}")
             gc.disable()
             try:
-                if cut:
-                    result = driver.execute(("licm",))
-                    with pytest.raises(MalformedCoverage) as failed:
-                        result.blocks
-                    del failed
-                else:
+                if not cut:
                     result = tail_prune(driver, driver.enumerate_steps())
                     assert result.bug_causing_steps == ["licm"]
+                else:
+                    result = driver.execute(("licm",))
+                    with pytest.raises(MalformedCoverage) as failed:
+                        if isolate:
+                            tail_prune(driver, driver.enumerate_steps())
+                        else:
+                            result.blocks
+                    del failed
                 alive = weakref.ref(driver)
                 del driver, result
                 # the parser thread drops its last task a moment after finishing it
                 deadline = time.monotonic() + 5
                 while alive() is not None and time.monotonic() < deadline:
                     time.sleep(0.01)
-                assert alive() is None, cut
+                assert alive() is None, (cut, isolate)
             finally:
                 gc.enable()
 

@@ -188,14 +188,21 @@ class TestPendingCoverage:
 
     def test_a_failed_parse_raises_one_exception_on_every_read(self):
         parsed = Future()
-        parsed.set_exception(MalformedCoverage("not gcov JSON"))
+        stored = MalformedCoverage("not gcov JSON", offset=7)
+        parsed.set_exception(stored)
         result = ExecutionResult((), Outcome.PASS, parsed)
         raised = []
         for read in (lambda: result.blocks, lambda: result.blocks, result.to_json_dict):
             with pytest.raises(MalformedCoverage) as info:
                 read()
             raised.append(info.value)
-        assert raised[0] is raised[1] is raised[2]
+        # a fresh exception per read, equal to the stored one and caused by it
+        assert len(set(map(id, raised))) == 3
+        for error in raised:
+            assert (type(error), str(error), error.offset) == (
+                MalformedCoverage, "not gcov JSON (byte offset 7)", 7)
+            assert error.__cause__ is stored
+        assert stored.__traceback__ is None
 
 
 class TestStatementId:

@@ -13,11 +13,24 @@ from bugsteps.toy.bugs import (ARCHETYPES, SeededBug, _validate_scenario, genera
                                load_scenario, subset_outcome)
 from bugsteps.toy.driver import ToyDriver
 from bugsteps.toy.ir import Instr, MiniProgram, interpret, validate_program
-from bugsteps.toy.passes import (CANONICAL_ORDER, CATALOGS, FUNCTIONS, CrashSignal,
-                                 PipelineState, blocks, run_pipeline)
+from bugsteps.toy import passes
+from bugsteps.toy.passes import (CANONICAL_ORDER, CATALOGS, FUNCTIONS, NO_FACTS, CrashSignal,
+                                 PipelineState, apply_pass, blocks, run_pipeline)
 from conftest import covered, statement_ids
 
 MASK = (1 << 64) - 1
+
+
+def count_pass_applications(monkeypatch):
+    """The names of the passes ``run_pipeline`` runs from now on, in order."""
+    applied = []
+
+    def counted(name, *args):
+        applied.append(name)
+        return apply_pass(name, *args)
+
+    monkeypatch.setattr(passes, "apply_pass", counted)
+    return applied
 
 
 def prog(params, instrs):
@@ -487,47 +500,102 @@ class TestPrefixMemo:
         subsets = [ids[:first] + (ids[pick],) for pick in (first, second)]
         results = [driver.execute(subset) for subset in subsets]
         assert driver.process_runs == 2
-        assert len(driver._prefixes) == first + 1  # the second run ran no pass
+        assert len(driver._memo) == first + 1  # the second run ran no pass
         assert results[0].blocks == results[1].blocks
 
-    def test_snapshots_are_frozen_and_share_tuples(self):
+    def test_entries_hold_their_key_objects_and_read_only_tables(self):
         bug = next(s for s in generate_scenarios(42, 8) if s.archetype == "stale_cse_sr")
-        prefixes = {}
-        run_pipeline(bug.program, bug.pipeline, bug=bug.archetype, covered={},
-                     prefixes=prefixes)
-        for names, (_, analysis, covered, _) in prefixes.items():
-            assert isinstance(analysis, MappingProxyType)
-            with pytest.raises(TypeError):
-                analysis["const:0"] = 1  # no pass may change a table in place
-            if len(names) > 1:
-                changed = f"passes/{names[-1]}.mini"
-                for file, lines in prefixes[names[:-1]][2].items():
-                    if file != changed:
-                        assert covered[file] is lines
-        assert any(analysis for _, analysis, _, _ in prefixes.values())
+        n = len(bug.pipeline)
+        memo = {}
+        for mask in range(1 << n):
+            subset_outcome(bug, [i for i in range(n) if mask >> i & 1], memo=memo)
+        for (name, program_id, table_id), entry in memo.items():
+            program, table, out, out_table, lines, crash = entry
+            assert (id(program), id(table)) == (program_id, table_id)
+            assert out is not None and crash is None
+            for facts in (table, out_table):
+                assert isinstance(facts, MappingProxyType)
+                with pytest.raises(TypeError):
+                    facts["const:0"] = 1  # no pass may change a table in place
+            assert type(lines) is tuple and set(lines) <= set(CATALOGS[name].values())
+        assert any(out_table for *_, out_table, _, _ in memo.values())
 
-    def test_crash_prefix_replays_its_partial_coverage(self):
+    def test_crashed_entry_replays_its_partial_coverage(self, monkeypatch):
         bug = next(s for s in generate_scenarios(42, 8) if s.kind == "Crash")
-        prefixes = {}
+        applied = count_pass_applications(monkeypatch)
+        memo = {}
         first, again = {}, {}
         for covered in (first, again):
             with pytest.raises(CrashSignal):
                 run_pipeline(bug.program, bug.pipeline, bug=bug.archetype, covered=covered,
-                             prefixes=prefixes)
-        crashed = [names for names, (program, *_) in prefixes.items() if program is None]
+                             memo=memo)
+        crashed = [(name, entry) for (name, *_), entry in memo.items() if entry[5] is not None]
         assert len(crashed) == 1
+        (name, (_, _, out, _, lines, _)), = crashed
+        assert out is None and CATALOGS[name]["exit"] not in lines
         assert again == first
+        assert len(applied) == len(memo)  # the second run was hits only
+
+    def test_dropping_a_pass_that_changed_nothing_runs_no_pass_after_it(self, monkeypatch):
+        applied = count_pass_applications(monkeypatch)
+        dropped = 0
+        for bug in generate_scenarios(42, 8) + generate_scenarios(7, 8):
+            n = len(bug.pipeline)
+            memo = {}
+            subset_outcome(bug, range(n), memo=memo)
+            program, table = bug.program, NO_FACTS
+            for i, name in enumerate(bug.pipeline):
+                _, _, out, out_table, _, crash = memo[name, id(program), id(table)]
+                if crash is not None:
+                    break
+                if out == program and out_table == table:  # in value, not only identity
+                    positions = [j for j in range(n) if j != i]
+                    del applied[:]
+                    got = subset_outcome(bug, positions, memo=memo)
+                    assert applied == [], (bug.id, i)
+                    assert got == subset_outcome(bug, positions)
+                    dropped += 1
+                program, table = out, out_table
+        assert dropped > 16
 
     def test_no_memo_or_covered_equals_a_shared_memo(self):
         rng = random.Random(5)
         for bug in generate_scenarios(42, 8):
             n = len(bug.pipeline)
-            prefixes = {}
+            memo = {}
+            applications = 0
             for mask in rng.sample(range(1 << n), 64):
                 positions = [i for i in range(n) if mask >> i & 1]
-                shared = subset_outcome(bug, positions, covered={}, prefixes=prefixes)
+                shared = subset_outcome(bug, positions, covered={}, memo=memo)
                 assert subset_outcome(bug, positions) == shared, (bug.id, positions)
-            assert len(prefixes) > n
+                applications += len(positions)
+            # the memo was filled, and most applications were hits
+            assert 0 < len(memo) < applications / 2
+
+
+class TestPassIdentity:
+    def test_an_unchanged_program_or_table_is_the_input_object(self):
+        # what lets memo hits chain past a pass that changed nothing
+        checked = 0
+        for bug in generate_scenarios(42, 8) + generate_scenarios(7, 8):
+            n = len(bug.pipeline)
+            memo = {}
+            for mask in range(1 << n):  # a pipeline has at most 11 steps
+                subset_outcome(bug, [i for i in range(n) if mask >> i & 1], memo=memo)
+            states = {}  # every input and output state, by identity
+            for program, table, out, out_table, _, _ in memo.values():
+                states[id(program), id(table)] = program, table
+                if out is not None:
+                    states[id(out), id(out_table)] = out, out_table
+            for program, table in states.values():
+                for name in CANONICAL_ORDER:
+                    _, _, out, out_table, _, crash = apply_pass(name, program, table,
+                                                                bug.archetype)
+                    if crash is None:
+                        assert (out == program) is (out is program), (bug.id, name)
+                    assert (out_table == table) is (out_table is table), (bug.id, name)
+                    checked += 1
+        assert checked > 400
 
 
 class TestValueClasses:
@@ -553,12 +621,10 @@ class TestValueClasses:
             p.params = (6,)
 
     def test_pipeline_state_fields_can_be_replaced(self):
-        state = PipelineState({}, MappingProxyType({}), None)
+        state = PipelineState(MappingProxyType({}), None)
         state.analysis = MappingProxyType({"const:0": 7})
         state.bug = "cf_neg_fold"
         assert state.analysis == {"const:0": 7} and state.bug == "cf_neg_fold"
-        state.emitter("cse")("key_miss")
-        assert state.covered == {"passes/cse.mini": [CATALOGS["cse"]["key_miss"]]}
 
     def test_seeded_bug_equal_hashed_and_round_tripped_through_json(self):
         bug, other = generate_scenarios(42, 2)
