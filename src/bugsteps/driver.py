@@ -6,13 +6,19 @@ base class owns everything the answers share: the ordered-subset check,
 the result cache (in memory, plus a disk tier when ``cache_dir`` is set)
 and the ``execute_calls``/``process_runs`` counters.  A backend's run
 yields an outcome and per-file blocks of int statements (``model``), and
-stores them when ``cache_dir`` is set.  A ``ProcessDriver`` run returns
-once its outcome is known and its coverage files are read, its blocks a
-future that a parser thread of its own fulfils and stores while the next
-run's command runs; a run whose parse failed is a memory miss.  Cache entries
-are keyed by the driver fingerprint plus the ordered retained subset, so
-repeated identical subsets never re-run.  A disk entry is a version-4
-text file of lines: a ``{"version":4,"outcome":...}`` header, the
+stores them when ``cache_dir`` is set.  A ``ProcessDriver`` run is
+started, then collected: it returns once its outcome is known and its
+coverage files are read, its blocks a future that a parser thread of its
+own fulfils and stores while the next run's command runs; a run whose parse
+failed is a memory miss.  A caller may hand ``execute`` a thunk of the
+subset it will likely ask next, and calls ``drop_guess`` once done; on a
+real run, with two cores to run on, a ``ProcessDriver`` starts that
+subset's run beside it, and the caller's next ``execute`` of it claims the
+running process.  So a run may overlap another run of the same config, and
+its commands write only under ``{scratch}``.  Cache entries are keyed by
+the driver fingerprint plus the ordered retained subset, so repeated
+identical subsets never re-run.  A disk entry is a version-4 text file of
+lines: a ``{"version":4,"outcome":...}`` header, the
 subset's ids joined by ``\x1f`` (the string its name is hashed from),
 then one compact JSON ``[file, [function names], "line,index,..."]``
 record per covered file, in file order, the indices local to that file's
@@ -51,13 +57,14 @@ import signal
 import subprocess
 import tempfile
 import threading
+import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import suppress
 from dataclasses import asdict, dataclass, field, fields
 from glob import glob
 from operator import lt
 from pathlib import Path
-from typing import (Dict, List, Optional, Sequence, Tuple, Union,
+from typing import (Dict, List, NamedTuple, Optional, Sequence, Tuple, Union,
                     get_args, get_origin, get_type_hints)
 
 from . import coverage as covmod
@@ -220,8 +227,11 @@ class Driver:
     ``execute`` checks the subset against the enumerated steps, then
     answers from the memory cache, then from the disk tier when
     ``cache_dir`` is set, and only then calls ``_run``.  Subclasses
-    implement ``_enumerate()`` and ``_run(key, positions)``, which returns
-    the run's result, stored with ``_cache_store`` when ``cache_dir`` is set.
+    implement ``_enumerate()`` and ``_run(key, positions, after)``, which
+    returns the run's result, stored with ``_cache_store`` when
+    ``cache_dir`` is set.  A backend that runs out of process may start
+    ``after()``'s subset beside the run (``ProcessDriver``); one that runs in
+    process ignores ``after`` and never has a guess to drop.
     """
 
     def __init__(self, fingerprint: str, cache_dir: Optional[Path] = None):
@@ -243,15 +253,21 @@ class Driver:
     def _enumerate(self) -> StepSequence:
         raise NotImplementedError
 
-    def _run(self, key: Tuple[str, ...], positions: List[int]) -> ExecutionResult:
+    def _run(self, key: Tuple[str, ...], positions: List[int], after) -> ExecutionResult:
         raise NotImplementedError
+
+    def drop_guess(self) -> None:
+        """End the run started for a guess that no caller claimed, if any."""
 
     def enumerate_steps(self) -> StepSequence:
         if self._sequence is None:
             self._sequence = self._enumerate()
         return self._sequence
 
-    def execute(self, subset: Sequence[str]) -> ExecutionResult:
+    def execute(self, subset: Sequence[str], after=None) -> ExecutionResult:
+        """``subset``'s result.  ``after``, when given, is a thunk of the
+        subset the caller will likely ask next (or None); it is called, if at
+        all, only on the way to a real run and before this returns."""
         key = tuple(subset)
         with self._lock:
             self.execute_calls += 1
@@ -266,7 +282,7 @@ class Driver:
         positions = sequence.positions(key)
         result = self._cache_load(key) if self.cache_dir else None
         if result is None:
-            result = self._run(key, positions)
+            result = self._run(key, positions, after)
             with self._lock:
                 self.process_runs += 1
         with self._lock:
@@ -377,8 +393,45 @@ def _encode_block(block: Block) -> str:
     return record
 
 
+class _Shell(NamedTuple):
+    """A started command: its shell and its deadline."""
+
+    proc: subprocess.Popen
+    deadline: float
+
+
+class _Run(NamedTuple):
+    """A started run: its subset, its ``{scratch}`` and its run command."""
+
+    key: Tuple[str, ...]
+    scratch: str
+    shell: _Shell
+
+
+def _kill(proc: subprocess.Popen) -> None:
+    """Kill the process group ``proc`` leads and reap ``proc``.
+
+    The number stays taken while ``proc`` is unreaped or any process of
+    its group lives, so the signal cannot reach a group that reused it.
+    """
+    with suppress(ProcessLookupError):
+        os.killpg(proc.pid, signal.SIGKILL)
+    proc.wait()
+
+
 class ProcessDriver(Driver):
-    """Runs the pipeline through shell commands; results persist on disk."""
+    """Runs the pipeline through shell commands; results persist on disk.
+
+    A run is started, then collected.  When a caller hands ``execute`` a
+    thunk with a real run, the driver also starts the run of the subset the
+    thunk names, if it is not cached, while the caller's run goes on: a
+    *guess*.  At most one guess is in flight.  A real run of the guessed
+    subset claims its process rather than starting another; any other real
+    run, or ``drop_guess``, kills it and removes its ``{scratch}``.  A
+    guess is collected only once claimed, so it is then a run like any
+    other, and an unclaimed one leaves no result, entry or error behind.
+    Guessing needs two cores the process may run on.
+    """
 
     def __init__(self, config: DriverConfig, cache_dir=None):
         self.config = config
@@ -395,16 +448,22 @@ class ProcessDriver(Driver):
         # the parser's memo of gcov file records by their text and of blocks
         # by (file, {(line, function), ...}); only the parser thread reads or fills it
         self._parsed: dict = {}
+        # the run started for the subset a caller will likely ask next, while
+        # the caller's run goes on; guessing needs a second core
+        self._guess: Optional[_Run] = None
+        affinity = getattr(os, "sched_getaffinity", None)
+        self._guessing = (len(affinity(0)) if affinity else os.cpu_count() or 1) >= 2
+        self.guesses_started = 0
+        self.guesses_claimed = 0
 
     def _enumerate(self) -> StepSequence:
-        proc = self._run_command(self.config.enumerate_command, scratch=None)
-        if proc is None:
+        done = self._wait(self._spawn(self.config.enumerate_command, None))
+        if done is None:
             raise CommandFailed(self.config.enumerate_command, "timeout")
-        if proc.returncode != 0:
-            raise CommandFailed(
-                self.config.enumerate_command, f"exit status {proc.returncode}"
-            )
-        lines = [ln.strip() for ln in proc.stdout.decode("utf-8", "replace").splitlines()]
+        status, stdout = done
+        if status != 0:
+            raise CommandFailed(self.config.enumerate_command, f"exit status {status}")
+        lines = [ln.strip() for ln in stdout.decode("utf-8", "replace").splitlines()]
         lines = [ln for ln in lines if ln]
         if not lines:
             raise EmptySequence("step enumeration produced no steps")
@@ -413,72 +472,145 @@ class ProcessDriver(Driver):
         except ValueError as exc:  # a repeated id, or one holding \x1f
             raise CommandFailed(self.config.enumerate_command, exc.args[0]) from exc
 
-    def _run(self, key: Tuple[str, ...], positions: List[int]) -> ExecutionResult:
+    def _run(self, key: Tuple[str, ...], positions: List[int], after) -> ExecutionResult:
+        with self._lock:
+            guess, self._guess = self._guess, None
+        if guess is not None and guess.key == key:
+            run = guess  # the guess's process has run beside the caller's last one
+            self.guesses_claimed += 1
+            if run.shell.deadline <= time.monotonic() and run.shell.proc.poll() is not None:
+                # its shell ended while the caller's run went on: it did not
+                # run out of time, and only its output is left to read
+                run = run._replace(shell=run.shell._replace(
+                    deadline=time.monotonic() + self.config.timeout))
+        else:
+            if guess is not None:
+                self._discard(guess)
+            run = self._start(key)
+        if after is not None and self._guessing:
+            try:
+                self._start_guess(after())
+            except BaseException:
+                self._discard(run)
+                raise
+        return self._collect(run)
+
+    def _start_guess(self, subset: Optional[Sequence[str]]) -> None:
+        """Start ``subset``'s run beside the caller's, unless it is cached."""
+        if subset is None:
+            return
+        key = tuple(subset)
+        if key in self._mem or (self.cache_dir and self._cache_path(key).exists()):
+            return
+        guess = self._start(key)
+        with self._lock:
+            self.guesses_started += 1
+            guess, self._guess = self._guess, guess
+        if guess is not None:  # another thread's, started meanwhile
+            self._discard(guess)
+
+    def drop_guess(self) -> None:
+        with self._lock:
+            guess, self._guess = self._guess, None
+        if guess is not None:
+            self._discard(guess)
+
+    def _start(self, key: Tuple[str, ...]) -> _Run:
+        """Start ``key``'s run command in a fresh ``{scratch}``; it does not wait."""
         joined = self.config.step_separator.join(
             self.config.step_template.replace("{step}", s) for s in key
         )
-        run_cmd = self.config.run_command.replace("{passes}", joined)
-        # a fresh {scratch} per run, removed once its coverage is read (or
-        # fails to be); a process that left the timed-out group may still be
-        # writing into it, so a failed removal must not abort the isolation
-        with tempfile.TemporaryDirectory(prefix="bugsteps-run-",
-                                         ignore_cleanup_errors=True) as tmp:
-            scratch = Path(tmp)
-            outcome = self._outcome(run_cmd, scratch)
-            names, data = self._read_coverage(scratch, outcome)
+        scratch = tempfile.mkdtemp(prefix="bugsteps-run-")
+        try:
+            shell = self._spawn(self.config.run_command.replace("{passes}", joined), scratch)
+        except BaseException:
+            shutil.rmtree(scratch, ignore_errors=True)
+            raise
+        return _Run(key, scratch, shell)
+
+    def _discard(self, run: _Run) -> None:
+        """End a run no caller will collect: its process group, its stdout and its {scratch}."""
+        with run.shell.proc as proc:
+            _kill(proc)
+        shutil.rmtree(run.scratch, ignore_errors=True)
+        with self._lock:
+            self.process_runs += 1
+
+    def _collect(self, run: _Run) -> ExecutionResult:
+        """Wait for a started run, then run the test command if any, judge the
+        output and read the coverage; the parse is left to the parser thread.
+
+        The run's ``{scratch}`` is removed once its coverage is read (or fails
+        to be); a process that left the timed-out group may still be writing
+        into it, so a failed removal must not abort the isolation.
+        """
+        try:
+            outcome = self._judge(run)
+            names, data = self._read_coverage(Path(run.scratch), outcome)
+        finally:
+            shutil.rmtree(run.scratch, ignore_errors=True)
         # the next run's command starts while the parser thread works
         coverage = Future()
-        self._parser.submit(self._parse, coverage, key, outcome, names, data)
-        return ExecutionResult(key, outcome, coverage)
+        self._parser.submit(self._parse, coverage, run.key, outcome, names, data)
+        return ExecutionResult(run.key, outcome, coverage)
 
-    def _outcome(self, run_cmd: str, scratch: Path) -> Outcome:
-        """Run the pipeline, then the test command if any, and judge the output."""
-        proc = self._run_command(run_cmd, scratch)
-        if proc is None:
+    def _judge(self, run: _Run) -> Outcome:
+        done = self._wait(run.shell)
+        if done is None:
             return Outcome.FAIL_TIMEOUT
-        if proc.returncode < 0 or proc.returncode >= 128:
+        status, stdout = done
+        if status < 0 or status >= 128:
             # direct signal, or the shell reporting a signal as 128+N
             return Outcome.FAIL_CRASH
-        if proc.returncode != 0:
+        if status != 0:
             return Outcome.FAIL_BUILD
         if self.config.test_command:
-            proc = self._run_command(self.config.test_command, scratch)
-            if proc is None:
+            done = self._wait(self._spawn(self.config.test_command, run.scratch))
+            if done is None:
                 return Outcome.FAIL_TIMEOUT
-            if proc.returncode != 0:
+            status, stdout = done
+            if status != 0:
                 return Outcome.FAIL_CRASH
         expected = self.config.expected_output.rstrip(b"\n")
-        if proc.stdout.rstrip(b"\n") == expected:
+        if stdout.rstrip(b"\n") == expected:
             return Outcome.PASS
         return Outcome.FAIL_WRONG_OUTPUT
 
-    def _run_command(self, command: str, scratch: Optional[Path]):
-        """Run ``command`` in a shell; None when it timed out.
-
-        The shell leads a new session, so a timeout kills every process it
-        started, not just the shell, and the shell is reaped before return.
-        """
+    def _spawn(self, command: str, scratch: Optional[str]) -> _Shell:
+        """Start ``command`` in a shell that leads a new session; it does not
+        wait, and the command's timeout counts from now."""
         if scratch is not None:
-            command = command.replace("{scratch}", str(scratch))
+            command = command.replace("{scratch}", scratch)
         env = dict(os.environ)
         env.update(self.config.env)
         if scratch is not None:
-            env["RUN_SCRATCH"] = str(scratch)
-        with subprocess.Popen(command, shell=True, cwd=self.config.workdir, env=env,
-                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                              start_new_session=True) as proc:
+            env["RUN_SCRATCH"] = scratch
+        # stderr is never read: a guess no caller has claimed yet must not
+        # stall on it
+        proc = subprocess.Popen(command, shell=True, cwd=self.config.workdir, env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                                start_new_session=True)
+        return _Shell(proc, time.monotonic() + self.config.timeout)
+
+    @staticmethod
+    def _wait(shell: _Shell) -> Optional[Tuple[int, bytes]]:
+        """A started command's exit status and stdout; None when it timed out.
+
+        The shell leads its own session, so a timeout kills every process it
+        started, not just the shell, and the shell is reaped before return.
+        """
+        proc = shell.proc
+        with proc:
             try:
-                stdout, stderr = proc.communicate(timeout=self.config.timeout)
+                stdout, _ = proc.communicate(timeout=max(0.0, shell.deadline - time.monotonic()))
             except BaseException as exc:
                 # no terminal interrupt reaches a new session: kill the
                 # group on an interrupt as on a timeout
-                with suppress(ProcessLookupError):
-                    os.killpg(proc.pid, signal.SIGKILL)
-                proc.wait()
+                _kill(proc)
                 if isinstance(exc, subprocess.TimeoutExpired):
                     return None
                 raise
-        return subprocess.CompletedProcess(command, proc.returncode, stdout, stderr)
+        return proc.returncode, stdout
 
     def _read_coverage(self, scratch: Path, outcome: Outcome) -> Tuple[List[str], List[bytes]]:
         """The names and contents of the coverage files the run wrote: the

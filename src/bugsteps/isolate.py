@@ -13,7 +13,12 @@ Three strategies, all built on the same driver contract:
 
 ``tail_prune`` and ``rand_order`` are one delete-or-pin loop (``_prune``)
 over different chunk schedules: the whole sequence as one chunk that is
-split on demand, or the shuffled single steps.
+split on demand, or the shuffled single steps.  Each probe of the loop
+names its likely successor to the driver (``_guess``): the next probe if
+this one keeps the failure, as far as the runs already known decide.  A
+``ProcessDriver`` with two cores runs that probe beside the current one,
+and the loop takes its result only when it asks for that subset, so the
+probes, their order and every result are those of the serial loop.
 """
 
 from __future__ import annotations
@@ -77,9 +82,9 @@ class _Session:
         self.runs: Dict[Tuple[str, ...], ExecutionResult] = {}
         self.base = self.record(verify_baseline(driver, sequence))
 
-    def probe(self, subset) -> ExecutionResult:
+    def probe(self, subset, after) -> ExecutionResult:
         self.issued += 1
-        return self.record(self.driver.execute(tuple(subset)))
+        return self.record(self.driver.execute(tuple(subset), after=after))
 
     def record(self, result: ExecutionResult) -> ExecutionResult:
         known = self.runs.setdefault(result.subset, result)
@@ -116,6 +121,48 @@ def verify_baseline(driver, sequence: StepSequence) -> ExecutionResult:
     return result
 
 
+def _removal(retained: List[str], chunk: List[str]) -> List[str]:
+    """``retained`` without ``chunk``, a stretch of it."""
+    start = retained.index(chunk[0])
+    end = start + len(chunk)
+    if retained[start:end] != chunk:
+        raise ValueError(f"chunk {chunk!r} is not a stretch of the retained steps")
+    return retained[:start] + retained[end:]
+
+
+def _transition(retained: List[str], subset: List[str], chunk: List[str],
+                chunks: List[List[str]], failed: bool) -> List[str]:
+    """One delete-or-pin step after the probe of ``subset``, ``retained``
+    without ``chunk``: the retained steps it leaves.  A failing probe
+    deletes the chunk; a passing chunk of several steps is split onto
+    ``chunks``, back half last; a passing single step stays (pinned)."""
+    if failed:
+        return subset
+    if len(chunk) > 1:
+        mid = len(chunk) // 2  # back half gets the extra element
+        chunks += [chunk[:mid], chunk[mid:]]
+    return retained
+
+
+def _guess(runs: Dict[Tuple[str, ...], ExecutionResult], retained: List[str],
+           subset: List[str], chunk: List[str], chunks: List[List[str]]) -> Optional[List[str]]:
+    """The subset the next probe most likely removes while ``subset``'s
+    probe runs: the first one ``runs`` does not hold on the walk that
+    assumes this probe keeps the failure and follows every outcome ``runs``
+    knows, or on the pass branch's walk if that one ends; None if both end."""
+    for failed in (True, False):
+        walk = chunks.copy()  # chunk lists are never changed, only the stack
+        kept = _transition(retained, subset, chunk, walk, failed)
+        while walk:
+            step = walk.pop()
+            probe = _removal(kept, step)
+            known = runs.get(tuple(probe))
+            if known is None:
+                return probe
+            kept = _transition(kept, probe, step, walk, known.outcome.is_fail)
+    return None
+
+
 def _prune(session: _Session, chunks: List[List[str]]) -> Tuple[List[RemovalProbe], List[str]]:
     """The delete-or-pin loop shared by ``tail`` and ``rand``.
 
@@ -131,25 +178,29 @@ def _prune(session: _Session, chunks: List[List[str]]) -> Tuple[List[RemovalProb
     A chunk on the stack is a stretch of the retained sequence: the
     whole sequence, a half of a retained chunk, or one step.  Deleting
     other steps keeps it one, so it is removed by slicing.
+
+    Each probe hands the driver a thunk of ``_guess``, so a driver that
+    starts a real run may run the likely next probe beside it.  The thunk
+    is evaluated before ``execute`` returns, while the loop's state is the
+    probe's.  However the loop ends, the driver's guess ends with it.
     """
     retained = list(session.base.subset)
     retained_run = session.base
     probes: List[RemovalProbe] = []
-    while chunks:
-        chunk = chunks.pop()
-        start = retained.index(chunk[0])
-        end = start + len(chunk)
-        if retained[start:end] != chunk:
-            raise ValueError(f"chunk {chunk!r} is not a stretch of the retained steps")
-        subset = retained[:start] + retained[end:]
-        run = session.probe(subset)
-        if run.outcome.is_fail:
-            retained, retained_run = subset, run
-        elif len(chunk) == 1:
-            probes.append(RemovalProbe.from_runs(chunk[0], retained_run, run))
-        else:
-            mid = len(chunk) // 2  # back half gets the extra element
-            chunks += [chunk[:mid], chunk[mid:]]
+    runs = session.runs
+    try:
+        while chunks:
+            chunk = chunks.pop()
+            subset = _removal(retained, chunk)
+            run = session.probe(subset, lambda: _guess(runs, retained, subset, chunk, chunks))
+            failed = run.outcome.is_fail
+            if failed:
+                retained_run = run
+            elif len(chunk) == 1:
+                probes.append(RemovalProbe.from_runs(chunk[0], retained_run, run))
+            retained = _transition(retained, subset, chunk, chunks, failed)
+    finally:
+        session.driver.drop_guess()
     return probes, retained
 
 
@@ -158,7 +209,10 @@ def tail_prune(driver, sequence: StepSequence) -> IsolationResult:
 
     Starts from the whole sequence as one chunk: removal of a chunk is
     tested first, and only a chunk whose removal loses the failure is
-    split, back half first, which realizes the reverse traversal.
+    split, back half first, which realizes the reverse traversal.  Each
+    probe waits on the one before it; a ``ProcessDriver`` on two or more
+    cores runs the next probe the walk would make if this one fails beside
+    it, and the probes and results stay those of one-at-a-time runs.
     """
     session = _Session(driver, sequence)
     probes, retained = _prune(session, [list(sequence.ids)])

@@ -38,7 +38,8 @@ class ToyDriver(Driver):
     def _enumerate(self) -> StepSequence:
         return pipeline_steps(self.bug.pipeline)
 
-    def _run(self, key: Tuple[str, ...], positions: List[int]) -> ExecutionResult:
+    def _run(self, key: Tuple[str, ...], positions: List[int], after) -> ExecutionResult:
+        # no guess: in-process runs share the interpreter lock
         covered: dict = {}
         outcome, _ = subset_outcome(self.bug, positions, covered, self._memo)
         return ExecutionResult(key, outcome, blocks(covered))

@@ -91,6 +91,10 @@ class FakeDriver:
         self.execute_calls = 0
         self.process_runs = 0
         self.trace = []  # every issued subset, in order
+        self.guesses = []  # what each uncached run's ``after`` thunk named
+
+    def drop_guess(self):
+        pass
 
     def enumerate_steps(self):
         return StepSequence(tuple(self.ids))
@@ -102,13 +106,15 @@ class FakeDriver:
                 cov.add(StatementId(f"steps/{sid}.c", line, f"fn_{sid}"))
         return frozenset(cov)
 
-    def execute(self, subset):
+    def execute(self, subset, after=None):
         key = tuple(subset)
         self.execute_calls += 1
         self.trace.append(key)
         if self._cache is not None and key in self._cache:
             return self._cache[key]
         self.process_runs += 1
+        if after is not None:
+            self.guesses.append(after())
         if self._outcomes is not None:
             outcome = self._outcomes.pop(0)
         else:

@@ -35,6 +35,8 @@ from bugsteps.errors import (
 )
 from bugsteps.isolate import no_del, run_strategy, tail_prune
 from bugsteps.model import ExecutionResult, Outcome, StepSequence
+from bugsteps.scoring import report_for
+from bugsteps.toy.bugs import ARCHETYPES
 from conftest import StatementId, covered, file_blocks, ids
 
 PY = sys.executable
@@ -1139,6 +1141,198 @@ class TestToyThroughSubprocess:
         assert covered(result)  # coverage written before the abort
 
 
+def one_core(monkeypatch):
+    """Makes a driver built from now on see one core, so it never guesses."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
+def two_cores(monkeypatch):
+    """Makes a driver built from now on see two cores, so it guesses."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def isolate_both_ways(monkeypatch, make_driver, isolate):
+    """``isolate(driver)`` with guessing on, then on one core; each with its
+    driver's counters."""
+    sides = []
+    for cores in (two_cores, one_core):
+        cores(monkeypatch)
+        driver = make_driver(cores.__name__)
+        sides.append((isolate(driver), driver))
+    assert sides[0][1]._guessing and not sides[1][1]._guessing
+    return sides
+
+
+def assert_same_isolation(guessed, serial):
+    (a, da), (b, db) = guessed, serial
+    assert a.to_json_dict() == b.to_json_dict()
+    assert (report_for(a, "compscan", "file").to_json_dict()
+            == report_for(b, "compscan", "file").to_json_dict())
+    assert (a.probe_count, da.execute_calls) == (b.probe_count, db.execute_calls)
+    assert da.process_runs >= db.process_runs
+    assert db.guesses_started == 0
+
+
+@pytest.mark.parametrize("archetype", ARCHETYPES)
+def test_guessing_changes_no_testbed_isolation(tmp_path, monkeypatch, archetype):
+    # one scenario of each archetype of testbed-gen --seed 42 --count 8
+    from bugsteps.toy.bugs import generate_scenarios
+
+    scn = next(s for s in generate_scenarios(42, 8) if s.archetype == archetype)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scn.to_json_dict()))
+
+    def make_driver(name):
+        (tmp_path / name).mkdir(exist_ok=True)
+        return TestToyThroughSubprocess().make_driver(tmp_path / name, path, scn)
+
+    guessed = 0
+    for strategy in ("tail", "rand"):
+        sides = isolate_both_ways(
+            monkeypatch, lambda name: make_driver(f"{strategy}-{name}"),
+            lambda d: run_strategy(strategy, d, d.enumerate_steps(), seed=7))
+        assert_same_isolation(*sides)
+        assert sides[0][0].bug_causing_steps
+        guessed += sides[0][1].guesses_started
+    assert guessed
+
+
+class TestGuess:
+    """A process driver runs the likely next probe beside the current one."""
+
+    STEPS = "printf 'a\\nb\\nc\\nd\\n'"
+
+    def config(self, tmp_path, cases="", **overrides):
+        """Four steps a-d; a run fails (wrong output) while c is retained.
+
+        ``cases`` are ``case`` arms matched against ``$p``, ``,{passes},``,
+        ahead of that.  Only builtins run before a ``case`` arm, so a run that
+        sleeps there is its shell alone.
+        """
+        cov = gcov_cov({StatementId("m.c", 1)})
+        assert "'" not in cov
+        return load_config(write_config(
+            tmp_path,
+            enumerate_command=self.STEPS,
+            run_command=f"p=,{{passes}},; case $p in {cases} *) ;; esac;"
+                        f" printf '%s' '{cov}' > {{scratch}}/cov.json;"
+                        " case $p in *,c,*) echo bad;; *) echo ok;; esac",
+            expected_output="ok",
+            coverage_paths=["{scratch}/cov.json"],
+            **overrides,
+        ))
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """Every run a process driver starts, guess or not."""
+        runs = []
+        start = ProcessDriver._start
+        monkeypatch.setattr(ProcessDriver, "_start",
+                            lambda driver, key: runs.append(start(driver, key)) or runs[-1])
+        return runs
+
+    @staticmethod
+    def assert_nothing_left(started):
+        """No started run's process group or ``{scratch}`` is left."""
+        for run in started:
+            with pytest.raises(ProcessLookupError):
+                os.killpg(run.shell.proc.pid, 0)
+            assert not Path(run.scratch).exists()
+
+    def test_predicted_runs_are_claimed(self, tmp_path, monkeypatch, started):
+        # tail's walk: abcd, (), ab, abc, (ab), c; each run past the
+        # baseline starts a guess: ab, a, c, ac, and ab and c are asked for
+        two_cores(monkeypatch)
+        driver = ProcessDriver(self.config(tmp_path))
+        result = tail_prune(driver, driver.enumerate_steps())
+        assert result.bug_causing_steps == ["c"]
+        assert (driver.guesses_started, driver.guesses_claimed) == (4, 2)
+        assert driver.process_runs == len(started) == 5 + 2 and driver._guess is None
+        self.assert_nothing_left(started)
+
+    @pytest.mark.parametrize("exit_path", ["return", "timeout", "raise", "interrupt"])
+    def test_no_guess_outlives_its_isolation(self, tmp_path, monkeypatch, started, exit_path):
+        # the last guess, ac, retains c, and so does the run c it is started
+        # beside: while c is retained a run sleeps past the timeout, except
+        # that the run c alone fails to build without coverage on "raise"
+        two_cores(monkeypatch)
+        cases = "*,c,*) exec sleep 30;;" if exit_path != "return" else ""
+        if exit_path == "raise":
+            cases = ",c,) exit 2;; " + cases
+        driver = ProcessDriver(self.config(tmp_path, cases, timeout=0.5))
+        if exit_path == "interrupt":
+            communicate = subprocess.Popen.communicate
+
+            def interrupted(proc, timeout=None):
+                if driver._guess is not None and driver._guess.key == ("a", "c"):
+                    raise KeyboardInterrupt
+                return communicate(proc, timeout=timeout)
+
+            monkeypatch.setattr(subprocess.Popen, "communicate", interrupted)
+        if exit_path in ("raise", "interrupt"):
+            with pytest.raises(CoverageMissing if exit_path == "raise" else KeyboardInterrupt):
+                tail_prune(driver, driver.enumerate_steps())
+        else:
+            result = tail_prune(driver, driver.enumerate_steps())
+            assert result.bug_causing_steps == ["c"]
+        assert driver.guesses_started == driver.guesses_claimed + 2 and driver._guess is None
+        self.assert_nothing_left(started)
+
+    def test_warm_isolation_starts_no_guess(self, tmp_path, monkeypatch):
+        two_cores(monkeypatch)
+        cfg = self.config(tmp_path)
+        first = ProcessDriver(cfg, cache_dir=tmp_path / "cache")
+        expected = tail_prune(first, first.enumerate_steps()).to_json_dict()
+        assert first.guesses_started
+        again = ProcessDriver(cfg, cache_dir=tmp_path / "cache")
+        assert tail_prune(again, again.enumerate_steps()).to_json_dict() == expected
+        assert (again.process_runs, again.guesses_started) == (0, 0)
+
+    @pytest.mark.parametrize("failure", ["exec sleep 30", "kill -SEGV $$", "exit 2"])
+    def test_an_unclaimed_failing_guess_changes_nothing(self, tmp_path, monkeypatch, started,
+                                                        failure):
+        # the run a is guessed beside ab and never asked for: tail takes
+        # abc next; asked for, a would time out, crash or raise CoverageMissing
+        cases = f",a,) {failure};;"
+        sides = isolate_both_ways(
+            monkeypatch,
+            lambda name: ProcessDriver(self.config(tmp_path, cases, timeout=2),
+                                       cache_dir=tmp_path / name),
+            lambda d: tail_prune(d, d.enumerate_steps()))
+        assert_same_isolation(*sides)
+        assert sides[0][1].guesses_started > sides[0][1].guesses_claimed
+        assert ("a",) not in [run.subset for run in sides[0][0].all_runs]
+        assert not sides[0][1]._cache_path(("a",)).exists()
+        self.assert_nothing_left(started)
+
+    @pytest.mark.parametrize("failure, outcome", [
+        ("exec sleep 30", Outcome.FAIL_TIMEOUT), ("kill -SEGV $$", Outcome.FAIL_CRASH),
+        (":", Outcome.PASS), ("exit 2", CoverageMissing)])
+    def test_a_claimed_guess_is_a_serial_run(self, tmp_path, monkeypatch, started,
+                                             failure, outcome):
+        cfg = self.config(tmp_path, f",a,) {failure};;", timeout=0.5)
+        seen = []
+        for cores in (two_cores, one_core):
+            cores(monkeypatch)
+            driver = ProcessDriver(cfg, cache_dir=tmp_path / cores.__name__)
+            driver.execute(("b",), after=lambda: ["a"])
+            try:
+                result = driver.execute(("a",))
+                seen.append((result.outcome, result.blocks))
+            except CoverageMissing as exc:
+                seen.append((type(exc), str(exc)))
+                # a guess that raised is not cached: asked again, it runs again
+                runs = len(started)
+                with pytest.raises(CoverageMissing):
+                    driver.execute(("a",))
+                assert len(started) == runs + 1
+                assert not driver._cache_path(("a",)).exists()
+            seen.append(driver.guesses_claimed)
+        assert seen[0][0] == outcome
+        assert seen == [seen[0], 1, seen[0], 0]
+        self.assert_nothing_left(started)
+
+
 # each argv word names a pass; pass_b is the seeded one: it alone changes the value
 GCOV_PROGRAM = """\
 #include <stdio.h>
@@ -1210,6 +1404,17 @@ class TestRealGcov:
         assert result.bug_causing_steps == ["b"]
         seeded = {s for s in covered(result.baseline) if s.function == "pass_b"}
         assert seeded and seeded <= ids(result.probes[0].diff)
+
+    def test_guessing_changes_no_tail_isolation(self, tmp_path, monkeypatch):
+        # a guess's .gcda files land in its own {scratch}, as a serial run's do
+        def make_driver(name):
+            (tmp_path / name).mkdir()
+            return ProcessDriver(self.config(tmp_path / name), cache_dir=tmp_path / name / "cache")
+
+        sides = isolate_both_ways(monkeypatch, make_driver,
+                                  lambda d: tail_prune(d, d.enumerate_steps()))
+        assert_same_isolation(*sides)
+        assert sides[0][0].bug_causing_steps == ["b"] and sides[0][1].guesses_started
 
     def test_no_coverage_leaks_into_the_next_run(self, tmp_path):
         driver = ProcessDriver(self.config(tmp_path))

@@ -44,8 +44,8 @@ class TestVerifyBaseline:
         d = driver_for(3, {2})
         d._outcomes = None
 
-        def execute(subset, _orig=d.execute):
-            r = _orig(subset)
+        def execute(subset, after=None, _orig=d.execute):
+            r = _orig(subset, after)
             if r.outcome.is_fail:
                 object.__setattr__(r, "outcome", Outcome.FAIL_CRASH)
             return r
@@ -71,6 +71,9 @@ class TestTailPrune:
             ("1", "2"),            # remove {3} -> passes, pin 3 (cache hit)
             ("3",),                # remove {1,2} -> still fails, delete
         ]
+        # each uncached probe's likely successor: the next probe if it keeps
+        # the failure, else (the walk ends) if it passes; 1,2 and 3 are asked for
+        assert d.guesses == [["1", "2"], ["1"], ["3"], ["1", "3"]]
 
     def test_single_trigger_unique_minimal_set(self):
         # brute-force oracle: {3} is the only 1-minimal failing set
