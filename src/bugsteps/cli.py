@@ -57,9 +57,7 @@ def cmd_isolate(args) -> int:
 
     driver = load_driver(args.config, cache_dir=args.cache_dir)
     sequence = driver.enumerate_steps()
-    isolation = run_strategy(
-        args.strategy, driver, sequence, seed=args.seed, jobs=args.jobs
-    )
+    isolation = run_strategy(args.strategy, driver, sequence, seed=args.seed)
     report = report_for(
         isolation,
         args.scorer,
@@ -223,8 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_iso.add_argument("--scorer", choices=SCORERS, default="compscan")
     p_iso.add_argument("--granularity", choices=GRANULARITIES, default="file")
     p_iso.add_argument("--seed", type=int, default=0)
-    p_iso.add_argument("--jobs", type=positive_int, default=1,
-                       help="threads for nodel's independent probes; tail and rand ignore it")
     p_iso.add_argument("--cache-dir", default=None)
     p_iso.add_argument("--output", default=None)
     p_iso.add_argument("--format", choices=("json", "table"), default="json")

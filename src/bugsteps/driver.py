@@ -11,11 +11,12 @@ started, then collected: it returns once its outcome is known and its
 coverage files are read, its blocks a future that a parser thread of its
 own fulfils and stores while the next run's command runs; a run whose parse
 failed is a memory miss.  A caller may hand ``execute`` a thunk of the
-subset it will likely ask next, and calls ``drop_guess`` once done; on a
-real run, with two cores to run on, a ``ProcessDriver`` starts that
-subset's run beside it, and the caller's next ``execute`` of it claims the
-running process.  So a run may overlap another run of the same config, and
-its commands write only under ``{scratch}``.  Cache entries are keyed by
+subsets it will likely ask for next, in order, and calls ``drop_guess``
+once done; on a real run, a ``ProcessDriver`` keeps the first of them that
+are not cached running ahead, one per core beside the caller's, and the
+caller's ``execute`` of one claims its running process.  So a run may
+overlap other runs of the same config, and its commands write only under
+``{scratch}``.  Cache entries are keyed by
 the driver fingerprint plus the ordered retained subset, so repeated
 identical subsets never re-run.  A disk entry is a version-4 text file of
 lines: a ``{"version":4,"outcome":...}`` header, the
@@ -62,6 +63,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import suppress
 from dataclasses import asdict, dataclass, field, fields
 from glob import glob
+from itertools import islice
 from operator import lt
 from pathlib import Path
 from typing import (Dict, List, NamedTuple, Optional, Sequence, Tuple, Union,
@@ -228,10 +230,10 @@ class Driver:
     answers from the memory cache, then from the disk tier when
     ``cache_dir`` is set, and only then calls ``_run``.  Subclasses
     implement ``_enumerate()`` and ``_run(key, positions, after)``, which
-    returns the run's result, stored with ``_cache_store`` when
-    ``cache_dir`` is set.  A backend that runs out of process may start
-    ``after()``'s subset beside the run (``ProcessDriver``); one that runs in
-    process ignores ``after`` and never has a guess to drop.
+    counts the run in ``process_runs`` as it starts and returns its result,
+    stored with ``_cache_store`` when ``cache_dir`` is set.  A backend that
+    runs out of process may start ``after()``'s subsets beside the run
+    (``ProcessDriver``); one that runs in process ignores ``after``.
     """
 
     def __init__(self, fingerprint: str, cache_dir: Optional[Path] = None):
@@ -257,7 +259,7 @@ class Driver:
         raise NotImplementedError
 
     def drop_guess(self) -> None:
-        """End the run started for a guess that no caller claimed, if any."""
+        """End the runs started ahead that no caller claimed, if any."""
 
     def enumerate_steps(self) -> StepSequence:
         if self._sequence is None:
@@ -266,8 +268,8 @@ class Driver:
 
     def execute(self, subset: Sequence[str], after=None) -> ExecutionResult:
         """``subset``'s result.  ``after``, when given, is a thunk of the
-        subset the caller will likely ask next (or None); it is called, if at
-        all, only on the way to a real run and before this returns."""
+        subsets the caller will likely ask for next, in order; it is called,
+        if at all, only on the way to a real run and before this returns."""
         key = tuple(subset)
         with self._lock:
             self.execute_calls += 1
@@ -283,8 +285,6 @@ class Driver:
         result = self._cache_load(key) if self.cache_dir else None
         if result is None:
             result = self._run(key, positions, after)
-            with self._lock:
-                self.process_runs += 1
         with self._lock:
             self._mem[key] = result
         return result
@@ -423,14 +423,14 @@ class ProcessDriver(Driver):
     """Runs the pipeline through shell commands; results persist on disk.
 
     A run is started, then collected.  When a caller hands ``execute`` a
-    thunk with a real run, the driver also starts the run of the subset the
-    thunk names, if it is not cached, while the caller's run goes on: a
-    *guess*.  At most one guess is in flight.  A real run of the guessed
-    subset claims its process rather than starting another; any other real
-    run, or ``drop_guess``, kills it and removes its ``{scratch}``.  A
-    guess is collected only once claimed, so it is then a run like any
-    other, and an unclaimed one leaves no result, entry or error behind.
-    Guessing needs two cores the process may run on.
+    thunk with a real run, the driver reads the first subsets it names, one
+    per core beside the caller's run, and keeps a run *ahead* for each that
+    is not cached, while the caller's run goes on: it kills the ahead runs
+    no longer named and starts the missing ones.  A real run of a subset
+    run ahead claims its process rather than starting another, and
+    ``drop_guess`` kills them all; a killed run's ``{scratch}`` is removed.
+    An ahead run is collected only once claimed, so it is then a run like
+    any other, and an unclaimed one leaves no result, entry or error behind.
     """
 
     def __init__(self, config: DriverConfig, cache_dir=None):
@@ -448,11 +448,12 @@ class ProcessDriver(Driver):
         # the parser's memo of gcov file records by their text and of blocks
         # by (file, {(line, function), ...}); only the parser thread reads or fills it
         self._parsed: dict = {}
-        # the run started for the subset a caller will likely ask next, while
-        # the caller's run goes on; guessing needs a second core
-        self._guess: Optional[_Run] = None
+        # the runs started ahead, by subset, at most one per core beside the
+        # caller's run; the lock serializes their claims, starts and kills
+        self._ahead: Dict[Tuple[str, ...], _Run] = {}
+        self._ahead_lock = threading.Lock()
         affinity = getattr(os, "sched_getaffinity", None)
-        self._guessing = (len(affinity(0)) if affinity else os.cpu_count() or 1) >= 2
+        self._slots = (len(affinity(0)) if affinity else os.cpu_count() or 1) - 1
         self.guesses_started = 0
         self.guesses_claimed = 0
 
@@ -473,50 +474,44 @@ class ProcessDriver(Driver):
             raise CommandFailed(self.config.enumerate_command, exc.args[0]) from exc
 
     def _run(self, key: Tuple[str, ...], positions: List[int], after) -> ExecutionResult:
-        with self._lock:
-            guess, self._guess = self._guess, None
-        if guess is not None and guess.key == key:
-            run = guess  # the guess's process has run beside the caller's last one
-            self.guesses_claimed += 1
-            if run.shell.deadline <= time.monotonic() and run.shell.proc.poll() is not None:
-                # its shell ended while the caller's run went on: it did not
-                # run out of time, and only its output is left to read
-                run = run._replace(shell=run.shell._replace(
-                    deadline=time.monotonic() + self.config.timeout))
-        else:
-            if guess is not None:
-                self._discard(guess)
-            run = self._start(key)
-        if after is not None and self._guessing:
+        with self._ahead_lock:
+            run = self._ahead.pop(key, None)
+            if run is None:
+                run = self._start(key)
+            else:  # its process has run beside the caller's last one
+                self.guesses_claimed += 1
+                if run.shell.deadline <= time.monotonic() and run.shell.proc.poll() is not None:
+                    # its shell ended while the caller's run went on: it did not
+                    # run out of time, and only its output is left to read
+                    run = run._replace(shell=run.shell._replace(
+                        deadline=time.monotonic() + self.config.timeout))
             try:
-                self._start_guess(after())
+                self._run_ahead(islice(after(), self._slots)
+                                if after is not None and self._slots else ())
             except BaseException:
                 self._discard(run)
                 raise
         return self._collect(run)
 
-    def _start_guess(self, subset: Optional[Sequence[str]]) -> None:
-        """Start ``subset``'s run beside the caller's, unless it is cached."""
-        if subset is None:
-            return
-        key = tuple(subset)
-        if key in self._mem or (self.cache_dir and self._cache_path(key).exists()):
-            return
-        guess = self._start(key)
-        with self._lock:
-            self.guesses_started += 1
-            guess, self._guess = self._guess, guess
-        if guess is not None:  # another thread's, started meanwhile
-            self._discard(guess)
+    def _run_ahead(self, subsets) -> None:
+        """Keep a run ahead for each of ``subsets`` that is not cached, and
+        for no other subset; the caller holds ``_ahead_lock``."""
+        wanted = [key for key in map(tuple, subsets) if key not in self._mem
+                  and not (self.cache_dir and self._cache_path(key).exists())]
+        for key in [*self._ahead]:
+            if key not in wanted:
+                self._discard(self._ahead.pop(key))
+        for key in wanted:
+            if key not in self._ahead:
+                self._ahead[key] = self._start(key)
+                self.guesses_started += 1
 
     def drop_guess(self) -> None:
-        with self._lock:
-            guess, self._guess = self._guess, None
-        if guess is not None:
-            self._discard(guess)
+        with self._ahead_lock:
+            self._run_ahead(())
 
     def _start(self, key: Tuple[str, ...]) -> _Run:
-        """Start ``key``'s run command in a fresh ``{scratch}``; it does not wait."""
+        """Start and count ``key``'s run in a fresh ``{scratch}``; it does not wait."""
         joined = self.config.step_separator.join(
             self.config.step_template.replace("{step}", s) for s in key
         )
@@ -526,6 +521,8 @@ class ProcessDriver(Driver):
         except BaseException:
             shutil.rmtree(scratch, ignore_errors=True)
             raise
+        with self._lock:
+            self.process_runs += 1
         return _Run(key, scratch, shell)
 
     def _discard(self, run: _Run) -> None:
@@ -533,8 +530,6 @@ class ProcessDriver(Driver):
         with run.shell.proc as proc:
             _kill(proc)
         shutil.rmtree(run.scratch, ignore_errors=True)
-        with self._lock:
-            self.process_runs += 1
 
     def _collect(self, run: _Run) -> ExecutionResult:
         """Wait for a started run, then run the test command if any, judge the
@@ -585,11 +580,11 @@ class ProcessDriver(Driver):
         env.update(self.config.env)
         if scratch is not None:
             env["RUN_SCRATCH"] = scratch
-        # stderr is never read: a guess no caller has claimed yet must not
-        # stall on it
+        # stdin is never shared, as runs ahead overlap; stderr is never read,
+        # so a run ahead that no caller has claimed yet does not stall on it
         proc = subprocess.Popen(command, shell=True, cwd=self.config.workdir, env=env,
-                                stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-                                start_new_session=True)
+                                stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                                stderr=subprocess.DEVNULL, start_new_session=True)
         return _Shell(proc, time.monotonic() + self.config.timeout)
 
     @staticmethod

@@ -15,16 +15,16 @@ Three strategies, all built on the same driver contract:
 over different chunk schedules: the whole sequence as one chunk that is
 split on demand, or the shuffled single steps.  Each probe of the loop
 names its likely successor to the driver (``_guess``): the next probe if
-this one keeps the failure, as far as the runs already known decide.  A
-``ProcessDriver`` with two cores runs that probe beside the current one,
-and the loop takes its result only when it asks for that subset, so the
-probes, their order and every result are those of the serial loop.
+this one keeps the failure, as far as the runs already known decide, and
+``no_del`` names the rest of its probes.  A ``ProcessDriver`` runs them ahead,
+one per spare core, and a strategy takes a run's result only when it asks
+for that subset, so the probes, their order and every result are those of
+the serial loop.
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -145,11 +145,12 @@ def _transition(retained: List[str], subset: List[str], chunk: List[str],
 
 
 def _guess(runs: Dict[Tuple[str, ...], ExecutionResult], retained: List[str],
-           subset: List[str], chunk: List[str], chunks: List[List[str]]) -> Optional[List[str]]:
+           subset: List[str], chunk: List[str], chunks: List[List[str]]) -> List[List[str]]:
     """The subset the next probe most likely removes while ``subset``'s
-    probe runs: the first one ``runs`` does not hold on the walk that
-    assumes this probe keeps the failure and follows every outcome ``runs``
-    knows, or on the pass branch's walk if that one ends; None if both end."""
+    probe runs, as a list of at most one: the first one ``runs`` does not
+    hold on the walk that assumes this probe keeps the failure and follows
+    every outcome ``runs`` knows, or on the pass branch's walk if that one
+    ends; none if both end."""
     for failed in (True, False):
         walk = chunks.copy()  # chunk lists are never changed, only the stack
         kept = _transition(retained, subset, chunk, walk, failed)
@@ -158,9 +159,9 @@ def _guess(runs: Dict[Tuple[str, ...], ExecutionResult], retained: List[str],
             probe = _removal(kept, step)
             known = runs.get(tuple(probe))
             if known is None:
-                return probe
+                return [probe]
             kept = _transition(kept, probe, step, walk, known.outcome.is_fail)
-    return None
+    return []
 
 
 def _prune(session: _Session, chunks: List[List[str]]) -> Tuple[List[RemovalProbe], List[str]]:
@@ -211,32 +212,28 @@ def tail_prune(driver, sequence: StepSequence) -> IsolationResult:
     tested first, and only a chunk whose removal loses the failure is
     split, back half first, which realizes the reverse traversal.  Each
     probe waits on the one before it; a ``ProcessDriver`` on two or more
-    cores runs the next probe the walk would make if this one fails beside
-    it, and the probes and results stay those of one-at-a-time runs.
+    cores runs the next probe the walk would make if this one fails ahead,
+    beside it, and the probes and results stay those of one-at-a-time runs.
     """
     session = _Session(driver, sequence)
     probes, retained = _prune(session, [list(sequence.ids)])
     return session.finish("tail", probes, retained)
 
 
-def no_del(driver, sequence: StepSequence, jobs: int = 1) -> IsolationResult:
-    """Independent single-step removals against the original full run."""
+def no_del(driver, sequence: StepSequence) -> IsolationResult:
+    """Independent single-step removals against the original full run,
+    each probe naming the rest to the driver."""
     session = _Session(driver, sequence)
     ids = list(sequence.ids)
     subsets = [tuple(s for s in ids if s != removed) for removed in ids]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            runs = list(pool.map(driver.execute, subsets))
-    else:
-        runs = list(map(driver.execute, subsets))
-    session.issued += len(runs)
-    for run in runs:
-        session.record(run)
-    probes = [
-        RemovalProbe.from_runs(removed, session.base, run)
-        for removed, run in zip(ids, runs)
-        if not run.outcome.is_fail
-    ]
+    probes = []
+    try:
+        for i, subset in enumerate(subsets):
+            run = session.probe(subset, lambda: map(subsets.__getitem__, range(i + 1, len(ids))))
+            if not run.outcome.is_fail:
+                probes.append(RemovalProbe.from_runs(ids[i], session.base, run))
+    finally:
+        driver.drop_guess()
     return session.finish("nodel", probes, None)
 
 
@@ -250,11 +247,11 @@ def rand_order(driver, sequence: StepSequence, seed: int) -> IsolationResult:
 
 
 def run_strategy(strategy: str, driver, sequence: StepSequence,
-                 seed: int = 0, jobs: int = 1) -> IsolationResult:
+                 seed: int = 0) -> IsolationResult:
     if strategy == "tail":
         return tail_prune(driver, sequence)
     if strategy == "nodel":
-        return no_del(driver, sequence, jobs=jobs)
+        return no_del(driver, sequence)
     if strategy == "rand":
         return rand_order(driver, sequence, seed=seed)
     raise ValueError(f"unknown strategy {strategy!r}")

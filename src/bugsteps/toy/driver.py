@@ -39,7 +39,9 @@ class ToyDriver(Driver):
         return pipeline_steps(self.bug.pipeline)
 
     def _run(self, key: Tuple[str, ...], positions: List[int], after) -> ExecutionResult:
-        # no guess: in-process runs share the interpreter lock
+        # no run ahead: in-process runs share the interpreter lock
+        with self._lock:
+            self.process_runs += 1
         covered: dict = {}
         outcome, _ = subset_outcome(self.bug, positions, covered, self._memo)
         return ExecutionResult(key, outcome, blocks(covered))

@@ -91,7 +91,7 @@ class FakeDriver:
         self.execute_calls = 0
         self.process_runs = 0
         self.trace = []  # every issued subset, in order
-        self.guesses = []  # what each uncached run's ``after`` thunk named
+        self.guesses = []  # the subsets each uncached run's ``after`` thunk named
 
     def drop_guess(self):
         pass
@@ -114,7 +114,7 @@ class FakeDriver:
             return self._cache[key]
         self.process_runs += 1
         if after is not None:
-            self.guesses.append(after())
+            self.guesses.append(list(after()))
         if self._outcomes is not None:
             outcome = self._outcomes.pop(0)
         else:

@@ -69,7 +69,7 @@ class TestTestbedGen:
 
 @pytest.mark.parametrize("value", ["0", "-3"])
 @pytest.mark.parametrize("verb,flag", [
-    ("eval", "--repeat"), ("eval", "--jobs"), ("isolate", "--jobs"),
+    ("eval", "--repeat"), ("eval", "--jobs"),
 ])
 def test_count_flag_below_one_is_usage_error(tmp_path, capsys, verb, flag, value):
     out = tmp_path / "out.json"
@@ -78,6 +78,14 @@ def test_count_flag_below_one_is_usage_error(tmp_path, capsys, verb, flag, value
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_isolate_has_no_jobs_flag(tmp_path, capsys):
+    # a process driver runs nodel's next probes ahead on its own
+    with pytest.raises(SystemExit) as exc:
+        main(["isolate", str(tmp_path / "input.json"), "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 class TestIsolate:
@@ -256,15 +264,6 @@ class TestIsolate:
         assert len(scores) == 1  # uniform epsilon
         ranks = {r["rank"] for r in report["rows"]}
         assert ranks == {len(units)}  # worst-rank ties
-
-    def test_nodel_with_jobs_same_flipped_set(self, testbed_dir, capsys):
-        config, _ = config_for(testbed_dir, "stale_cse_sr")
-        assert main(["isolate", str(config)]) == 0
-        tail_steps = json.loads(capsys.readouterr().out)["provenance"]["bug_causing_steps"]
-        assert main(["isolate", str(config), "--strategy", "nodel",
-                     "--jobs", "4"]) == 0
-        nodel_steps = json.loads(capsys.readouterr().out)["provenance"]["bug_causing_steps"]
-        assert tail_steps == nodel_steps
 
     def test_table_format(self, testbed_dir, capsys):
         config, _ = config_for(testbed_dir, "sr_pow2_off")

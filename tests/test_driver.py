@@ -304,6 +304,40 @@ class TestExecute:
             driver.execute(("licm",))
         assert exits(int((tmp_path / "child.pid").read_text()))
 
+    def test_test_command_timeout_kills_its_group(self, tmp_path, monkeypatch):
+        shells = []
+        spawn = ProcessDriver._spawn
+        monkeypatch.setattr(ProcessDriver, "_spawn",
+                            lambda driver, *args: shells.append(spawn(driver, *args)) or shells[-1])
+        cfg = write_config(tmp_path, test_command="exec sleep 30", timeout=0.5)
+        began = time.monotonic()
+        assert ProcessDriver(load_config(cfg)).execute(("licm",)).outcome is Outcome.FAIL_TIMEOUT
+        assert time.monotonic() - began < 5
+        assert len(shells) == 3  # the enumeration, the run and the test command
+        with pytest.raises(ProcessLookupError):
+            os.killpg(shells[-1].proc.pid, 0)
+
+    def test_commands_do_not_read_the_drivers_stdin(self, tmp_path):
+        # run in a child interpreter whose own stdin holds a line
+        cfg = write_config(tmp_path, run_command=': {passes}; read x; [ -n "$x" ] && echo bad'
+                                                 " || echo ok", expected_output="ok")
+        child = subprocess.run(
+            [PY, "-c", "import sys; from bugsteps.driver import load_driver;"
+                       " d = load_driver(sys.argv[1]);"
+                       " print(d.execute(d.enumerate_steps().ids).outcome.value)", str(cfg)],
+            input=b"parent-input\n", capture_output=True, timeout=60, check=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert child.stdout == b"pass\n"
+
+    def test_a_run_that_raises_is_counted(self, tmp_path):
+        # a run that fails to build before it writes coverage started a process
+        cfg = write_config(tmp_path, run_command="echo {passes}; exit 1",
+                           coverage_paths=["{scratch}/cov.json"])
+        driver = ProcessDriver(load_config(cfg))
+        with pytest.raises(CoverageMissing):
+            driver.execute(("licm",))
+        assert driver.process_runs == 1
+
     def test_timeout_without_coverage_is_recorded(self, tmp_path):
         cfg = write_config(tmp_path, run_command="sleep 5; echo {passes}", timeout=0.3,
                            coverage_paths=["{scratch}/cov.json"])
@@ -1115,17 +1149,19 @@ class TestToyThroughSubprocess:
 
     def test_no_del_jobs_agree_and_parse_each_run_once(self, tmp_path, scenario_file,
                                                       monkeypatch):
+        # nodel's runs ahead, on two cores, are each parsed once, as serial runs are
         scenario_path, scn = scenario_file
         parsed = []
         parse = COVERAGE_PARSERS["gcov_json"]
         monkeypatch.setitem(COVERAGE_PARSERS, "gcov_json",
                             lambda *a, **kw: parsed.append(1) or parse(*a, **kw))
         docs = []
-        for jobs in (1, 2):
-            (tmp_path / str(jobs)).mkdir()
-            driver = self.make_driver(tmp_path / str(jobs), scenario_path, scn)
-            docs.append(no_del(driver, driver.enumerate_steps(), jobs=jobs).to_json_dict())
-            assert len(parsed) == driver.process_runs
+        for count in (1, 2):
+            set_cores(monkeypatch, count)
+            (tmp_path / str(count)).mkdir()
+            driver = self.make_driver(tmp_path / str(count), scenario_path, scn)
+            docs.append(no_del(driver, driver.enumerate_steps()).to_json_dict())
+            assert len(parsed) == driver.process_runs == len(scn.pipeline) + 1
             parsed.clear()
         assert docs[0] == docs[1]
 
@@ -1141,14 +1177,20 @@ class TestToyThroughSubprocess:
         assert covered(result)  # coverage written before the abort
 
 
+def set_cores(monkeypatch, count):
+    """Makes a driver built from now on see ``count`` cores, so it runs at
+    most ``count - 1`` runs ahead."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
 def one_core(monkeypatch):
     """Makes a driver built from now on see one core, so it never guesses."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    set_cores(monkeypatch, 1)
 
 
 def two_cores(monkeypatch):
     """Makes a driver built from now on see two cores, so it guesses."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    set_cores(monkeypatch, 2)
 
 
 def isolate_both_ways(monkeypatch, make_driver, isolate):
@@ -1159,7 +1201,7 @@ def isolate_both_ways(monkeypatch, make_driver, isolate):
         cores(monkeypatch)
         driver = make_driver(cores.__name__)
         sides.append((isolate(driver), driver))
-    assert sides[0][1]._guessing and not sides[1][1]._guessing
+    assert (sides[0][1]._slots, sides[1][1]._slots) == (1, 0)
     return sides
 
 
@@ -1173,14 +1215,75 @@ def assert_same_isolation(guessed, serial):
     assert db.guesses_started == 0
 
 
-@pytest.mark.parametrize("archetype", ARCHETYPES)
-def test_guessing_changes_no_testbed_isolation(tmp_path, monkeypatch, archetype):
-    # one scenario of each archetype of testbed-gen --seed 42 --count 8
+@pytest.fixture
+def started(monkeypatch):
+    """Every run a process driver starts, ahead or not."""
+    runs = []
+    start = ProcessDriver._start
+    monkeypatch.setattr(ProcessDriver, "_start",
+                        lambda driver, key: runs.append(start(driver, key)) or runs[-1])
+    return runs
+
+
+@pytest.fixture
+def held(monkeypatch):
+    """How many runs a process driver holds ahead after each update of them."""
+    counts = []
+    run_ahead = ProcessDriver._run_ahead
+
+    def update(driver, subsets):
+        try:
+            run_ahead(driver, subsets)
+        finally:
+            counts.append(len(driver._ahead))
+
+    monkeypatch.setattr(ProcessDriver, "_run_ahead", update)
+    return counts
+
+
+def assert_nothing_left(started):
+    """No started run's process group or ``{scratch}`` is left."""
+    for run in started:
+        with pytest.raises(ProcessLookupError):
+            os.killpg(run.shell.proc.pid, 0)
+        assert not Path(run.scratch).exists()
+
+
+def scenario_of(tmp_path, archetype):
+    """One scenario of ``archetype`` of testbed-gen --seed 42 --count 8, and its file."""
     from bugsteps.toy.bugs import generate_scenarios
 
     scn = next(s for s in generate_scenarios(42, 8) if s.archetype == archetype)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scn.to_json_dict()))
+    return scn, path
+
+
+@pytest.mark.parametrize("archetype", ARCHETYPES)
+def test_nodel_runs_ahead_on_any_core_count(tmp_path, monkeypatch, started, held, archetype):
+    # nodel names the rest of its probes: on n cores the driver runs n - 1
+    # of them ahead, claims each, and gives the in-process driver's document
+    from bugsteps.toy.driver import ToyDriver
+
+    scn, path = scenario_of(tmp_path, archetype)
+    toy = ToyDriver(scn)
+    expected = no_del(toy, toy.enumerate_steps()).to_json_dict()
+    for count in (1, 2, 4):
+        set_cores(monkeypatch, count)
+        (tmp_path / str(count)).mkdir()
+        driver = TestToyThroughSubprocess().make_driver(tmp_path / str(count), path, scn)
+        held.clear()
+        assert no_del(driver, driver.enumerate_steps()).to_json_dict() == expected
+        assert max(held) == count - 1 and held[-1] == 0 and not driver._ahead
+        assert driver.process_runs == len(scn.pipeline) + 1
+        assert driver.guesses_claimed == driver.guesses_started
+    assert_nothing_left(started)
+
+
+@pytest.mark.parametrize("archetype", ARCHETYPES)
+def test_guessing_changes_no_testbed_isolation(tmp_path, monkeypatch, archetype):
+    # one scenario of each archetype of testbed-gen --seed 42 --count 8
+    scn, path = scenario_of(tmp_path, archetype)
 
     def make_driver(name):
         (tmp_path / name).mkdir(exist_ok=True)
@@ -1222,23 +1325,6 @@ class TestGuess:
             **overrides,
         ))
 
-    @pytest.fixture
-    def started(self, monkeypatch):
-        """Every run a process driver starts, guess or not."""
-        runs = []
-        start = ProcessDriver._start
-        monkeypatch.setattr(ProcessDriver, "_start",
-                            lambda driver, key: runs.append(start(driver, key)) or runs[-1])
-        return runs
-
-    @staticmethod
-    def assert_nothing_left(started):
-        """No started run's process group or ``{scratch}`` is left."""
-        for run in started:
-            with pytest.raises(ProcessLookupError):
-                os.killpg(run.shell.proc.pid, 0)
-            assert not Path(run.scratch).exists()
-
     def test_predicted_runs_are_claimed(self, tmp_path, monkeypatch, started):
         # tail's walk: abcd, (), ab, abc, (ab), c; each run past the
         # baseline starts a guess: ab, a, c, ac, and ab and c are asked for
@@ -1247,8 +1333,8 @@ class TestGuess:
         result = tail_prune(driver, driver.enumerate_steps())
         assert result.bug_causing_steps == ["c"]
         assert (driver.guesses_started, driver.guesses_claimed) == (4, 2)
-        assert driver.process_runs == len(started) == 5 + 2 and driver._guess is None
-        self.assert_nothing_left(started)
+        assert driver.process_runs == len(started) == 5 + 2 and not driver._ahead
+        assert_nothing_left(started)
 
     @pytest.mark.parametrize("exit_path", ["return", "timeout", "raise", "interrupt"])
     def test_no_guess_outlives_its_isolation(self, tmp_path, monkeypatch, started, exit_path):
@@ -1264,7 +1350,7 @@ class TestGuess:
             communicate = subprocess.Popen.communicate
 
             def interrupted(proc, timeout=None):
-                if driver._guess is not None and driver._guess.key == ("a", "c"):
+                if ("a", "c") in driver._ahead:
                     raise KeyboardInterrupt
                 return communicate(proc, timeout=timeout)
 
@@ -1275,8 +1361,61 @@ class TestGuess:
         else:
             result = tail_prune(driver, driver.enumerate_steps())
             assert result.bug_causing_steps == ["c"]
-        assert driver.guesses_started == driver.guesses_claimed + 2 and driver._guess is None
-        self.assert_nothing_left(started)
+        assert driver.guesses_started == driver.guesses_claimed + 2 and not driver._ahead
+        assert_nothing_left(started)
+
+    @pytest.mark.parametrize("count", [2, 4])
+    @pytest.mark.parametrize("exit_path", ["return", "raise", "interrupt"])
+    def test_no_run_ahead_outlives_nodel(self, tmp_path, monkeypatch, started, held, count,
+                                         exit_path):
+        # nodel's probes are bcd, acd, abd and abc, and only abd passes; each
+        # names the rest, so on n cores n - 1 of them run ahead.  On "raise"
+        # the probe acd fails to build without coverage; on "interrupt" the
+        # probe collected while abc runs ahead is interrupted
+        set_cores(monkeypatch, count)
+        driver = ProcessDriver(self.config(tmp_path, ",a,c,d,) exit 2;;" * (exit_path == "raise")))
+        if exit_path == "interrupt":
+            communicate = subprocess.Popen.communicate
+
+            def interrupted(proc, timeout=None):
+                if ("a", "b", "c") in driver._ahead:
+                    raise KeyboardInterrupt
+                return communicate(proc, timeout=timeout)
+
+            monkeypatch.setattr(subprocess.Popen, "communicate", interrupted)
+        if exit_path == "return":
+            assert no_del(driver, driver.enumerate_steps()).bug_causing_steps == ["c"]
+            assert (driver.process_runs, driver.guesses_started, driver.guesses_claimed) == (5, 3, 3)
+        else:
+            with pytest.raises(CoverageMissing if exit_path == "raise" else KeyboardInterrupt):
+                no_del(driver, driver.enumerate_steps())
+            assert driver.guesses_claimed < driver.guesses_started
+        assert max(held) == count - 1 and not driver._ahead
+        assert_nothing_left(started)
+
+    def test_concurrent_callers_leak_no_run_ahead(self, tmp_path, monkeypatch, started, held):
+        # eight threads on a driver of four cores: each asks for one of the
+        # 16 subsets of a-d and names the next three, which other threads
+        # ask for, claim or no longer name while it runs
+        set_cores(monkeypatch, 4)
+        driver = ProcessDriver(self.config(tmp_path))
+        steps = driver.enumerate_steps().ids
+        subsets = [tuple(s for i, s in enumerate(steps) if mask >> i & 1) for mask in range(16)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                outcomes = list(pool.map(
+                    lambda n: driver.execute(subsets[n], after=lambda: subsets[n + 1:n + 4]).outcome,
+                    range(16), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+            driver.drop_guess()
+        assert outcomes == [Outcome.FAIL_WRONG_OUTPUT if "c" in subset else Outcome.PASS
+                            for subset in subsets]
+        assert max(held) <= 3 and not driver._ahead
+        assert driver.process_runs == len(started)
+        assert_nothing_left(started)
 
     def test_warm_isolation_starts_no_guess(self, tmp_path, monkeypatch):
         two_cores(monkeypatch)
@@ -1303,7 +1442,7 @@ class TestGuess:
         assert sides[0][1].guesses_started > sides[0][1].guesses_claimed
         assert ("a",) not in [run.subset for run in sides[0][0].all_runs]
         assert not sides[0][1]._cache_path(("a",)).exists()
-        self.assert_nothing_left(started)
+        assert_nothing_left(started)
 
     @pytest.mark.parametrize("failure, outcome", [
         ("exec sleep 30", Outcome.FAIL_TIMEOUT), ("kill -SEGV $$", Outcome.FAIL_CRASH),
@@ -1315,22 +1454,22 @@ class TestGuess:
         for cores in (two_cores, one_core):
             cores(monkeypatch)
             driver = ProcessDriver(cfg, cache_dir=tmp_path / cores.__name__)
-            driver.execute(("b",), after=lambda: ["a"])
+            driver.execute(("b",), after=lambda: [("a",)])
             try:
                 result = driver.execute(("a",))
                 seen.append((result.outcome, result.blocks))
             except CoverageMissing as exc:
                 seen.append((type(exc), str(exc)))
                 # a guess that raised is not cached: asked again, it runs again
-                runs = len(started)
+                runs = driver.process_runs
                 with pytest.raises(CoverageMissing):
                     driver.execute(("a",))
-                assert len(started) == runs + 1
+                assert driver.process_runs == runs + 1
                 assert not driver._cache_path(("a",)).exists()
             seen.append(driver.guesses_claimed)
         assert seen[0][0] == outcome
         assert seen == [seen[0], 1, seen[0], 0]
-        self.assert_nothing_left(started)
+        assert_nothing_left(started)
 
 
 # each argv word names a pass; pass_b is the seeded one: it alone changes the value

@@ -10,8 +10,7 @@ run from an empty directory with relative paths, and
 ``golden/eval-seed42-count30-function.json`` is the same ``eval`` with
 ``--granularity function`` added.  The isolation digests pin every
 probe, run and diff that ``tail``, ``nodel`` and ``rand`` (seed 7)
-produce on the same 30 scenarios, in order; ``nodel`` gives the same
-document whatever ``jobs`` is.  The report digest pins every ranked
+produce on the same 30 scenarios, in order.  The report digest pins every ranked
 report of those isolations: each scorer at each granularity.  The
 testbed digest pins the tree ``testbed-gen`` writes: every file, its
 path relative to ``--out`` and its bytes.
@@ -61,9 +60,9 @@ def test_eval_json_byte_identical(tmp_path, monkeypatch, capsys, granularity):
     assert (tmp_path / "eval.json").read_bytes() == GOLDEN_EVAL[granularity].read_bytes()
 
 
-def _isolate(bug, strategy, seed, jobs=1):
+def _isolate(bug, strategy, seed):
     driver = ToyDriver(bug)
-    return run_strategy(strategy, driver, driver.enumerate_steps(), seed=seed, jobs=jobs)
+    return run_strategy(strategy, driver, driver.enumerate_steps(), seed=seed)
 
 
 @pytest.mark.parametrize("strategy,seed", sorted(ISOLATION_DIGESTS))
@@ -73,14 +72,6 @@ def test_isolation_digest(testbed30, strategy, seed):
         result = _isolate(bug, strategy, seed)
         digest.update(canonical_json(result.to_json_dict()).encode("utf-8"))
     assert digest.hexdigest() == ISOLATION_DIGESTS[(strategy, seed)]
-
-
-def test_parallel_nodel_digest(testbed30):
-    digest = hashlib.sha256()
-    for bug in testbed30:
-        result = _isolate(bug, "nodel", 0, jobs=2)
-        digest.update(canonical_json(result.to_json_dict()).encode("utf-8"))
-    assert digest.hexdigest() == ISOLATION_DIGESTS[("nodel", 0)]
 
 
 def test_report_digest(testbed30):
